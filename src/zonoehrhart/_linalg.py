@@ -54,38 +54,6 @@ def rank(rows):
     return r
 
 
-def rref_with_transform(rows, ncols):
-    """Reduced row echelon form R = T @ A.
-
-    Returns (R, T, pivot_columns) with R and T as Fraction row lists and
-    pivot_columns the 0-based column indices carrying a pivot.
-    """
-    nrows = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    t = [[Fraction(1 if i == j else 0) for j in range(nrows)] for i in range(nrows)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if a[i][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        t[r], t[pivot] = t[pivot], t[r]
-        pv = a[r][col]
-        a[r] = [x / pv for x in a[r]]
-        t[r] = [x / pv for x in t[r]]
-        for i in range(nrows):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                t[i] = [x - f * y for x, y in zip(t[i], t[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return a, t, pivots
-
-
 def solve_exact(rows, rhs):
     """Solve the square system rows @ x = rhs exactly.
 

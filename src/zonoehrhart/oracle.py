@@ -1,21 +1,30 @@
 """Formula-independent ground truth by exact lattice-point counting.
 
-Membership in a dilate nZ is decided by exact rational linear feasibility of
-the defining system {V lam = p, lam in [0,n]^m} (or [-n,n]^m in typeB mode):
-the equalities are removed by exact Gaussian elimination and the remaining
-free variables are projected out by Fourier-Motzkin elimination.  Because the
-elimination pipeline depends only on the generator matrix, it is performed
-once per configuration with the right-hand side kept symbolic; each point
-test then evaluates a short list of integer inequalities.  No floating point
-is used anywhere.
+The n-th dilate of Z = sum_i [0,1] v_i (sum_i [-1,1] v_i in typeB mode) is
+described exactly by integer rows n*lo <= u . p <= n*hi, built directly from
+the generators:
+
+* Facets.  Inside the span of the generators, every facet of Z is parallel
+  to r-1 linearly independent generators, where r is the rank.  Its primitive
+  normal u is the cofactor cross product of those generators together with an
+  integer basis of the orthogonal complement of the span.  The extent of Z
+  along u is [sum_i min(0, u.v_i), sum_i max(0, u.v_i)], or [-s, s] with
+  s = sum_i |u.v_i| in typeB mode.
+* Equalities.  Each vector w of the complement basis gives the row
+  0 <= w . p <= 0, which confines the points to the span.
+
+Zero generators are dropped.  Counting sweeps the integer bounding box along
+its last coordinate: for each point of the first d-1 coordinates, every row
+bounds x_d by an exact ceiling or floor division, so a whole line costs one
+pass over the rows.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
-from math import gcd, lcm
+from itertools import combinations, product
+from math import factorial
+from operator import mul
 from typing import Sequence
 
 from . import _linalg
@@ -26,140 +35,83 @@ from .zonotope import ZonotopeSpec
 MAX_BOX_POINTS = 10**7
 
 
-def _normalize_row(coeffs, rhs):
-    g = 0
-    for v in coeffs:
-        g = gcd(g, abs(v))
-    for v in rhs:
-        g = gcd(g, abs(v))
-    if g > 1:
-        coeffs = tuple(v // g for v in coeffs)
-        rhs = tuple(v // g for v in rhs)
-    return coeffs, rhs
+def _normal(vectors, d):
+    """Primitive integer normal of d-1 vectors in Z^d, sign-fixed so that its
+    first nonzero entry is positive; all zeros if the vectors are dependent."""
+    u = [(-1) ** j * _linalg.det_bareiss([v[:j] + v[j + 1:] for v in vectors])
+         for j in range(d)]
+    g = _linalg.vector_gcd(u)
+    if g == 0:
+        return tuple(u)
+    if next(x for x in u if x) < 0:
+        g = -g
+    return tuple(x // g for x in u)
 
 
-def _fourier_motzkin(rows, nvars):
-    """Project out all variables from rows (coeffs, rhs_functional).
-
-    Each row means coeffs . mu <= rhs where rhs is a symbolic linear
-    functional represented by an integer tuple.  Returns the rhs functionals
-    of the variable-free rows; the original system is feasible for a concrete
-    rhs assignment iff all returned functionals evaluate nonnegatively.
-    """
-    rows = {_normalize_row(c, r) for c, r in rows}
-    for _ in range(nvars):
-        if not rows:
-            break
-        # Eliminate the variable with the fewest pos*neg pairings.
-        live = [v for v in range(nvars) if any(c[v] for c, _ in rows)]
-        if not live:
-            break
-        def cost(v):
-            pos = sum(1 for c, _ in rows if c[v] > 0)
-            neg = sum(1 for c, _ in rows if c[v] < 0)
-            return pos * neg
-        var = min(live, key=cost)
-        pos, neg, rest = [], [], set()
-        for c, r in rows:
-            if c[var] > 0:
-                pos.append((c, r))
-            elif c[var] < 0:
-                neg.append((c, r))
-            else:
-                rest.add((c, r))
-        for cp, rp in pos:
-            a = cp[var]
-            for cn, rn in neg:
-                b = -cn[var]
-                c_new = tuple(b * x + a * y for x, y in zip(cp, cn))
-                r_new = tuple(b * x + a * y for x, y in zip(rp, rn))
-                rest.add(_normalize_row(c_new, r_new))
-        rows = rest
-        if len(rows) > 200000:
-            raise EnumerationLimitError(
-                f"Fourier-Motzkin blow-up: {len(rows)} inequalities")
-    return [r for c, r in rows if not any(c)]
+def _extend_independent(chosen, candidates):
+    """chosen plus the candidates that each raise its rank, taken greedily."""
+    chosen = list(chosen)
+    for v in candidates:
+        if _linalg.rank(chosen + [v]) > len(chosen):
+            chosen.append(v)
+    return chosen
 
 
 class _Membership:
-    """Compiled membership test for dilates of one zonotope."""
+    """Exact integer H-description of the dilates of one zonotope."""
 
     def __init__(self, config, type_b: bool):
-        d, m = config.dim, config.n
-        matrix = [[config.vectors[c][r] for c in range(m)] for r in range(d)]
-        rref, transform, pivots = _linalg.rref_with_transform(matrix, m)
-        k = len(pivots)
-        free = [c for c in range(m) if c not in pivots]
-        f = len(free)
-
-        # Integer-scaled pivot rows: M*lam_pivot = A.p - B.mu
-        a_rows, b_rows, scales = [], [], []
-        for r in range(k):
-            denoms = [Fraction(x).denominator for x in transform[r]]
-            denoms += [Fraction(rref[r][c]).denominator for c in free]
-            scale = lcm(*denoms) if denoms else 1
-            a_rows.append(tuple(int(transform[r][j] * scale) for j in range(d)))
-            b_rows.append(tuple(int(rref[r][c] * scale) for c in free))
-            scales.append(scale)
-        consistency = []
-        for r in range(k, d):
-            scale = lcm(*(Fraction(x).denominator for x in transform[r]))
-            consistency.append(tuple(int(x * scale) for x in transform[r]))
-
-        # Inequalities in the free variables; rhs functionals act on
-        # (s_1..s_k, n, 1) with s_r = a_rows[r] . p.
-        def unit(i, length):
-            return tuple(1 if t == i else 0 for t in range(length))
-
-        width = k + 2
-        rows = []
-        low_n = 1 if type_b else 0  # lower bound is -low_n * n
-        for r in range(k):
-            b = b_rows[r]
-            s_unit = unit(r, width)
-            # lam_r >= -low_n*n:  B.mu <= s_r + low_n*M*n
-            rhs = list(s_unit)
-            rhs[k] += low_n * scales[r]
-            rows.append((b, tuple(rhs)))
-            # lam_r <= n:  -B.mu <= M*n - s_r
-            rhs = [-x for x in s_unit]
-            rhs[k] += scales[r]
-            rows.append((tuple(-x for x in b), tuple(rhs)))
-        for t in range(f):
-            e = unit(t, f)
-            rows.append((e, unit(k, width)))                       # mu_t <= n
-            low = list(unit(k, width))
-            low[k] = low_n
-            rows.append((tuple(-x for x in e), tuple(low)))        # -mu_t <= low_n*n
-
-        functionals = _fourier_motzkin(rows, f)
-
-        # Fold s = A.p through: each functional becomes g.p + v*n + w >= 0.
-        decision = []
-        for r in functionals:
-            gvec = [0] * d
-            for i in range(k):
-                if r[i]:
-                    for j in range(d):
-                        gvec[j] += r[i] * a_rows[i][j]
-            decision.append((tuple(gvec), r[k], r[k + 1]))
+        d = config.dim
+        gens = [v for v in config.vectors if any(v)]
+        span = _extend_independent([], gens)
+        r = len(span)
+        units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        completion = _extend_independent(span, units)[r:]
+        complement = [_normal(span + completion[:k] + completion[k + 1:], d)
+                      for k in range(len(completion))]
+        rows = {w: (0, 0) for w in complement}
+        for subset in combinations(gens, r - 1) if r else ():
+            u = _normal(list(subset) + complement, d)
+            if u in rows or not any(u):
+                continue
+            dots = [sum(map(mul, u, v)) for v in gens]
+            if type_b:
+                spread = sum(abs(t) for t in dots)
+                rows[u] = (-spread, spread)
+            else:
+                rows[u] = (sum(t for t in dots if t < 0), sum(t for t in dots if t > 0))
         self.dim = d
-        self.consistency = tuple(consistency)
-        self.decision = tuple(sorted(set(decision)))
+        self.rows = tuple(sorted((u, lo, hi) for u, (lo, hi) in rows.items()))
 
     def test(self, n: int, point: Sequence[int]) -> bool:
-        for row in self.consistency:
-            if sum(a * x for a, x in zip(row, point)) != 0:
-                return False
-        for gvec, v, w in self.decision:
-            if sum(a * x for a, x in zip(gvec, point)) + v * n + w < 0:
-                return False
-        return True
+        return all(n * lo <= sum(map(mul, u, point)) <= n * hi
+                   for u, lo, hi in self.rows)
 
-
-@lru_cache(maxsize=4096)
-def _membership(config, type_b: bool) -> _Membership:
-    return _Membership(config, type_b)
+    def count(self, n: int, box: Sequence[tuple[int, int]]) -> int:
+        """Integer points of the n-th dilate inside box, one line along x_d at a time."""
+        if self.dim == 0:
+            return int(self.test(n, ()))
+        *outer, (first, last) = box
+        lines = [(u[:-1], u[-1], n * lo, n * hi) for u, lo, hi in self.rows]
+        total = 0
+        for head in product(*(range(lo, hi + 1) for lo, hi in outer)):
+            low, high = first, last
+            for coeffs, c, lo, hi in lines:
+                s = sum(map(mul, coeffs, head))
+                # lo <= s + c*x_d <= hi
+                if c > 0:
+                    low = max(low, -((s - lo) // c))
+                    high = min(high, (hi - s) // c)
+                elif c < 0:
+                    low = max(low, -((hi - s) // -c))
+                    high = min(high, (s - lo) // -c)
+                elif not lo <= s <= hi:
+                    break
+                if low > high:
+                    break
+            else:
+                total += high - low + 1
+        return total
 
 
 def contains_point(z: ZonotopeSpec, n: int, point: Sequence[int]) -> bool:
@@ -169,7 +121,7 @@ def contains_point(z: ZonotopeSpec, n: int, point: Sequence[int]) -> bool:
     p = tuple(int(x) for x in point)
     if len(p) != z.dim:
         raise LatticeMathError(f"point has length {len(p)}, ambient dimension is {z.dim}")
-    return _membership(z.config, z.mode == "typeB").test(n, p)
+    return _Membership(z.config, z.mode == "typeB").test(n, p)
 
 
 def bounding_box(z: ZonotopeSpec, n: int) -> list[tuple[int, int]]:
@@ -188,7 +140,11 @@ def bounding_box(z: ZonotopeSpec, n: int) -> list[tuple[int, int]]:
 
 
 def count_lattice_points(z: ZonotopeSpec, n: int) -> int:
-    """|nZ cap Z^d| by enumerating the bounding box and testing membership."""
+    """|nZ cap Z^d| by sweeping the integer bounding box line by line."""
+    return _count(_Membership(z.config, z.mode == "typeB"), z, n)
+
+
+def _count(member: _Membership, z: ZonotopeSpec, n: int) -> int:
     if n < 0:
         raise LatticeMathError(f"dilate must be nonnegative, got {n}")
     box = bounding_box(z, n)
@@ -199,25 +155,7 @@ def count_lattice_points(z: ZonotopeSpec, n: int) -> int:
         raise EnumerationLimitError(
             f"bounding box holds {size} integer points, above the "
             f"{MAX_BOX_POINTS} enumeration guard")
-    member = _membership(z.config, z.mode == "typeB")
-    consistency = member.consistency
-    decision = member.decision
-    ranges = [range(lo, hi + 1) for lo, hi in box]
-    count = 0
-    for p in product(*ranges):
-        ok = True
-        for row in consistency:
-            if sum(a * x for a, x in zip(row, p)) != 0:
-                ok = False
-                break
-        if ok:
-            for gvec, v, w in decision:
-                if sum(a * x for a, x in zip(gvec, p)) + v * n + w < 0:
-                    ok = False
-                    break
-        if ok:
-            count += 1
-    return count
+    return member.count(n, box)
 
 
 def interpolate_ehrhart(counts: Sequence[int], r: int) -> Poly:
@@ -244,20 +182,13 @@ def interpolate_ehrhart(counts: Sequence[int], r: int) -> Poly:
         if j > 0:
             falling = falling * Poly((-(j - 1), 1))
         if coeff:
-            poly = poly + falling * Fraction(coeff, _factorial(j))
+            poly = poly + falling * Fraction(coeff, factorial(j))
     for extra in range(r + 1, len(values)):
         if poly(extra) != values[extra]:
             raise LatticeMathError(
                 f"count at n={extra} is {values[extra]}, but the degree-{r} "
                 f"interpolant gives {poly(extra)}; the degree was underestimated")
     return poly
-
-
-def _factorial(j: int) -> int:
-    out = 1
-    for i in range(2, j + 1):
-        out *= i
-    return out
 
 
 def hstar_via_oracle(z: ZonotopeSpec) -> HStarVector:
@@ -269,6 +200,7 @@ def hstar_via_oracle(z: ZonotopeSpec) -> HStarVector:
     if z.config.full_rank != d:
         raise NotFullDimensionalError(
             f"generators span rank {z.config.full_rank} < ambient dimension {d}")
-    counts = [count_lattice_points(z, n) for n in range(d + 2)]
+    member = _Membership(z.config, z.mode == "typeB")
+    counts = [_count(member, z, n) for n in range(d + 2)]
     ehr = interpolate_ehrhart(counts, d)
     return hstar_from_ehrhart(ehr, d)

@@ -84,7 +84,10 @@ def box_halfopen_count(config: VectorConfiguration, indices: Sequence[int]) -> i
     return config.minor_gcd(indices)
 
 
-@lru_cache(maxsize=None)
+# Shared across callers (the CLI reads many documents against few
+# configurations) but bounded, so a stream of distinct configurations cannot
+# grow it for the life of the process.
+@lru_cache(maxsize=128)
 def default_box_table(config: VectorConfiguration) -> BoxValuationTable:
     """Box table of the lattice-point count, by Moebius inversion of minor gcds."""
     values = {}

@@ -1,7 +1,11 @@
+import ast
 import random
+from itertools import product
+from pathlib import Path
 
 import pytest
 
+import zonoehrhart.oracle
 from zonoehrhart.errors import EnumerationLimitError, LatticeMathError, NotFullDimensionalError
 from zonoehrhart.matroid import VectorConfiguration
 from zonoehrhart.oracle import (bounding_box, contains_point,
@@ -85,6 +89,21 @@ def _random_full_rank(rng, d, n_max=4):
         config = VectorConfiguration(
             [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(n)], d)
         if config.full_rank == d:
+            return config
+
+
+def _random_of_rank(rng, d, rank, m_max):
+    """Seeded configuration of the given rank in Z^d with at most m_max
+    generators besides one possible loop."""
+    while True:
+        basis = [tuple(rng.randint(-1, 1) for _ in range(d)) for _ in range(rank)]
+        m = rng.randint(max(rank, 1), m_max)
+        vectors = [tuple(sum(rng.randint(-1, 1) * b[i] for b in basis) for i in range(d))
+                   for _ in range(m)]
+        if rng.random() < 0.5:
+            vectors.insert(rng.randint(0, m), (0,) * d)
+        config = VectorConfiguration(vectors, d)
+        if config.full_rank == rank:
             return config
 
 
@@ -198,3 +217,68 @@ def test_membership_against_naive_elimination():
                   for _ in range(25)]
         for p in points:
             assert contains_point(z, n, p) == _naive_member(z, n, p), (config, mode, n, p)
+    rng = random.Random(83)
+    for draw in range(24):
+        rank = draw % 3 + 1
+        mode = ("standard", "typeB")[draw // 3 % 2]
+        config = _random_of_rank(rng, 3, rank, 3)
+        z = ZonotopeSpec(config, mode)
+        n = rng.randint(0, 2)
+        box = bounding_box(z, n)
+        low = -n if mode == "typeB" else 0
+        # Box points are mostly off the span when rank < 3; integer
+        # combinations of the generators lie on it, in and out of the body.
+        points = [tuple(rng.randint(lo - 1, hi + 1) for lo, hi in box)
+                  for _ in range(10)]
+        for _ in range(15):
+            coeffs = [rng.randint(low - 1, n + 1) for _ in config.vectors]
+            points.append(tuple(sum(c * v[i] for c, v in zip(coeffs, config.vectors))
+                                for i in range(3)))
+        for p in points:
+            assert contains_point(z, n, p) == _naive_member(z, n, p), (config, mode, n, p)
+
+
+def test_sweep_matches_pointwise_membership():
+    # Every (d, n) pair for d = 1..3 and n = 0..3, at full rank, rank d-1 and
+    # rank d-2 (floored at 0); boxes above 1500 points are redrawn only
+    # to bound the pointwise side, which compiles the rows for every point.
+    rng = random.Random(89)
+    for draw in range(36):
+        d, n, drop = draw % 3 + 1, draw // 3 % 4, draw // 12
+        while True:
+            config = _random_of_rank(rng, d, max(d - drop, 0), 3)
+            z = ZonotopeSpec(config, rng.choice(["standard", "typeB"]))
+            box = bounding_box(z, n)
+            points = list(product(*(range(lo, hi + 1) for lo, hi in box)))
+            if len(points) <= 1500:
+                break
+        pointwise = sum(contains_point(z, n, p) for p in points)
+        assert count_lattice_points(z, n) == pointwise, (config, z.mode, n)
+
+
+def test_oracle_stays_formula_independent():
+    """The oracle is ground truth for the formula, so it must share none of it."""
+    tree = ast.parse(Path(zonoehrhart.oracle.__file__).read_text())
+    allowed = {"_linalg": None, "errors": None, "polycore": None,
+               "zonotope": {"ZonotopeSpec"}}
+    forbidden = {"minor_gcd", "default_box_table", "BoxValuationTable", "eulerian"}
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            named.update(alias.name for alias in node.names)
+            assert not any(a.name.split(".")[0] == "zonoehrhart" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            named.update(names)
+            if node.level == 0:
+                assert node.module.split(".")[0] != "zonoehrhart", node.module
+            elif node.module is None:
+                assert names <= {"_linalg"}, names
+            else:
+                assert node.module in allowed, node.module
+                assert allowed[node.module] is None or names <= allowed[node.module]
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert not named & forbidden, named & forbidden
