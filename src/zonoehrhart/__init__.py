@@ -32,14 +32,14 @@ from .polycore import (HStarVector, Poly, count_distinct_real_roots,
                        hstar_from_ehrhart, is_alternatingly_increasing,
                        is_palindromic, is_real_rooted, is_unimodal,
                        symmetric_decomposition)
-from .zonotope import (BoxValuationTable, ZonotopeSpec, box_halfopen_count,
-                       default_box_table, ehrhart_halfopen_cube,
-                       ehrhart_type_b_zonotope, ehrhart_zonotope,
-                       eulerian_ray_parallelepiped, express_in_eulerian_basis,
-                       hstar_halfopen_cube, hstar_halfopen_parallelepiped,
-                       hstar_totally_unimodular, hstar_type_b_parallelepiped,
-                       hstar_type_b_zonotope, hstar_zonotope,
-                       is_in_zonotope_cone, is_reflexive_by_ehrhart)
+from .zonotope import (BoxValuationTable, ZonotopeSpec, default_box_table,
+                       ehrhart, ehrhart_halfopen_cube, ehrhart_type_b_zonotope,
+                       ehrhart_zonotope, eulerian_ray_parallelepiped,
+                       express_in_eulerian_basis, hstar, hstar_halfopen_cube,
+                       hstar_halfopen_parallelepiped, hstar_totally_unimodular,
+                       hstar_type_b_parallelepiped, hstar_type_b_zonotope,
+                       hstar_zonotope, is_in_zonotope_cone,
+                       is_reflexive_by_ehrhart)
 
 __version__ = "0.1.0"
 

@@ -138,10 +138,7 @@ def _cmd_ehrhart(args):
     doc = {"command": "ehrhart", "input": inp.echo, "method": args.method}
     formula = oracle_poly = None
     if args.method in ("formula", "both"):
-        if inp.mode == "typeB":
-            formula = zonotope.ehrhart_type_b_zonotope(inp.spec, inp.table)
-        else:
-            formula = zonotope.ehrhart_zonotope(inp.spec, inp.table)
+        formula = zonotope.ehrhart(inp.spec, inp.table)
     if args.method in ("oracle", "both"):
         if inp.table is not None:
             raise _CliError("the oracle counts lattice points and cannot honor a "
@@ -162,10 +159,7 @@ def _cmd_ehrhart(args):
 
 def _cmd_hstar(args):
     inp = _load_input(args.input)
-    if inp.mode == "typeB":
-        h = zonotope.hstar_type_b_zonotope(inp.spec, inp.table)
-    else:
-        h = zonotope.hstar_zonotope(inp.spec, inp.table)
+    h = zonotope.hstar(inp.spec, inp.table)
     doc = {"command": "hstar", "input": inp.echo, "hstar": h, "degree": h.d}
     if args.diagnostics:
         config = inp.config
@@ -199,10 +193,7 @@ def _cmd_check(args):
         if args.input is None:
             raise _CliError("check needs an input file or --hvector")
         inp = _load_input(args.input)
-        if inp.mode == "typeB":
-            h = zonotope.hstar_type_b_zonotope(inp.spec, inp.table)
-        else:
-            h = zonotope.hstar_zonotope(inp.spec, inp.table)
+        h = zonotope.hstar(inp.spec, inp.table)
         doc["source"] = "input"
         doc["input"] = inp.echo
     doc["hstar"] = h

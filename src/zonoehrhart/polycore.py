@@ -9,7 +9,7 @@ depend on d and not just on the nonzero support.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import LatticeMathError
@@ -202,10 +202,7 @@ def _binomial_poly(shift: int, r: int) -> Poly:
     p = Poly((Fraction(1, 1),))
     for s in range(r):
         p = p * Poly((shift - s, 1))
-    denom = 1
-    for s in range(1, r + 1):
-        denom *= s
-    return p * Fraction(1, denom)
+    return p * Fraction(1, factorial(r))
 
 
 def hstar_from_ehrhart(ehr: Poly, r: int) -> HStarVector:

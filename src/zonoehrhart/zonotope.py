@@ -24,7 +24,7 @@ from .errors import (DependentSetError, InternalDisagreementError, LatticeMathEr
 from .eulerian import a_j_polynomial, b_l_polynomial_via_a
 from .matroid import VectorConfiguration
 from .polycore import (HStarVector, Poly, _as_hstar, _exact,
-                       express_in_shifted_power_basis, is_palindromic)
+                       express_in_shifted_power_basis)
 
 MODES = ("standard", "typeB")
 
@@ -79,24 +79,18 @@ class BoxValuationTable:
         return BoxValuationTable(self.config, merged)
 
 
-def box_halfopen_count(config: VectorConfiguration, indices: Sequence[int]) -> int:
-    """Lattice points of the half-open box of an independent set; equals minor_gcd."""
-    return config.minor_gcd(indices)
-
-
 # Shared across callers (the CLI reads many documents against few
 # configurations) but bounded, so a stream of distinct configurations cannot
 # grow it for the life of the process.
 @lru_cache(maxsize=128)
 def default_box_table(config: VectorConfiguration) -> BoxValuationTable:
     """Box table of the lattice-point count, by Moebius inversion of minor gcds."""
+    sets = config.independent_sets()
+    gcds = {s: config.minor_gcd(s) for s in sets}
     values = {}
-    for s in config.independent_sets():
-        total = 0
-        for k in range(len(s) + 1):
-            for sub in combinations(s, k):
-                total += (-1) ** (len(s) - k) * config.minor_gcd(sub)
-        values[s] = total
+    for s in sets:
+        values[s] = sum((-1) ** (len(s) - k) * gcds[sub]
+                        for k in range(len(s) + 1) for sub in combinations(s, k))
     return BoxValuationTable(config, values)
 
 
@@ -112,33 +106,38 @@ def _resolve_table(config, table) -> BoxValuationTable:
 # Ehrhart polynomials
 # ---------------------------------------------------------------------------
 
-def ehrhart_zonotope(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> Poly:
-    """Counting polynomial sum_I phi(box(I)) n^|I| over independent sets.
+def ehrhart(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> Poly:
+    """Counting polynomial of the zonotope in either mode.
 
+    Standard mode: sum_I phi(box(I)) n^|I| over independent sets, where
     phi(box(I)) = sum_{J subseteq I} b(J); with the default table this is the
-    classical sum of minor gcds weighted by n^|I|.
+    classical sum of minor gcds weighted by n^|I|.  TypeB mode: the same
+    polynomial at 2n, since the [-1,1]-coefficient body is a lattice translate
+    of the doubled standard one.
     """
+    config = z.config
+    values = _resolve_table(config, table).values
+    coeffs = [0] * (config.full_rank + 1)
+    for s in config.independent_sets():
+        coeffs[len(s)] += sum(values[sub] for k in range(len(s) + 1)
+                              for sub in combinations(s, k))
+    standard = Poly(coeffs)
+    return standard.scale_argument(2) if z.mode == "typeB" else standard
+
+
+def ehrhart_zonotope(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> Poly:
+    """`ehrhart` of a standard-mode zonotope."""
     if z.mode != "standard":
         raise LatticeMathError("ehrhart_zonotope expects standard mode; "
                                "use ehrhart_type_b_zonotope for [-1,1] coefficients")
-    config = z.config
-    table = _resolve_table(config, table)
-    coeffs = [0] * (config.full_rank + 1)
-    for s in config.independent_sets():
-        halfopen = 0
-        for k in range(len(s) + 1):
-            for sub in combinations(s, k):
-                halfopen += table.value(sub)
-        coeffs[len(s)] += halfopen
-    return Poly(coeffs)
+    return ehrhart(z, table)
 
 
 def ehrhart_type_b_zonotope(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> Poly:
-    """Counting polynomial of the [-1,1]-coefficient body: the standard one at 2n."""
+    """`ehrhart` of a typeB-mode zonotope: the standard counting polynomial at 2n."""
     if z.mode != "typeB":
         raise LatticeMathError("ehrhart_type_b_zonotope expects typeB mode")
-    standard = ehrhart_zonotope(ZonotopeSpec(z.config, "standard"), table)
-    return standard.scale_argument(2)
+    return ehrhart(z, table)
 
 
 def ehrhart_halfopen_cube(d: int, j: int) -> Poly:
@@ -160,39 +159,62 @@ def _check_cube_args(d: int, j: int) -> None:
 
 # ---------------------------------------------------------------------------
 # h* of half-open parallelepipeds and zonotopes
+#
+# Every h* below is sum_j c_j R_j(d+1, t) over j = 1..d+1, where the integer
+# (or, for custom tables, rational) histogram c is the matroid double sum and
+# the row R is the refined Eulerian family of the mode: A_j for standard,
+# B_j for typeB.
 # ---------------------------------------------------------------------------
 
-def _parallelepiped_config(vectors: Sequence[Sequence[int]]) -> VectorConfiguration:
-    vecs = tuple(tuple(int(x) for x in v) for v in vectors)
-    if not vecs:
-        raise LatticeMathError("pass a VectorConfiguration with an explicit dimension "
-                               "for a zero-generator parallelepiped")
-    config = VectorConfiguration(vecs)
+def _eulerian_histogram(values, pieces, d: int) -> list:
+    """c[|K u P|] += b(K) for each piece (B, P) and each subset K of B.
+
+    B is a sorted tuple of indices, P a set of passive (removed) directions
+    and `values` maps sorted index tuples to b; entry i of the result is the
+    coordinate of A_{i+1}(d+1) (or B_{i+1}(d+1)).
+    """
+    c = [0] * (d + 1)
+    for basis, passive in pieces:
+        for k in range(len(basis) + 1):
+            for sub in combinations(basis, k):
+                b = values[sub]
+                if b != 0:
+                    c[len(passive.union(sub))] += b
+    return c
+
+
+def _assemble(c: Sequence, d: int, mode: str) -> HStarVector:
+    """h* = sum_j c_j R_j(d+1) with the refined family of the mode as row R."""
+    if mode == "typeB":
+        row = [b_l_polynomial_via_a(d, j) for j in range(d + 1)]
+    else:
+        row = [a_j_polynomial(d + 1, j) for j in range(1, d + 2)]
+    h = [0] * (d + 1)
+    for cj, poly in zip(c, row):
+        if cj != 0:
+            for i, x in enumerate(poly.coeffs):
+                h[i] += cj * x
+    return HStarVector(h, d)
+
+
+def _hstar_parallelepiped(vectors, removed, table, mode: str) -> HStarVector:
+    if isinstance(vectors, VectorConfiguration):
+        config = vectors
+    else:
+        vectors = tuple(vectors)
+        if not vectors:
+            raise LatticeMathError("pass a VectorConfiguration with an explicit dimension "
+                                   "for a zero-generator parallelepiped")
+        config = VectorConfiguration(vectors)
     if config.full_rank != config.n:
         raise DependentSetError("parallelepiped generators must be linearly independent")
-    return config
-
-
-def _hstar_parallelepiped_sum(config, removed, table, refined) -> Poly:
+    table = _resolve_table(config, table)
     r = config.n
     removed = frozenset(removed)
     if not removed <= set(range(1, r + 1)):
         raise LatticeMathError(f"removed-facet directions {sorted(removed)!r} not within 1..{r}")
-    total = Poly()
-    for k in range(r + 1):
-        for sub in combinations(range(1, r + 1), k):
-            b = table.value(sub)
-            if b != 0:
-                total = total + refined(len(removed | set(sub)) + 1, r + 1) * b
-    return total
-
-
-def _refined_a(j: int, dplus1: int) -> Poly:
-    return a_j_polynomial(dplus1, j)
-
-
-def _refined_b(j: int, dplus1: int) -> Poly:
-    return b_l_polynomial_via_a(dplus1 - 1, j - 1)
+    c = _eulerian_histogram(table.values, [(tuple(range(1, r + 1)), removed)], r)
+    return _assemble(c, r, mode)
 
 
 def hstar_halfopen_parallelepiped(vectors: Sequence[Sequence[int]],
@@ -203,12 +225,7 @@ def hstar_halfopen_parallelepiped(vectors: Sequence[Sequence[int]],
     Computes sum_K b(K) * A_{|removed u K| + 1}(r+1, t) over all subsets K of
     the r independent generators.
     """
-    config = vectors if isinstance(vectors, VectorConfiguration) else _parallelepiped_config(vectors)
-    if config.full_rank != config.n:
-        raise DependentSetError("parallelepiped generators must be linearly independent")
-    table = _resolve_table(config, table)
-    total = _hstar_parallelepiped_sum(config, removed, table, _refined_a)
-    return HStarVector.from_poly(total, config.n)
+    return _hstar_parallelepiped(vectors, removed, table, "standard")
 
 
 def hstar_type_b_parallelepiped(vectors: Sequence[Sequence[int]],
@@ -218,90 +235,69 @@ def hstar_type_b_parallelepiped(vectors: Sequence[Sequence[int]],
 
     The box table refers to the original (undoubled) generators.
     """
-    config = vectors if isinstance(vectors, VectorConfiguration) else _parallelepiped_config(vectors)
-    if config.full_rank != config.n:
-        raise DependentSetError("parallelepiped generators must be linearly independent")
-    table = _resolve_table(config, table)
-    total = _hstar_parallelepiped_sum(config, removed, table, _refined_b)
-    return HStarVector.from_poly(total, config.n)
+    return _hstar_parallelepiped(vectors, removed, table, "typeB")
 
 
-def _hstar_zonotope_by_matroid(config, table, refined) -> Poly:
+def hstar(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> HStarVector:
+    """h* of a full-dimensional zonotope in either mode by the matroid formula.
+
+    Sum over independent I and bases B containing I of
+    b(I) * R_{|I u IP(B)| + 1}(d+1, t), with R = A in standard mode and R = B
+    in typeB mode; the box table refers to the original (undoubled)
+    generators.  The double sum is taken as a histogram over j in two
+    independent orderings, basis-major and independent-set-major, which are
+    asserted equal.
+    """
+    config = z.config
+    values = _resolve_table(config, table).values
     d = config.dim
     if config.full_rank != d:
         raise NotFullDimensionalError(
             f"generators span rank {config.full_rank} < ambient dimension {d}")
     bases = config.bases()
-    ip = {b: config.internally_passive(b) for b in bases}
+    ip = {b: frozenset(config.internally_passive(b)) for b in bases}
 
     # Basis-major: each basis contributes its half-open parallelepiped.
-    basis_major = Poly()
-    for b in bases:
-        local_vectors = tuple(config.vectors[i - 1] for i in b)
-        local_config = VectorConfiguration(local_vectors, config.dim)
-        positions = {i: pos + 1 for pos, i in enumerate(b)}
-        local_values = {}
-        for k in range(len(b) + 1):
-            for sub in combinations(b, k):
-                local_values[tuple(positions[i] for i in sub)] = table.value(sub)
-        local_table = BoxValuationTable(local_config, local_values)
-        local_removed = tuple(positions[i] for i in ip[b])
-        basis_major = basis_major + _hstar_parallelepiped_sum(
-            local_config, local_removed, local_table, refined)
+    basis_major = _eulerian_histogram(values, ip.items(), d)
 
     # Independent-set-major: the same double sum, reindexed.
-    set_major = Poly()
+    set_major = [0] * (d + 1)
+    basis_sets = [(frozenset(b), ip[b]) for b in bases]
     for s in config.independent_sets():
-        b_val = table.value(s)
+        b_val = values[s]
         if b_val == 0:
             continue
-        s_set = set(s)
-        for b in bases:
-            if s_set <= set(b):
-                idx = len(s_set | set(ip[b])) + 1
-                set_major = set_major + refined(idx, d + 1) * b_val
+        for b_set, passive in basis_sets:
+            if b_set.issuperset(s):
+                set_major[len(passive.union(s))] += b_val
 
     if basis_major != set_major:
         raise InternalDisagreementError(
             "basis-major and independent-set-major double sums disagree")
-    return basis_major
+    return _assemble(basis_major, d, z.mode)
 
 
 def hstar_zonotope(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> HStarVector:
-    """h* of a full-dimensional zonotope by the matroid decomposition formula.
-
-    sum over independent I and bases B containing I of
-    b(I) * A_{|I u IP(B)| + 1}(d+1, t); evaluated in two independent orderings
-    which are asserted equal.
-    """
+    """`hstar` of a standard-mode zonotope."""
     if z.mode != "standard":
         raise LatticeMathError("hstar_zonotope expects standard mode; "
                                "use hstar_type_b_zonotope for [-1,1] coefficients")
-    config = z.config
-    table = _resolve_table(config, table)
-    total = _hstar_zonotope_by_matroid(config, table, _refined_a)
-    return HStarVector.from_poly(total, config.dim)
+    return hstar(z, table)
 
 
 def hstar_type_b_zonotope(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> HStarVector:
-    """h* of a full-dimensional [-1,1]-coefficient zonotope.
-
-    Same matroid decomposition as the standard case with the type-B refined
-    family in place of the type-A one; the box table refers to the original
-    (undoubled) generators.
-    """
+    """`hstar` of a typeB-mode ([-1,1]-coefficient) zonotope."""
     if z.mode != "typeB":
         raise LatticeMathError("hstar_type_b_zonotope expects typeB mode")
-    config = z.config
-    table = _resolve_table(config, table)
-    total = _hstar_zonotope_by_matroid(config, table, _refined_b)
-    return HStarVector.from_poly(total, config.dim)
+    return hstar(z, table)
 
 
 def hstar_totally_unimodular(z: ZonotopeSpec) -> HStarVector:
     """h* of a zonotope all of whose maximal minors lie in {0, +-1}.
 
-    Reduces to sum over bases of A_{|IP(B)| + 1}(d+1, t).
+    Reduces to sum over bases of A_{|IP(B)| + 1}(d+1, t), the paper's
+    unimodular corollary; it reads no box table, so on such inputs it is a
+    cross-check of `hstar`.
     """
     if z.mode != "standard":
         raise LatticeMathError("hstar_totally_unimodular expects standard mode")
@@ -316,10 +312,10 @@ def hstar_totally_unimodular(z: ZonotopeSpec) -> HStarVector:
         if minor not in (-1, 0, 1):
             raise LatticeMathError(
                 f"maximal minor {minor} outside {{0, +-1}}; configuration is not unimodular")
-    total = Poly()
+    c = [0] * (d + 1)
     for b in config.bases():
-        total = total + a_j_polynomial(d + 1, len(config.internally_passive(b)) + 1)
-    return HStarVector.from_poly(total, d)
+        c[len(config.internally_passive(b))] += 1
+    return _assemble(c, d, "standard")
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +365,3 @@ def is_reflexive_by_ehrhart(ehr: Poly, d: int) -> bool:
     """Reflexivity test: symmetric coordinates in the n^j (1+n)^(d-j) basis."""
     c = express_in_shifted_power_basis(ehr, d)
     return all(c[j] == c[d - j] for j in range(d + 1))
-
-
-def is_reflexive_by_hstar(ehr: Poly, d: int) -> bool:
-    """Independent route to the same predicate: palindromic h*-vector."""
-    from .polycore import hstar_from_ehrhart
-    return is_palindromic(hstar_from_ehrhart(ehr, d))

@@ -226,3 +226,26 @@ def test_method_both_never_disagrees(tmp_path):
         proc = run_cli("ehrhart", path, "--method", "both")
         assert proc.returncode == 0, (proc.stderr, config, mode)
         assert json.loads(proc.stdout)["agree"] is True
+
+
+def test_ordering_disagreement_exits_3(tmp_path, monkeypatch, capsys):
+    from zonoehrhart import cli
+    from zonoehrhart.errors import InternalDisagreementError
+    from zonoehrhart.matroid import VectorConfiguration
+    from zonoehrhart.zonotope import ZonotopeSpec, default_box_table, hstar_zonotope
+
+    generators = [[2, 1], [0, 1], [1, 1]]
+    config = VectorConfiguration(generators)
+    table = default_box_table(config)  # built, and cached, on the full domain
+    complete = config.independent_sets()
+    dropped = next(s for s in complete if s and table.value(s) != 0)
+    # Only the independent-set-major ordering reads independent_sets(); the
+    # basis-major one walks the subsets of bases(), so the two now disagree.
+    monkeypatch.setattr(VectorConfiguration, "independent_sets",
+                        lambda self: tuple(s for s in complete if s != dropped))
+    with pytest.raises(InternalDisagreementError):
+        hstar_zonotope(ZonotopeSpec(config))
+
+    path = write_doc(tmp_path, {"generators": generators})
+    assert cli.main(["hstar", path]) == 3
+    assert json.loads(capsys.readouterr().err)["code"] == "disagreement"

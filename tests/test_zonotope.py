@@ -10,11 +10,10 @@ from zonoehrhart.matroid import VectorConfiguration
 from zonoehrhart.oracle import count_lattice_points, hstar_via_oracle, interpolate_ehrhart
 from zonoehrhart.polycore import HStarVector, Poly, hstar_from_ehrhart
 from zonoehrhart.zonotope import (BoxValuationTable, ZonotopeSpec,
-                                  box_halfopen_count, default_box_table,
-                                  ehrhart_halfopen_cube,
+                                  default_box_table, ehrhart_halfopen_cube,
                                   ehrhart_type_b_zonotope, ehrhart_zonotope,
                                   eulerian_ray_parallelepiped,
-                                  express_in_eulerian_basis,
+                                  express_in_eulerian_basis, hstar,
                                   hstar_halfopen_cube,
                                   hstar_halfopen_parallelepiped,
                                   hstar_totally_unimodular,
@@ -27,9 +26,10 @@ SKEW = VectorConfiguration([(1, 1), (1, -1)])
 
 
 def test_box_halfopen_count_examples():
-    assert box_halfopen_count(HEXAGON, ()) == 1
-    assert box_halfopen_count(SKEW, (1, 2)) == 2
-    assert box_halfopen_count(HEXAGON, (1, 3)) == 1
+    # The half-open box of an independent set holds minor_gcd lattice points.
+    assert HEXAGON.minor_gcd(()) == 1
+    assert SKEW.minor_gcd((1, 2)) == 2
+    assert HEXAGON.minor_gcd((1, 3)) == 1
 
 
 def test_default_box_table_examples():
@@ -266,8 +266,9 @@ def test_halfopen_parallelepiped_hstar_matches_oracle():
 
 def test_hstar_linear_in_box_table():
     rng = random.Random(53)
-    for config in (HEXAGON, SKEW):
-        z = ZonotopeSpec(config)
+    for config, mode in ((HEXAGON, "standard"), (SKEW, "standard"),
+                         (HEXAGON, "typeB"), (SKEW, "typeB")):
+        z = ZonotopeSpec(config, mode)
         sets = config.independent_sets()
         t1 = BoxValuationTable(config, {s: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                                         for s in sets})
@@ -276,9 +277,9 @@ def test_hstar_linear_in_box_table():
         alpha, beta = Fraction(2, 3), Fraction(-1, 2)
         combo = BoxValuationTable(
             config, {s: alpha * t1.value(s) + beta * t2.value(s) for s in sets})
-        lhs = hstar_zonotope(z, combo).poly()
-        rhs = alpha * hstar_zonotope(z, t1).poly() + beta * hstar_zonotope(z, t2).poly()
-        assert lhs == rhs
+        lhs = hstar(z, combo).poly()
+        rhs = alpha * hstar(z, t1).poly() + beta * hstar(z, t2).poly()
+        assert lhs == rhs, mode
 
 
 def test_custom_table_override():
