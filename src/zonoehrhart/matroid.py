@@ -130,8 +130,6 @@ class VectorConfiguration:
         s = _as_index_set(indices, self.n)
         if not s:
             return 1
-        if not self.is_independent(s):
-            raise DependentSetError(f"{s!r} is not independent")
         k = len(s)
         cols = self._matrix_columns(s)
         g = 0
@@ -140,52 +138,65 @@ class VectorConfiguration:
             g = gcd(g, abs(minor))
             if g == 1:
                 break
+        if g == 0:
+            # The columns are dependent exactly when every maximal minor is 0
+            # (always so when there are more columns than rows).
+            raise DependentSetError(f"{s!r} is not independent")
         return g
 
     # -- order-sensitive structure ---------------------------------------------
+    #
+    # Once the independent sets are enumerated the matroid is a finite set
+    # system, so every exchange test below is a membership lookup.
 
-    def is_basis(self, indices: Iterable[int]) -> bool:
-        s = _as_index_set(indices, self.n)
-        return len(s) == self.full_rank and self.is_independent(s)
+    @cached_property
+    def _independent_set_members(self) -> frozenset:
+        return frozenset(self._independent_sets)
+
+    @cached_property
+    def _passive_sets(self) -> dict:
+        """IP(B) for every basis B: the i in B with some order-smaller j outside
+        B such that B - i + j is independent."""
+        members = self._independent_set_members
+        order = sorted(range(1, self.n + 1), key=self._order_pos)
+        passive_sets = {}
+        for b in self._bases:
+            inside = set(b)
+            passive_sets[b] = tuple(
+                i for i in b
+                if any(tuple(sorted(inside - {i} | {j})) in members
+                       for j in order[:self._order_pos(i) - 1] if j not in inside))
+        return passive_sets
 
     def internally_passive(self, basis: Iterable[int]) -> tuple:
         """Elements of the basis exchangeable for an order-smaller outside element."""
         b = _as_index_set(basis, self.n)
-        if not self.is_basis(b):
-            raise DependentSetError(f"{b!r} is not a basis")
-        inside = set(b)
-        passive = []
-        for i in b:
-            for j in range(1, self.n + 1):
-                if j in inside or self._order_pos(j) >= self._order_pos(i):
-                    continue
-                if self.is_independent(tuple(sorted(set(b) - {i} | {j}))):
-                    passive.append(i)
-                    break
-        return tuple(sorted(passive))
+        try:
+            return self._passive_sets[b]
+        except KeyError:
+            raise DependentSetError(f"{b!r} is not a basis") from None
 
     def min_basis_containing(self, indices: Iterable[int]) -> tuple:
         """Lexicographically least basis containing the independent set."""
         s = _as_index_set(indices, self.n)
-        if not self.is_independent(s):
+        members = self._independent_set_members
+        if s not in members:
             raise DependentSetError(f"{s!r} is not independent")
         chosen = set(s)
         order = sorted(range(1, self.n + 1), key=self._order_pos)
-        current_rank = len(s)
         for j in order:
-            if current_rank == self.full_rank:
+            if len(chosen) == self.full_rank:
                 break
             if j in chosen:
                 continue
             cand = tuple(sorted(chosen | {j}))
-            if self.rank(cand) == len(cand):
+            if cand in members:
                 chosen.add(j)
-                current_rank += 1
         return tuple(sorted(chosen))
 
     def is_coloop_free(self) -> bool:
-        """True iff removing any single vector leaves the rank unchanged."""
-        r = self.full_rank
-        everything = range(1, self.n + 1)
-        return all(self.rank([j for j in everything if j != i]) == r
-                   for i in everything)
+        """True iff no vector lies in every basis (removing any one keeps the rank)."""
+        in_every_basis = set(range(1, self.n + 1))
+        for b in self._bases:
+            in_every_basis.intersection_update(b)
+        return not in_every_basis

@@ -1,15 +1,22 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 HEXAGON_DOC = {"generators": [[1, 0], [0, 1], [1, 1]]}
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*args):
+    # The child imports the package from this checkout, as the tests do.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "zonoehrhart.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 def write_doc(tmp_path, doc, name="input.json"):

@@ -47,6 +47,12 @@ def test_minor_gcd_examples():
     assert VectorConfiguration([(2, 4)]).minor_gcd((1,)) == 2
     with pytest.raises(DependentSetError):
         VectorConfiguration([(1, 0), (2, 0)]).minor_gcd((1, 2))
+    # A loop, and more columns than rows: every maximal minor is 0 (or there
+    # is none), so the minors alone reject them.
+    with pytest.raises(DependentSetError):
+        VectorConfiguration([(0, 0)]).minor_gcd((1,))
+    with pytest.raises(DependentSetError):
+        HEXAGON.minor_gcd((1, 2, 3))
 
 
 def test_internally_passive_examples():
@@ -92,6 +98,20 @@ def _check_exchange_lemmas(config):
     bases = config.bases()
     ip = {b: set(config.internally_passive(b)) for b in bases}
     closure = {s: config.min_basis_containing(s) for s in independents}
+    # Both lookups agree with their definitions, computed here by rank tests.
+    order = sorted(range(1, config.n + 1), reverse=config.reverse_order)
+    r = config.full_rank
+    for b in bases:
+        expected = {i for i in b
+                    if any(config.rank(set(b) - {i} | {j}) == r
+                           for j in order[:order.index(i)] if j not in b)}
+        assert ip[b] == expected, (config, b)
+    rank_bases = [c for c in combinations(range(1, config.n + 1), r)
+                  if config.rank(c) == r]
+    for s in independents:
+        expected = min((c for c in rank_bases if set(s) <= set(c)),
+                       key=lambda c: sorted(order.index(i) for i in c))
+        assert closure[s] == expected, (config, s)
     for s in independents:
         s_set = set(s)
         for b in bases:

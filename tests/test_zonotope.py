@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from zonoehrhart import _linalg
 from zonoehrhart.errors import (DependentSetError, LatticeMathError,
                                 NotFullDimensionalError)
 from zonoehrhart.eulerian import a_j_polynomial, eulerian_b
 from zonoehrhart.matroid import VectorConfiguration
 from zonoehrhart.oracle import count_lattice_points, hstar_via_oracle, interpolate_ehrhart
 from zonoehrhart.polycore import HStarVector, Poly, hstar_from_ehrhart
-from zonoehrhart.zonotope import (BoxValuationTable, ZonotopeSpec,
+from zonoehrhart.zonotope import (MODES, BoxValuationTable, ZonotopeSpec,
                                   default_box_table, ehrhart_halfopen_cube,
                                   ehrhart_type_b_zonotope, ehrhart_zonotope,
                                   eulerian_ray_parallelepiped,
@@ -124,6 +125,40 @@ def test_hstar_totally_unimodular_matches_general_formula():
             continue
         assert tu == hstar_zonotope(z)
         checked += 1
+
+
+def test_matroid_queries_make_no_rank_calls_after_enumeration(monkeypatch):
+    # Once a configuration's independent sets are enumerated, passive sets,
+    # closures, the coloop test, the box table and h* are lookups into them.
+    calls = []
+    real_rank = _linalg.rank
+    monkeypatch.setattr(_linalg, "rank",
+                        lambda rows: calls.append(1) or real_rank(rows))
+    rng = random.Random(43)
+    while True:
+        seeded = VectorConfiguration(
+            [tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(7)], 4)
+        if seeded.full_rank == 4:
+            break
+    hexagon = VectorConfiguration(HEXAGON.vectors)  # nothing cached yet
+    for config, unimodular in ((hexagon, True), (seeded, False),
+                               (seeded.with_reverse_order(), False)):
+        calls.clear()
+        config.independent_sets()
+        config.full_rank
+        assert calls, "the counter does not see the enumeration"
+        calls.clear()
+        for b in config.bases():
+            config.internally_passive(b)
+        for s in config.independent_sets():
+            config.min_basis_containing(s)
+        config.is_coloop_free()
+        default_box_table.__wrapped__(config)
+        for mode in MODES:
+            hstar(ZonotopeSpec(config, mode))
+        if unimodular:
+            hstar_totally_unimodular(ZonotopeSpec(config))
+        assert not calls, (config, len(calls))
 
 
 def test_hstar_type_b_parallelepiped_examples():
