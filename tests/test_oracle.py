@@ -6,13 +6,14 @@ from pathlib import Path
 import pytest
 
 import zonoehrhart.oracle
-from zonoehrhart.errors import EnumerationLimitError, LatticeMathError, NotFullDimensionalError
+from zonoehrhart.errors import (EnumerationLimitError, InternalDisagreementError,
+                                LatticeMathError, NotFullDimensionalError)
 from zonoehrhart.matroid import VectorConfiguration
 from zonoehrhart.oracle import (bounding_box, contains_point,
                                 count_lattice_points, hstar_via_oracle,
                                 interpolate_ehrhart)
 from zonoehrhart.polycore import Poly
-from zonoehrhart.zonotope import ZonotopeSpec
+from zonoehrhart.zonotope import ZonotopeSpec, hstar
 
 HEXAGON = ZonotopeSpec(VectorConfiguration([(1, 0), (0, 1), (1, 1)]))
 SKEW = ZonotopeSpec(VectorConfiguration([(1, 1), (1, -1)]))
@@ -238,22 +239,90 @@ def test_membership_against_naive_elimination():
             assert contains_point(z, n, p) == _naive_member(z, n, p), (config, mode, n, p)
 
 
+def _swept_and_pointwise(z, n):
+    """count_lattice_points(z, n), and the same count taken point by point
+    over the bounding box with the compiled rows' membership test."""
+    member = zonoehrhart.oracle._Membership(z.config, z.mode == "typeB")
+    box = bounding_box(z, n)
+    pointwise = sum(member.test(n, p) for p in product(*(range(lo, hi + 1) for lo, hi in box)))
+    return count_lattice_points(z, n), pointwise
+
+
+def _box_points(z, n):
+    size = 1
+    for lo, hi in bounding_box(z, n):
+        size *= hi - lo + 1
+    return size
+
+
 def test_sweep_matches_pointwise_membership():
     # Every (d, n) pair for d = 1..3 and n = 0..3, at full rank, rank d-1 and
     # rank d-2 (floored at 0); boxes above 1500 points are redrawn only
-    # to bound the pointwise side, which compiles the rows for every point.
+    # to bound the pointwise side.
     rng = random.Random(89)
     for draw in range(36):
         d, n, drop = draw % 3 + 1, draw // 3 % 4, draw // 12
         while True:
             config = _random_of_rank(rng, d, max(d - drop, 0), 3)
             z = ZonotopeSpec(config, rng.choice(["standard", "typeB"]))
-            box = bounding_box(z, n)
-            points = list(product(*(range(lo, hi + 1) for lo, hi in box)))
-            if len(points) <= 1500:
+            if _box_points(z, n) <= 1500:
                 break
-        pointwise = sum(contains_point(z, n, p) for p in points)
-        assert count_lattice_points(z, n) == pointwise, (config, z.mode, n)
+        swept, pointwise = _swept_and_pointwise(z, n)
+        assert swept == pointwise, (config, z.mode, n)
+    # The half sweep, for d = 0..4: with c = box lo + box hi, it sweeps the
+    # heads below the centre in x_1, then those at the centre in x_1 and
+    # below it in x_2, and so on, until some c_k is odd; if none is, the
+    # centre line comes last.  Each depth, the number of leading even c_k
+    # among the d-1 head coordinates, is drawn twice, in both modes where
+    # the centre line is swept (typeB boxes are centred on 0).
+    rng = random.Random(97)
+    for d in range(5):
+        heads = max(d - 1, 0)
+        for depth in range(heads + 1):
+            modes = ("standard", "typeB") if depth == heads else ("standard",) * 2
+            for mode in modes:
+                while True:
+                    config = _random_of_rank(rng, d, rng.randint(max(d - 2, 0), d), 4)
+                    z = ZonotopeSpec(config, mode)
+                    n = rng.randint(1, 3)
+                    centre = [lo + hi for lo, hi in bounding_box(z, n)][:heads]
+                    leading_even = next((k for k, c in enumerate(centre) if c % 2), heads)
+                    if leading_even == depth and _box_points(z, n) <= 1500:
+                        break
+                swept, pointwise = _swept_and_pointwise(z, n)
+                assert swept == pointwise, (config, mode, n)
+
+
+def test_half_sweep_rejects_an_off_centre_row(monkeypatch):
+    # The half sweep counts each line for its mirror image too, which holds
+    # only while every row is centred on the bounding box.
+    compile_rows = zonoehrhart.oracle._Membership.__init__
+
+    def off_centre(self, config, type_b):
+        compile_rows(self, config, type_b)
+        (u, lo, hi), *rest = self.rows
+        self.rows = ((u, lo, hi + 1), *rest)
+
+    monkeypatch.setattr(zonoehrhart.oracle._Membership, "__init__", off_centre)
+    with pytest.raises(InternalDisagreementError):
+        count_lattice_points(HEXAGON, 2)
+    with pytest.raises(InternalDisagreementError):
+        hstar_via_oracle(ZonotopeSpec(HEXAGON.config, "typeB"))
+
+
+def test_oracle_matches_formula_at_d4():
+    # A check past the acceptance corpus, which stops at d = 3.
+    rng = random.Random(101)
+    checked = 0
+    while checked < 8:
+        config = VectorConfiguration(
+            [tuple(rng.randint(-1, 1) for _ in range(4)) for _ in range(5)], 4)
+        if config.full_rank < 4:
+            continue
+        for mode in ("standard", "typeB"):
+            z = ZonotopeSpec(config, mode)
+            assert hstar_via_oracle(z) == hstar(z), (config, mode)
+        checked += 1
 
 
 def test_oracle_stays_formula_independent():
