@@ -1,7 +1,8 @@
 """Exact linear algebra over integers and rationals.
 
 Everything here works with Python ints and fractions.Fraction; no floats.
-Matrices are lists of row lists.
+Matrices are lists of row lists.  Determinants are fraction-free (Bareiss);
+`rank` is the one routine left that eliminates over Fraction.
 """
 
 from fractions import Fraction
@@ -52,27 +53,6 @@ def rank(rows):
         if r == nrows:
             break
     return r
-
-
-def solve_exact(rows, rhs):
-    """Solve the square system rows @ x = rhs exactly.
-
-    Raises ValueError if the matrix is singular.
-    """
-    n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        a[col], a[pivot] = a[pivot], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [a[i][n] for i in range(n)]
 
 
 def vector_gcd(values):

@@ -9,6 +9,8 @@ Input documents are JSON files of the form
 with mode optional (default "standard") and box_table optional; its keys are
 JSON-encoded 1-based index lists and its values integers or "p/q" strings.
 Supplied entries override the default lattice-count table entry by entry.
+An optional "dim", required for an empty generator list, must be a
+nonnegative integer equal to the length of every generator.
 
 Results go to stdout as JSON with a stable key order; errors go to stderr as
 JSON with a machine-readable "code".  Exit codes: 0 ok, 1 mathematical
@@ -106,6 +108,11 @@ def _load_input(path):
     dim = doc.get("dim")
     if dim is None and not generators:
         raise _CliError("an empty generator list needs an explicit 'dim'")
+    if dim is not None:
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+            raise _CliError(f"'dim' must be a nonnegative integer, got {dim!r}")
+        if any(len(v) != dim for v in generators):
+            raise _CliError(f"'dim' is {dim} but a generator has another length")
     config = VectorConfiguration(generators, dim)
     table = None
     if "box_table" in doc:

@@ -9,17 +9,23 @@ elements, minimal completing bases).
 
 Duplicate vectors are distinct parallel elements; zero vectors are loops and
 never independent.
+
+Enumeration is guarded: a configuration whose count of independent sets may
+exceed `MAX_INDEPENDENT_SETS` (the bound is sum_{k <= rank} C(n, k)) raises
+`EnumerationLimitError` before any set is enumerated.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from typing import Iterable, Sequence
 
 from . import _linalg
-from .errors import DependentSetError, LatticeMathError
+from .errors import DependentSetError, EnumerationLimitError, LatticeMathError
+
+MAX_INDEPENDENT_SETS = 10**5
 
 
 def _as_index_set(indices: Iterable[int], n: int) -> tuple:
@@ -99,6 +105,12 @@ class VectorConfiguration:
 
     @cached_property
     def _independent_sets(self) -> tuple[tuple, ...]:
+        r = self.full_rank
+        bound = sum(comb(self.n, k) for k in range(r + 1))
+        if bound > MAX_INDEPENDENT_SETS:
+            raise EnumerationLimitError(
+                f"up to {bound} independent sets (n={self.n}, rank={r}) exceed the "
+                f"{MAX_INDEPENDENT_SETS} enumeration guard")
         found = [()]
         def grow(prefix: tuple, start: int):
             for i in range(start, self.n + 1):

@@ -4,6 +4,10 @@ Polynomials carry integer or rational coefficients and are immutable.
 h*-vectors pair a coefficient tuple (h_0, ..., h_d) with an explicit ambient
 degree d, because the shape predicates (palindromicity, alternating increase)
 depend on d and not just on the nonzero support.
+
+Real-rootedness is decided by one primitive Sturm chain in Z[t]: rational
+coefficients are cleared once on entry, and every later step is an integer
+pseudo-remainder, so no rational division happens along the chain.
 """
 
 from __future__ import annotations
@@ -262,87 +266,63 @@ def express_in_shifted_power_basis(p: Poly, d: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _primitive(p: Poly) -> Poly:
-    """Scale by a positive rational so coefficients are coprime integers."""
-    if not p:
-        return p
-    denom = lcm(*(c.denominator for c in map(Fraction, p.coeffs)))
-    ints = [int(c * denom) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return Poly(tuple(v // g for v in ints))
+    """Divide an integer polynomial by the positive gcd of its coefficients."""
+    g = gcd(*p.coeffs)
+    return Poly(c // g for c in p.coeffs)
 
 
-def _poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [0] * max(0, a.degree - b.degree + 1)
-    rem = list(a.coeffs)
-    lead = Fraction(b.coeffs[-1])
-    db = b.degree
-    for i in range(len(rem) - 1, db - 1, -1):
-        if rem[i] == 0:
-            continue
-        f = rem[i] / lead
-        q[i - db] = f
-        for j, c in enumerate(b.coeffs):
-            rem[i - db + j] -= f * c
-        rem[i] = 0
-    return Poly(q), Poly(rem)
+def _sturm_chain(p: Poly) -> list:
+    """Primitive Sturm chain of a nonzero p in Z[t], ending at gcd(p, p').
+
+    The chain is p, p' and then the negated pseudo-remainders, each made
+    primitive.  A pseudo-remainder is scaled by |lc|^(delta+1), a positive
+    factor, so every sign matches the chain of rational remainders.
+    """
+    p = _primitive(p * lcm(*(c.denominator for c in p.coeffs)))
+    chain = [p]
+    rem = p.derivative()
+    while rem:
+        b = _primitive(rem)
+        chain.append(b)
+        lc, db = b.coeffs[-1], b.degree
+        scale, sign = abs(lc), (1 if lc > 0 else -1)
+        tail = b.coeffs[:-1]
+        r = list(chain[-2].coeffs)
+        for i in range(len(r) - 1, db - 1, -1):
+            f = sign * r.pop()
+            r = [scale * x for x in r]
+            for j, c in enumerate(tail):
+                r[i - db + j] -= f * c
+        rem = -Poly(r)
+    return chain
 
 
-def _poly_gcd(a: Poly, b: Poly) -> Poly:
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        a, b = b, _primitive(_poly_divmod(a, b)[1])
-    return a
-
-
-def _sign_at_infinity(p: Poly, positive: bool) -> int:
-    lc = p.coeffs[-1]
-    s = 1 if lc > 0 else -1
-    if not positive and p.degree % 2 == 1:
-        s = -s
-    return s
+def _real_root_count(chain: list) -> int:
+    """Sign variations of a Sturm chain at -oo minus those at +oo."""
+    def variations(signs):
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    at_plus = [q.coeffs[-1] > 0 for q in chain]
+    at_minus = [(q.coeffs[-1] > 0) != (q.degree % 2 == 1) for q in chain]
+    return variations(at_minus) - variations(at_plus)
 
 
 def count_distinct_real_roots(p: Poly) -> int:
     """Number of distinct real roots, by a Sturm chain over (-oo, oo)."""
     if not p:
         raise LatticeMathError("the zero polynomial has no well-defined root count")
-    p = _primitive(p)
-    if p.degree <= 0:
-        return 0
-    chain = [p, _primitive(p.derivative())]
-    while chain[-1].degree >= 1:
-        rem = _poly_divmod(chain[-2], chain[-1])[1]
-        if not rem:
-            break
-        chain.append(_primitive(-rem))
-    def variations(positive: bool) -> int:
-        signs = [_sign_at_infinity(q, positive) for q in chain if q]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    return variations(False) - variations(True)
+    return _real_root_count(_sturm_chain(p))
 
 
 def is_real_rooted(p: Poly) -> bool:
     """True iff every complex root of p is real, counted with multiplicity.
 
-    Splits off the squarefree part q = p/gcd(p, p'), checks that q has
-    deg(q) distinct real roots, and recurses on the repeated-root part.
+    p has deg(p) - deg(gcd(p, p')) distinct complex roots, and the Sturm
+    chain ends at that gcd, so one chain decides it.
     """
     if not p:
         raise LatticeMathError("the zero polynomial is not a valid input")
-    p = _primitive(p)
-    while p.degree > 0:
-        g = _poly_gcd(p, p.derivative())
-        q, rem = _poly_divmod(p, g)
-        assert not rem
-        q = _primitive(q)
-        if count_distinct_real_roots(q) != q.degree:
-            return False
-        p = g
-    return True
+    chain = _sturm_chain(p)
+    return _real_root_count(chain) == chain[0].degree - chain[-1].degree
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +332,10 @@ def is_real_rooted(p: Poly) -> bool:
 def is_unimodal(h) -> tuple[bool, frozenset]:
     """Whether h rises then falls weakly; on success also the set of argmax indices."""
     h = _as_hstar(h)
-    seq = h.h
-    peak = max(seq)
-    k = seq.index(peak)
-    rising = all(seq[i] <= seq[i + 1] for i in range(k))
-    falling = all(seq[i] >= seq[i + 1] for i in range(k, len(seq) - 1))
-    if rising and falling:
-        return True, frozenset(i for i, v in enumerate(seq) if v == peak)
-    return False, frozenset()
+    if unimodality_violation(h) is not None:
+        return False, frozenset()
+    peak = max(h.h)
+    return True, frozenset(i for i, v in enumerate(h.h) if v == peak)
 
 
 def is_palindromic(h) -> bool:
@@ -370,16 +346,7 @@ def is_palindromic(h) -> bool:
 
 def is_alternatingly_increasing(h) -> bool:
     """True iff h_0 <= h_d <= h_1 <= h_{d-1} <= ... <= h_{floor((d+1)/2)}."""
-    h = _as_hstar(h)
-    lo, hi = 0, h.d
-    chain = []
-    while lo <= hi:
-        chain.append(h.h[lo])
-        if hi > lo:
-            chain.append(h.h[hi])
-        lo += 1
-        hi -= 1
-    return all(a <= b for a, b in zip(chain, chain[1:]))
+    return alternating_increase_violation(h) is None
 
 
 def unimodality_violation(h):

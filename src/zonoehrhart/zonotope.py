@@ -23,7 +23,7 @@ from .errors import (DependentSetError, InternalDisagreementError, LatticeMathEr
                      NotFullDimensionalError)
 from .eulerian import a_j_polynomial, b_l_polynomial_via_a
 from .matroid import VectorConfiguration
-from .polycore import (HStarVector, Poly, _as_hstar, _exact,
+from .polycore import (HStarVector, Poly, _as_hstar, _exact, ehrhart_from_hstar,
                        express_in_shifted_power_basis)
 
 MODES = ("standard", "typeB")
@@ -323,13 +323,14 @@ def hstar_totally_unimodular(z: ZonotopeSpec) -> HStarVector:
 # ---------------------------------------------------------------------------
 
 def express_in_eulerian_basis(h) -> tuple:
-    """Unique coordinates (c_1, ..., c_{d+1}) with h = sum_j c_j A_j(d+1)."""
+    """Unique coordinates (c_1, ..., c_{d+1}) with h = sum_j c_j A_j(d+1).
+
+    A_{j+1}(d+1) is the h* of the half-open cube whose counting polynomial is
+    n^j (1+n)^(d-j), so the coordinates of h are those of its counting
+    polynomial in that shifted power basis.
+    """
     h = _as_hstar(h)
-    d = h.d
-    columns = [a_j_polynomial(d + 1, j).padded(d + 1) for j in range(1, d + 2)]
-    matrix = [[columns[j][i] for j in range(d + 1)] for i in range(d + 1)]
-    solution = _linalg.solve_exact(matrix, list(h.h))
-    return tuple(_exact(c) for c in solution)
+    return express_in_shifted_power_basis(ehrhart_from_hstar(h), h.d)
 
 
 def is_in_zonotope_cone(h) -> bool:

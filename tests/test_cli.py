@@ -104,6 +104,37 @@ def test_resource_guard_exits_2(tmp_path):
     assert err["code"] == "resource-limit"
 
 
+@pytest.mark.parametrize("doc", [
+    {"generators": [], "dim": -1},
+    {"generators": [], "dim": "2"},
+    {"generators": [], "dim": True},
+    {"generators": [], "dim": 2.0},
+    {"generators": [[1, 0], [0, 1]], "dim": 3},
+])
+def test_bad_dim_exits_1(tmp_path, capsys, doc):
+    from zonoehrhart import cli
+    assert cli.main(["matroid", write_doc(tmp_path, doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["code"] == "bad-input"
+
+
+def test_enumeration_guard_exits_2_before_enumerating(tmp_path, capsys):
+    import random
+    import time
+
+    from zonoehrhart import cli
+
+    rng = random.Random(12)
+    doc = {"generators": [[rng.randint(-2, 2) for _ in range(12)] for _ in range(60)]}
+    path = write_doc(tmp_path, doc)
+    for command in ("matroid", "hstar"):
+        start = time.perf_counter()
+        assert cli.main([command, path]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert json.loads(capsys.readouterr().err)["code"] == "resource-limit"
+
+
 def test_check_literal_hvector():
     proc = run_cli("check", "--hvector", "1,4,1")
     assert proc.returncode == 0, proc.stderr

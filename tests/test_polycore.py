@@ -145,6 +145,37 @@ def test_real_rooted_matches_discriminant_oracle():
     assert checked == 11**4 - 1
 
 
+def _linear_power_product(rng, degree):
+    """Seeded product of powers (a*t + b)^m of exact degree, and its distinct roots."""
+    p = Poly((rng.choice([-3, -1, 1, 2, Fraction(1, 2), Fraction(-2, 3)]),))
+    roots = set()
+    while p.degree < degree:
+        a = rng.choice([-3, -2, -1, 1, 2, 3])
+        b = Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+        p = p * Poly((b, a)) ** rng.randint(1, min(3, degree - p.degree))
+        roots.add(-b / a)
+    return p, roots
+
+
+def test_real_rootedness_known_by_construction():
+    # Degrees 4-10: products of powers of linear factors are real-rooted with
+    # one real root per distinct factor root; times an irreducible quadratic,
+    # or its square, they keep those real roots and are not real-rooted.
+    rng = random.Random(2024)
+    for _ in range(300):
+        degree = rng.randint(4, 10)
+        p, roots = _linear_power_product(rng, degree)
+        assert is_real_rooted(p), p
+        assert count_distinct_real_roots(p) == len(roots), p
+
+        c = rng.randint(-3, 3)
+        quad = Poly((c * c // 4 + rng.randint(1, 3), c, 1)) ** rng.choice([1, 2])
+        p, roots = _linear_power_product(rng, degree - quad.degree)
+        q = p * quad
+        assert not is_real_rooted(q), q
+        assert count_distinct_real_roots(q) == len(roots), q
+
+
 def test_count_distinct_real_roots():
     assert count_distinct_real_roots(Poly((0, 1))) == 1
     assert count_distinct_real_roots(Poly((-1, 0, 1))) == 2

@@ -213,6 +213,22 @@ def test_express_in_eulerian_basis_examples():
             assert coords == tuple(1 if i == j - 1 else 0 for i in range(d + 1))
 
 
+def test_eulerian_coordinates_round_trip():
+    # sum_j c_j A_j(d+1) rebuilds h, and a whole coordinate comes back as an int.
+    rng = random.Random(61)
+    for _ in range(300):
+        d = rng.randint(0, 8)
+        entries = [rng.randint(-9, 9) for _ in range(d + 1)]
+        if rng.random() < 0.5:
+            entries = [Fraction(x, rng.randint(1, 4)) for x in entries]
+        h = HStarVector(entries, d)
+        coords = express_in_eulerian_basis(h)
+        rebuilt = sum((a_j_polynomial(d + 1, j) * c for j, c in enumerate(coords, 1)),
+                      Poly())
+        assert HStarVector.from_poly(rebuilt, d) == h
+        assert all(type(c) is int or c.denominator > 1 for c in coords), coords
+
+
 def test_is_in_zonotope_cone_examples():
     assert is_in_zonotope_cone(HStarVector((1, 4, 1)))
     assert not is_in_zonotope_cone(HStarVector((2, 0, 0)))
