@@ -240,13 +240,12 @@ def _check_property(name, h):
     if name == "palindromic":
         return {"value": polycore.is_palindromic(h)}
     if name == "reflexive":
-        ehr = polycore.ehrhart_from_hstar(h)
-        coords = zonotope.express_in_shifted_power_basis(ehr, h.d)
-        return {"value": zonotope.is_reflexive_by_ehrhart(ehr, h.d),
+        coords = zonotope.express_in_shifted_power_basis(polycore.ehrhart_from_hstar(h), h.d)
+        return {"value": zonotope.coordinates_symmetric(coords),
                 "shifted_power_coordinates": list(coords)}
     if name == "cone":
         coords = zonotope.express_in_eulerian_basis(h)
-        return {"value": zonotope.is_in_zonotope_cone(h),
+        return {"value": zonotope.coordinates_in_cone(coords),
                 "eulerian_coordinates": list(coords)}
     raise AssertionError(name)
 

@@ -25,7 +25,18 @@ the bounding box is centred on the same point, so the point reflection
 p -> (box lo + box hi) - p maps each dilate and its box onto themselves.
 Only the heads that are lexicographically at most their mirror image are
 swept: each of their lines counts twice, except the lines that are their own
-mirror, in the centre slice.  No floating point is used anywhere.
+mirror, in the centre slice.
+
+The relative interior of the n-th dilate is where every inequality row holds
+strictly: every hyperplane spanned by generators supports two opposite
+facets of a zonotope, so the rows are exactly its facets.  Strict rows
+n*lo + 1 <= u . p <= n*hi - 1 stay centred and are swept the same way, over
+the bounding box shrunk by one on each side.  hstar_via_oracle reads the
+counting polynomial at negative dilates from these interior counts by
+Ehrhart-Macdonald reciprocity, so its largest dilate is about (d+1)/2, not
+d+1.  No floating point is used anywhere, and no rational elimination:
+independence is a nonzero Gram determinant, and interpolation runs over the
+integers.
 """
 
 from __future__ import annotations
@@ -60,12 +71,14 @@ def _normal(vectors, d):
 
 def _extend_independent(chosen, candidates, d):
     """chosen plus the candidates that each raise its rank, taken greedily,
-    up to d vectors of Z^d."""
+    up to d vectors of Z^d.  Vectors are independent exactly when their Gram
+    determinant is nonzero."""
     chosen = list(chosen)
     for v in candidates:
         if len(chosen) == d:
             break
-        if _linalg.rank(chosen + [v]) > len(chosen):
+        trial = chosen + [v]
+        if _linalg.det_bareiss([[sum(map(mul, a, b)) for b in trial] for a in trial]):
             chosen.append(v)
     return chosen
 
@@ -101,22 +114,36 @@ class _Membership:
             else:
                 rows[u] = (sum(t for t in dots if t < 0), sum(t for t in dots if t > 0))
         self.dim = d
+        self.rank = r
+        self.box = _unit_box(gens, d, type_b)
         self.rows = tuple(sorted(_last_positive(u, lo, hi) for u, (lo, hi) in rows.items()))
 
-    def test(self, n: int, point: Sequence[int]) -> bool:
-        return all(n * lo <= sum(map(mul, u, point)) <= n * hi
-                   for u, lo, hi in self.rows)
+    def bounds(self, n: int, strict: bool = False) -> list:
+        """(u, low, high) for each row low <= u . p <= high of the n-th dilate.
 
-    def count(self, n: int, box: Sequence[tuple[int, int]]) -> int:
-        """Integer points of the n-th dilate inside box, a box centred on it.
+        Strict bounds describe the relative interior: each inequality row
+        moves in by one on both sides, and the equality rows stay.
+        """
+        s = int(strict)
+        return [(u, n * lo + s, n * hi - s) if lo < hi else (u, lo, hi)
+                for u, lo, hi in self.rows]
+
+    def test(self, n: int, point: Sequence[int], strict: bool = False) -> bool:
+        return all(low <= sum(map(mul, u, point)) <= high
+                   for u, low, high in self.bounds(n, strict))
+
+    def count(self, n: int, box: Sequence[tuple[int, int]], strict: bool = False) -> int:
+        """Integer points of the n-th dilate (its relative interior if strict)
+        inside box, a box centred on it.
 
         Only the heads h with h <= c - h lexicographically are swept, where
         c is the head of box lo + box hi: the heads below the centre in
         x_1, then those at the centre in x_1 and below it in x_2, and so on,
-        each line counted twice; then the centre line itself, once.
+        each line counted twice; then the centre line itself, once.  Strict
+        bounds move both ends of a row by one, so they stay centred.
         """
         if self.dim == 0:
-            return int(self.test(n, ()))
+            return int(self.test(n, (), strict))
         centre = [lo + hi for lo, hi in box]
         for u, lo, hi in self.rows:
             if n * (lo + hi) != sum(map(mul, u, centre)):
@@ -124,9 +151,9 @@ class _Membership:
                     f"row {lo} <= {u} . p <= {hi} of dilate {n} is not centred on "
                     f"the bounding box {list(box)}; the half sweep needs central symmetry")
         d = self.dim
-        # (coefficients of x_1..x_{d-2}, of x_{d-1}, of x_d, n*lo, n*hi)
-        rows = [(u[:d - 2], u[d - 2] if d > 1 else 0, u[-1], n * lo, n * hi)
-                for u, lo, hi in self.rows]
+        # (coefficients of x_1..x_{d-2}, of x_{d-1}, of x_d, low, high)
+        rows = [(u[:d - 2], u[d - 2] if d > 1 else 0, u[-1], low, high)
+                for u, low, high in self.bounds(n, strict)]
         lines = [row for row in rows if row[2]]
         slabs = [row for row in rows if not row[2]]
         *heads, last = box
@@ -193,30 +220,48 @@ def contains_point(z: ZonotopeSpec, n: int, point: Sequence[int]) -> bool:
     return _Membership(z.config, z.mode == "typeB").test(n, p)
 
 
-def bounding_box(z: ZonotopeSpec, n: int) -> list[tuple[int, int]]:
-    """Componentwise integer bounds from the sign decomposition of the generators."""
-    type_b = z.mode == "typeB"
+def _unit_box(vectors, d: int, type_b: bool) -> list[tuple[int, int]]:
+    """Componentwise integer bounds of the zonotope itself, the dilate 1,
+    from the sign decomposition of the generators."""
     box = []
-    for r in range(z.dim):
+    for column in (tuple(v[i] for v in vectors) for i in range(d)):
         if type_b:
-            spread = n * sum(abs(v[r]) for v in z.config.vectors)
+            spread = sum(map(abs, column))
             box.append((-spread, spread))
         else:
-            lo = n * sum(min(0, v[r]) for v in z.config.vectors)
-            hi = n * sum(max(0, v[r]) for v in z.config.vectors)
-            box.append((lo, hi))
+            box.append((sum(x for x in column if x < 0), sum(x for x in column if x > 0)))
     return box
+
+
+def bounding_box(z: ZonotopeSpec, n: int) -> list[tuple[int, int]]:
+    """Componentwise integer bounds from the sign decomposition of the generators."""
+    return [(n * lo, n * hi) for lo, hi in _unit_box(z.config.vectors, z.dim, z.mode == "typeB")]
 
 
 def count_lattice_points(z: ZonotopeSpec, n: int) -> int:
     """|nZ cap Z^d| by sweeping the integer bounding box line by line."""
-    return _count(_Membership(z.config, z.mode == "typeB"), z, n)
+    return _count(_Membership(z.config, z.mode == "typeB"), n)
 
 
-def _count(member: _Membership, z: ZonotopeSpec, n: int) -> int:
+def count_interior_lattice_points(z: ZonotopeSpec, n: int) -> int:
+    """Integer points of the relative interior of nZ, for n >= 1.
+
+    Every hyperplane spanned by generators supports two opposite facets of a
+    zonotope, so the relative interior is exactly where every inequality row
+    holds strictly, and the sweep counts it the same way.
+    """
+    if n < 1:
+        raise LatticeMathError(f"dilate of an interior count must be positive, got {n}")
+    return _count(_Membership(z.config, z.mode == "typeB"), n, strict=True)
+
+
+def _count(member: _Membership, n: int, strict: bool = False) -> int:
     if n < 0:
         raise LatticeMathError(f"dilate must be nonnegative, got {n}")
-    box = bounding_box(z, n)
+    # A point of the relative interior lies strictly inside every coordinate
+    # range that is not a single value, so strict counts sweep a smaller box.
+    s = int(strict)
+    box = [(n * lo + s, n * hi - s) if lo < hi else (n * lo, n * hi) for lo, hi in member.box]
     size = 1
     for lo, hi in box:
         size *= hi - lo + 1
@@ -224,7 +269,7 @@ def _count(member: _Membership, z: ZonotopeSpec, n: int) -> int:
         raise EnumerationLimitError(
             f"bounding box holds {size} integer points, above the "
             f"{MAX_BOX_POINTS} enumeration guard")
-    return member.count(n, box)
+    return member.count(n, box, strict)
 
 
 def interpolate_ehrhart(counts: Sequence[int], r: int) -> Poly:
@@ -240,36 +285,61 @@ def interpolate_ehrhart(counts: Sequence[int], r: int) -> Poly:
         raise LatticeMathError("counts must be integers")
     if len(values) < r + 1:
         raise LatticeMathError(f"need at least {r + 1} counts for degree {r}")
-    diffs = list(values[: r + 1])
-    newton = []
+    return _interpolate(values, r, 0)
+
+
+def _interpolate(values: list[int], r: int, start: int) -> Poly:
+    """The degree-<=r polynomial through (start + i, values[i]), i = 0..r,
+    checked against the values beyond index r.
+
+    Newton's forward form P(t) = sum_j D_j (t - start)_j / j!, with D_j the
+    j-th difference at start and (x)_j the falling factorial, is summed as
+    r! * P over the integers; each coefficient becomes a Fraction once, at
+    the end.
+    """
+    diffs = values[: r + 1]
+    scale = factorial(r)
+    scaled = [0] * (r + 1)  # r! * P, the coefficient of t^i at index i
+    falling = [1]  # (t - start)_j, the coefficient of t^i at index i
     for j in range(r + 1):
-        newton.append(diffs[0])
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    poly = Poly()
-    falling = Poly((1,))
-    for j, coeff in enumerate(newton):
-        if j > 0:
-            falling = falling * Poly((-(j - 1), 1))
-        if coeff:
-            poly = poly + falling * Fraction(coeff, factorial(j))
+        if j:
+            root = start + j - 1
+            falling = [a - root * b for a, b in zip([0] + falling, falling + [0])]
+        weight = diffs[0] * (scale // factorial(j))
+        for i, c in enumerate(falling):
+            scaled[i] += weight * c
+        diffs = list(map(sub, diffs[1:], diffs))
     for extra in range(r + 1, len(values)):
-        if poly(extra) != values[extra]:
+        node = start + extra
+        got = 0
+        for c in reversed(scaled):
+            got = got * node + c
+        if got != scale * values[extra]:
             raise LatticeMathError(
-                f"count at n={extra} is {values[extra]}, but the degree-{r} "
-                f"interpolant gives {poly(extra)}; the degree was underestimated")
-    return poly
+                f"count at n={node} is {values[extra]}, but the degree-{r} "
+                f"interpolant gives {Fraction(got, scale)}; the degree was underestimated")
+    return Poly(Fraction(c, scale) for c in scaled)
 
 
 def hstar_via_oracle(z: ZonotopeSpec) -> HStarVector:
-    """h*-vector from raw lattice-point counts at dilates 0..d+1.
+    """h*-vector from raw lattice-point counts and Ehrhart-Macdonald reciprocity.
 
-    One count beyond the d+1 interpolation nodes guards the degree.
+    The counting polynomial E of the d-dimensional zonotope Z satisfies
+    E(-k) = (-1)^d times the number of interior lattice points of kZ.  So
+    closed counts at dilates 0..ceil((d+1)/2) and interior counts at dilates
+    1..floor((d+1)/2) give E at the d+2 equally spaced nodes
+    -floor((d+1)/2)..ceil((d+1)/2): d+1 to interpolate, and one more to
+    guard the degree.  The largest dilate counted is about half of d+1.
     """
     d = z.dim
-    if z.config.full_rank != d:
-        raise NotFullDimensionalError(
-            f"generators span rank {z.config.full_rank} < ambient dimension {d}")
     member = _Membership(z.config, z.mode == "typeB")
-    counts = [_count(member, z, n) for n in range(d + 2)]
-    ehr = interpolate_ehrhart(counts, d)
-    return hstar_from_ehrhart(ehr, d)
+    if member.rank != d:
+        raise NotFullDimensionalError(
+            f"generators span rank {member.rank} < ambient dimension {d}")
+    below, above = (d + 1) // 2, (d + 2) // 2
+    # The closed count at the largest dilate has the largest box, so the
+    # box guard fires before any interior count is spent.
+    closed = [_count(member, n) for n in range(above + 1)]
+    interior = [_count(member, k, strict=True) for k in range(below, 0, -1)]
+    values = [(-1) ** d * c for c in interior] + closed
+    return hstar_from_ehrhart(_interpolate(values, d, -below), d)

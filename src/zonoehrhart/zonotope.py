@@ -335,7 +335,11 @@ def express_in_eulerian_basis(h) -> tuple:
 
 def is_in_zonotope_cone(h) -> bool:
     """True iff h = A_1(d+1) + nonnegative combination of A_2(d+1)..A_{d+1}(d+1)."""
-    c = express_in_eulerian_basis(h)
+    return coordinates_in_cone(express_in_eulerian_basis(h))
+
+
+def coordinates_in_cone(c) -> bool:
+    """Whether Eulerian coordinates (c_1, ..., c_{d+1}) have c_1 = 1 and the rest nonnegative."""
     return c[0] == 1 and all(cj >= 0 for cj in c[1:])
 
 
@@ -364,5 +368,10 @@ def eulerian_ray_parallelepiped(d: int, k: int, m: int) -> ZonotopeSpec:
 
 def is_reflexive_by_ehrhart(ehr: Poly, d: int) -> bool:
     """Reflexivity test: symmetric coordinates in the n^j (1+n)^(d-j) basis."""
-    c = express_in_shifted_power_basis(ehr, d)
-    return all(c[j] == c[d - j] for j in range(d + 1))
+    return coordinates_symmetric(express_in_shifted_power_basis(ehr, d))
+
+
+def coordinates_symmetric(c) -> bool:
+    """Whether coordinates (c_0, ..., c_d) in the n^j (1+n)^(d-j) basis read
+    the same backwards, the reflexivity condition."""
+    return c == c[::-1]

@@ -1,18 +1,21 @@
 import ast
 import random
+from fractions import Fraction
 from itertools import product
+from math import factorial, gcd
 from pathlib import Path
 
 import pytest
 
 import zonoehrhart.oracle
+from zonoehrhart._linalg import det_bareiss
 from zonoehrhart.errors import (EnumerationLimitError, InternalDisagreementError,
                                 LatticeMathError, NotFullDimensionalError)
 from zonoehrhart.matroid import VectorConfiguration
 from zonoehrhart.oracle import (bounding_box, contains_point,
-                                count_lattice_points, hstar_via_oracle,
-                                interpolate_ehrhart)
-from zonoehrhart.polycore import Poly
+                                count_interior_lattice_points, count_lattice_points,
+                                hstar_via_oracle, interpolate_ehrhart)
+from zonoehrhart.polycore import Poly, hstar_from_ehrhart
 from zonoehrhart.zonotope import ZonotopeSpec, hstar
 
 HEXAGON = ZonotopeSpec(VectorConfiguration([(1, 0), (0, 1), (1, 1)]))
@@ -48,6 +51,43 @@ def test_count_type_b():
     assert [count_lattice_points(segment, n) for n in range(3)] == [1, 5, 9]
 
 
+def test_interior_count_examples():
+    # E(-n) = (-1)^d * interior(n): the hexagon's E(n) = 3n^2 + 3n + 1 gives 1, 7.
+    assert [count_interior_lattice_points(HEXAGON, n) for n in (1, 2)] == [1, 7]
+    assert [count_interior_lattice_points(SKEW, n) for n in (1, 2)] == [1, 5]
+    square = ZonotopeSpec(VectorConfiguration([(1, 0), (0, 1)]), "typeB")
+    assert [count_interior_lattice_points(square, n) for n in (1, 2)] == [1, 9]
+    segment = ZonotopeSpec(VectorConfiguration([(2,)]), "typeB")
+    assert [count_interior_lattice_points(segment, n) for n in (1, 2)] == [3, 7]
+    # Below full rank the count is of the relative interior: equality rows stay.
+    diagonal = ZonotopeSpec(VectorConfiguration([(1, 1)]))
+    assert [count_interior_lattice_points(diagonal, n) for n in (1, 2, 3)] == [0, 1, 2]
+    flat = ZonotopeSpec(VectorConfiguration([(1, 0, 0), (0, 1, 0), (1, 1, 0)]))
+    assert [count_interior_lattice_points(flat, n) for n in (1, 2)] == [1, 7]
+    point = ZonotopeSpec(VectorConfiguration([], dim=0))
+    assert count_interior_lattice_points(point, 3) == 1
+    with pytest.raises(LatticeMathError):
+        count_interior_lattice_points(HEXAGON, 0)
+    huge = ZonotopeSpec(VectorConfiguration([(4000, 0), (0, 4000)]))
+    with pytest.raises(EnumerationLimitError, match="enumeration guard"):
+        count_interior_lattice_points(huge, 1)
+
+
+def test_counts_invariant_under_unimodular_embedding():
+    # (x, y) -> (x, y, x + y) maps Z^2 onto the lattice points of a plane in
+    # Z^3, so closed and relative-interior counts both carry over.
+    rng = random.Random(103)
+    for _ in range(8):
+        config = _random_full_rank(rng, 2)
+        lifted = VectorConfiguration([(x, y, x + y) for x, y in config.vectors], 3)
+        for mode in ("standard", "typeB"):
+            flat, tilted = ZonotopeSpec(config, mode), ZonotopeSpec(lifted, mode)
+            for n in (1, 2):
+                assert count_lattice_points(tilted, n) == count_lattice_points(flat, n)
+                assert (count_interior_lattice_points(tilted, n)
+                        == count_interior_lattice_points(flat, n)), (config, mode, n)
+
+
 def test_resource_guard():
     huge = ZonotopeSpec(VectorConfiguration([(4000, 0), (0, 4000)]))
     with pytest.raises(EnumerationLimitError):
@@ -73,6 +113,28 @@ def test_interpolate_guards():
         interpolate_ehrhart([1, 7], 2)
     with pytest.raises(LatticeMathError):
         interpolate_ehrhart([1, 7, 19, 38], 2)  # 38 is off the polynomial
+
+
+def test_interpolate_on_nodes_from_a_start_offset():
+    # The hexagon's E(n) = 3n^2 + 3n + 1 at the nodes -2..2, as the oracle reads it.
+    interpolate = zonoehrhart.oracle._interpolate
+    assert interpolate([7, 1, 1, 7, 19], 2, -2) == Poly((1, 3, 3))
+    with pytest.raises(LatticeMathError, match=r"count at n=2 is 20\b"):
+        interpolate([7, 1, 1, 7, 20], 2, -2)
+    assert interpolate([-1, 1, 3], 1, -1) == Poly((1, 2))
+
+
+def test_interpolate_is_exact_on_seeded_polynomials():
+    rng = random.Random(107)
+    for _ in range(60):
+        r = rng.randint(0, 6)
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(r + 1)]
+        p = Poly(coeffs)
+        scale = 1
+        for c in coeffs:
+            scale = scale * c.denominator // gcd(scale, c.denominator)
+        values = [int(scale * p(n)) for n in range(r + 2)]
+        assert interpolate_ehrhart(values, r) == p * scale
 
 
 def test_hstar_via_oracle_examples():
@@ -240,12 +302,18 @@ def test_membership_against_naive_elimination():
 
 
 def _swept_and_pointwise(z, n):
-    """count_lattice_points(z, n), and the same count taken point by point
-    over the bounding box with the compiled rows' membership test."""
+    """count_lattice_points(z, n) and, for n >= 1,
+    count_interior_lattice_points(z, n); and the same counts taken point by
+    point over the bounding box with the compiled rows' membership test,
+    closed and strict."""
     member = zonoehrhart.oracle._Membership(z.config, z.mode == "typeB")
-    box = bounding_box(z, n)
-    pointwise = sum(member.test(n, p) for p in product(*(range(lo, hi + 1) for lo, hi in box)))
-    return count_lattice_points(z, n), pointwise
+    points = list(product(*(range(lo, hi + 1) for lo, hi in bounding_box(z, n))))
+    swept = [count_lattice_points(z, n)]
+    pointwise = [sum(member.test(n, p) for p in points)]
+    if n:
+        swept.append(count_interior_lattice_points(z, n))
+        pointwise.append(sum(member.test(n, p, strict=True) for p in points))
+    return swept, pointwise
 
 
 def _box_points(z, n):
@@ -322,6 +390,61 @@ def test_oracle_matches_formula_at_d4():
         for mode in ("standard", "typeB"):
             z = ZonotopeSpec(config, mode)
             assert hstar_via_oracle(z) == hstar(z), (config, mode)
+        checked += 1
+
+
+def test_reciprocity_path_equals_counting_path():
+    # hstar_via_oracle reads E at -K'..K from interior and closed counts; the
+    # plain path interpolates closed counts at dilates 0..d+1.
+    rng = random.Random(109)
+    for d in range(1, 5):
+        for mode in ("standard", "typeB"):
+            for _ in range(4 if d < 4 else 2):
+                while True:
+                    config = VectorConfiguration(
+                        [tuple(rng.randint(-1, 1) for _ in range(d)) for _ in range(d + 1)], d)
+                    if config.full_rank == d:
+                        break
+                z = ZonotopeSpec(config, mode)
+                counts = [count_lattice_points(z, n) for n in range(d + 2)]
+                plain = hstar_from_ehrhart(interpolate_ehrhart(counts, d), d)
+                assert hstar_via_oracle(z) == plain, (config, mode)
+
+
+def test_oracle_matches_formula_at_d5():
+    # Past the reach of dilates 0..d+1: the plain path hits the 10^7-point
+    # box guard on some of these draws.  Every draw must complete.
+    rng = random.Random(113)
+    for mode, n, draws in (("standard", 6, 6), ("typeB", 5, 4)):
+        checked = 0
+        while checked < draws:
+            config = VectorConfiguration(
+                [tuple(rng.randint(-1, 1) for _ in range(5)) for _ in range(n)], 5)
+            if config.full_rank < 5:
+                continue
+            z = ZonotopeSpec(config, mode)
+            assert hstar_via_oracle(z) == hstar(z), (config, mode)
+            checked += 1
+
+
+def test_closed_forms_at_d6():
+    # Past the full oracle: h*_1 = E(1) - d - 1, h*_d = interior(1), and
+    # h*(1) = d! vol(Z) = d! * sum_B |det B|, times 2^d in typeB mode.
+    rng = random.Random(127)
+    d, checked = 6, 0
+    while checked < 4:
+        config = VectorConfiguration(
+            [tuple(rng.randint(-1, 1) for _ in range(d)) for _ in range(8)], d)
+        if config.full_rank < d:
+            continue
+        z = ZonotopeSpec(config)
+        h = hstar(z).h
+        assert h[1] == count_lattice_points(z, 1) - d - 1, config
+        assert h[d] == count_interior_lattice_points(z, 1), config
+        volume = sum(abs(det_bareiss([config.vectors[i - 1] for i in basis]))
+                     for basis in config.bases())
+        assert sum(h) == factorial(d) * volume, config
+        assert sum(hstar(ZonotopeSpec(config, "typeB")).h) == 2**d * factorial(d) * volume
         checked += 1
 
 
