@@ -209,14 +209,16 @@ def _cmd_check(args):
     for name in wanted:
         if name not in _PROPERTIES:
             raise _CliError(f"unknown property {name!r}; choose from {', '.join(_PROPERTIES)}")
-    results = {}
-    for name in wanted:
-        results[name] = _check_property(name, h)
-    doc["results"] = results
+    # `reflexive` and `cone` read the same coordinates: those of the counting
+    # polynomial in the n^j (1+n)^(d-j) basis, which are h*'s Eulerian ones.
+    coords = None
+    if "reflexive" in wanted or "cone" in wanted:
+        coords = zonotope.express_in_eulerian_basis(h)
+    doc["results"] = {name: _check_property(name, h, coords) for name in wanted}
     return doc
 
 
-def _check_property(name, h):
+def _check_property(name, h, coords):
     if name == "real-rooted":
         p = h.poly()
         if not p:
@@ -240,11 +242,9 @@ def _check_property(name, h):
     if name == "palindromic":
         return {"value": polycore.is_palindromic(h)}
     if name == "reflexive":
-        coords = zonotope.express_in_shifted_power_basis(polycore.ehrhart_from_hstar(h), h.d)
         return {"value": zonotope.coordinates_symmetric(coords),
                 "shifted_power_coordinates": list(coords)}
     if name == "cone":
-        coords = zonotope.express_in_eulerian_basis(h)
         return {"value": zonotope.coordinates_in_cone(coords),
                 "eulerian_coordinates": list(coords)}
     raise AssertionError(name)

@@ -203,10 +203,20 @@ def b_l_polynomial_via_a(d: int, l: int) -> Poly:
         raise LatticeMathError(f"d must be nonnegative, got {d}")
     if not 0 <= l <= d:
         raise LatticeMathError(f"l must lie in 0..{d}, got {l}")
-    total = Poly()
-    for j in range(d - l + 1):
-        total = total + a_j_polynomial(d + 1, j + l + 1) * comb(d - l, j)
-    return total * 2**l
+    return _b_row(d)[l]
+
+
+@cache
+def _b_row(d: int) -> tuple[Poly, ...]:
+    """The tuple (B_1(d+1,t), ..., B_{d+1}(d+1,t)) by the identity above."""
+    a = _a_row(d + 1)
+    row = []
+    for l in range(d + 1):
+        total = Poly()
+        for j in range(d - l + 1):
+            total = total + a[j + l] * comb(d - l, j)
+        row.append(total * 2**l)
+    return tuple(row)
 
 
 def eulerian_b(d: int) -> Poly:

@@ -18,14 +18,51 @@ exceed `MAX_INDEPENDENT_SETS` (the bound is sum_{k <= rank} C(n, k)) raises
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
-from math import comb, gcd
+from math import comb
 from typing import Iterable, Sequence
 
 from . import _linalg
 from .errors import DependentSetError, EnumerationLimitError, LatticeMathError
 
 MAX_INDEPENDENT_SETS = 10**5
+
+
+def _xgcd(a: int, b: int) -> tuple:
+    """(g, x, y) with x*a + y*b = g and |g| = gcd(a, b)."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def _fold(v: Sequence[int], columns: list) -> tuple:
+    """Fold the vector v into the free columns of a unimodular transform.
+
+    Returns (g, rest): g >= 0 is the gcd of the products v.u over the free
+    columns u, and rest are the free columns left once unimodular column
+    steps have gathered g into one column, which becomes used.  g == 0 means
+    v lies in the span of the rows already folded in.
+    """
+    rest = []
+    g = 0
+    pivot = None
+    for u in columns:
+        a = sum(x * y for x, y in zip(v, u))
+        if a == 0:
+            rest.append(u)
+        elif pivot is None:
+            pivot, g = u, a
+        else:
+            # [pivot, u] -> [x pivot + y u, (a/h) pivot - (g/h) u], determinant -1.
+            h, x, y = _xgcd(g, a)
+            p, q = a // h, g // h
+            rest.append(tuple(p * s - q * t for s, t in zip(pivot, u)))
+            pivot = tuple(x * s + y * t for s, t in zip(pivot, u))
+            g = h
+    return abs(g), rest
 
 
 def _as_index_set(indices: Iterable[int], n: int) -> tuple:
@@ -76,10 +113,6 @@ class VectorConfiguration:
 
     def _order_pos(self, i: int) -> int:
         return self.n + 1 - i if self.reverse_order else i
-
-    def _matrix_columns(self, indices: Sequence[int]):
-        """Rows of the d x |I| matrix whose columns are the selected vectors."""
-        return [[self.vectors[i - 1][r] for i in indices] for r in range(self.dim)]
 
     # -- rank and independence ------------------------------------------------
 
@@ -132,29 +165,53 @@ class VectorConfiguration:
         return tuple(sorted(maximal, key=lambda b: tuple(sorted(self._order_pos(i) for i in b))))
 
     # -- minor gcd ------------------------------------------------------------
+    #
+    # For an independent set P there is a unimodular column transform U_P of
+    # Z^d after which the rows v_p U_P (p in P) are supported on |P| "used"
+    # columns, triangular there; the gcd of maximal minors survives U_P.  For
+    # a further vector v the maximal minors of P + v are then gcd(P) times the
+    # entries of v U_P in the free columns, so gcd(P + v) = gcd(P) * gcd of
+    # those entries, and an extended-gcd fold of the free columns yields the
+    # transform of P + v.  Only the free columns of U_P are carried.
+
+    def _unit_columns(self) -> list:
+        return [tuple(int(r == c) for r in range(self.dim)) for c in range(self.dim)]
 
     def minor_gcd(self, indices: Iterable[int]) -> int:
         """gcd of all maximal minors of the column matrix of an independent set.
 
         Equals the number of lattice points in the half-open box spanned by
-        the selected vectors; 1 for the empty set by convention.
+        the selected vectors; 1 for the empty set by convention.  Folds along
+        the set's own elements, so it needs no enumeration.
         """
         s = _as_index_set(indices, self.n)
-        if not s:
-            return 1
-        k = len(s)
-        cols = self._matrix_columns(s)
-        g = 0
-        for rows in combinations(range(self.dim), k):
-            minor = _linalg.det_bareiss([cols[r] for r in rows])
-            g = gcd(g, abs(minor))
-            if g == 1:
-                break
-        if g == 0:
-            # The columns are dependent exactly when every maximal minor is 0
-            # (always so when there are more columns than rows).
-            raise DependentSetError(f"{s!r} is not independent")
+        g, free = 1, self._unit_columns()
+        for i in s:
+            step, free = _fold(self.vectors[i - 1], free)
+            if step == 0:
+                raise DependentSetError(f"{s!r} is not independent")
+            g *= step
         return g
+
+    @cached_property
+    def _minor_gcds(self) -> dict:
+        """minor_gcd of every independent set, folded down the prefix tree.
+
+        In lexicographic order each set's parent (the set less its largest
+        element) is the last shorter set seen before it, so `free[k]` holds
+        the free columns of the current k-element prefix.
+        """
+        gcds = {(): 1}
+        free = [self._unit_columns()]
+        for s in sorted(self._independent_sets):
+            if not s:
+                continue
+            k = len(s)
+            step, cols = _fold(self.vectors[s[-1] - 1], free[k - 1])
+            gcds[s] = gcds[s[:-1]] * step
+            del free[k:]
+            free.append(cols)
+        return gcds
 
     # -- order-sensitive structure ---------------------------------------------
     #

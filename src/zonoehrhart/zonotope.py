@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 from . import _linalg
 from .errors import (DependentSetError, InternalDisagreementError, LatticeMathError,
                      NotFullDimensionalError)
-from .eulerian import a_j_polynomial, b_l_polynomial_via_a
+from .eulerian import _a_row, _b_row, a_j_polynomial
 from .matroid import VectorConfiguration
 from .polycore import (HStarVector, Poly, _as_hstar, _exact, ehrhart_from_hstar,
                        express_in_shifted_power_basis)
@@ -56,7 +56,7 @@ class BoxValuationTable:
             key = tuple(sorted(indices))
             if key not in domain:
                 raise DependentSetError(f"{key!r} is not an independent set of the configuration")
-            table[key] = _exact(Fraction(v))
+            table[key] = _table_value(key, v)
         for s in domain:
             if s not in table:
                 raise LatticeMathError(f"box table is missing the independent set {s!r}")
@@ -75,8 +75,31 @@ class BoxValuationTable:
             key = tuple(sorted(indices))
             if key not in merged:
                 raise DependentSetError(f"{key!r} is not an independent set of the configuration")
-            merged[key] = _exact(Fraction(v))
+            merged[key] = _table_value(key, v)
         return BoxValuationTable(self.config, merged)
+
+
+def _table_value(key: tuple, v) -> int | Fraction:
+    if not isinstance(v, (int, Fraction)):
+        raise LatticeMathError(f"box value of {key!r} must be an int or Fraction, "
+                               f"got {type(v).__name__}")
+    return _exact(v)
+
+
+def _subset_transform(f: Mapping[tuple, int | Fraction], n: int, sign: int) -> dict:
+    """g(I) = sum over J subseteq I of sign^|I - J| f(J), for f on a family of
+    subsets of 1..n closed under taking subsets (here: independent sets).
+
+    One pass per element e adds sign * g(I - e) to g(I) for every I containing
+    e; I - e lacks e, so a pass never reads a value it has already changed.
+    """
+    g = dict(f)
+    for e in range(1, n + 1):
+        for s in g:
+            if e in s:
+                i = s.index(e)
+                g[s] += sign * g[s[:i] + s[i + 1:]]
+    return g
 
 
 # Shared across callers (the CLI reads many documents against few
@@ -85,13 +108,7 @@ class BoxValuationTable:
 @lru_cache(maxsize=128)
 def default_box_table(config: VectorConfiguration) -> BoxValuationTable:
     """Box table of the lattice-point count, by Moebius inversion of minor gcds."""
-    sets = config.independent_sets()
-    gcds = {s: config.minor_gcd(s) for s in sets}
-    values = {}
-    for s in sets:
-        values[s] = sum((-1) ** (len(s) - k) * gcds[sub]
-                        for k in range(len(s) + 1) for sub in combinations(s, k))
-    return BoxValuationTable(config, values)
+    return BoxValuationTable(config, _subset_transform(config._minor_gcds, config.n, -1))
 
 
 def _resolve_table(config, table) -> BoxValuationTable:
@@ -116,11 +133,13 @@ def ehrhart(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> Poly:
     of the doubled standard one.
     """
     config = z.config
-    values = _resolve_table(config, table).values
+    if table is None:
+        phi = config._minor_gcds  # the lattice-point count of box(I) is gcd(I)
+    else:
+        phi = _subset_transform(_resolve_table(config, table).values, config.n, 1)
     coeffs = [0] * (config.full_rank + 1)
-    for s in config.independent_sets():
-        coeffs[len(s)] += sum(values[sub] for k in range(len(s) + 1)
-                              for sub in combinations(s, k))
+    for s, v in phi.items():
+        coeffs[len(s)] += v
     standard = Poly(coeffs)
     return standard.scale_argument(2) if z.mode == "typeB" else standard
 
@@ -185,10 +204,7 @@ def _eulerian_histogram(values, pieces, d: int) -> list:
 
 def _assemble(c: Sequence, d: int, mode: str) -> HStarVector:
     """h* = sum_j c_j R_j(d+1) with the refined family of the mode as row R."""
-    if mode == "typeB":
-        row = [b_l_polynomial_via_a(d, j) for j in range(d + 1)]
-    else:
-        row = [a_j_polynomial(d + 1, j) for j in range(1, d + 2)]
+    row = _b_row(d) if mode == "typeB" else _a_row(d + 1)
     h = [0] * (d + 1)
     for cj, poly in zip(c, row):
         if cj != 0:
@@ -260,16 +276,30 @@ def hstar(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> HStarVecto
     # Basis-major: each basis contributes its half-open parallelepiped.
     basis_major = _eulerian_histogram(values, ip.items(), d)
 
-    # Independent-set-major: the same double sum, reindexed.
+    # Independent-set-major: the same double sum, reindexed.  Basis k is bit
+    # k of `containing[e]` when it contains e, so the bases containing I are
+    # the AND of the masks of I's elements; sets of elements are bit masks too.
+    containing = [0] * (config.n + 1)
+    passive_bits = []
+    for k, b in enumerate(bases):
+        for e in b:
+            containing[e] |= 1 << k
+        passive_bits.append(sum(1 << e for e in ip[b]))
+    all_bases = (1 << len(bases)) - 1
     set_major = [0] * (d + 1)
-    basis_sets = [(frozenset(b), ip[b]) for b in bases]
     for s in config.independent_sets():
         b_val = values[s]
         if b_val == 0:
             continue
-        for b_set, passive in basis_sets:
-            if b_set.issuperset(s):
-                set_major[len(passive.union(s))] += b_val
+        mask, s_bits = all_bases, 0
+        for e in s:
+            mask &= containing[e]
+            s_bits |= 1 << e
+        while mask:
+            low = mask & -mask
+            passive = passive_bits[low.bit_length() - 1]
+            set_major[len(s) + (passive & ~s_bits).bit_count()] += b_val  # |I u IP(B)|
+            mask ^= low
 
     if basis_major != set_major:
         raise InternalDisagreementError(

@@ -166,6 +166,32 @@ def test_check_from_file(tmp_path):
     assert out["results"]["palindromic"]["value"] is False
 
 
+def test_check_computes_the_coordinates_once(tmp_path, monkeypatch, capsys):
+    from zonoehrhart import cli, polycore, zonotope
+
+    calls = {"peel": 0, "ehrhart_from_hstar": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    peel = counted("peel", polycore.express_in_shifted_power_basis)
+    to_ehrhart = counted("ehrhart_from_hstar", polycore.ehrhart_from_hstar)
+    for module in (polycore, zonotope):
+        monkeypatch.setattr(module, "express_in_shifted_power_basis", peel)
+        monkeypatch.setattr(module, "ehrhart_from_hstar", to_ehrhart)
+    path = write_doc(tmp_path, {"generators": [[2, 1, 0], [0, 1, 0], [1, 1, 3], [1, 0, 1]]})
+    assert cli.main(["check", path]) == 0
+    assert calls == {"peel": 1, "ehrhart_from_hstar": 1}
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert set(results) == {"real-rooted", "unimodal", "alt-inc", "palindromic",
+                            "reflexive", "cone"}
+    assert results["reflexive"]["shifted_power_coordinates"] == \
+        results["cone"]["eulerian_coordinates"]
+
+
 def test_eulerian_command():
     proc = run_cli("eulerian", "--family", "A", "--d", "3", "--index", "2")
     assert json.loads(proc.stdout)["coefficients"] == [0, 2]

@@ -177,6 +177,19 @@ def test_b_l_identity_matches_enumeration():
                 b_l_polynomial_enumerate(dplus1, l + 1), (dplus1, l)
 
 
+def test_b_l_identity_reads_one_cached_row():
+    from zonoehrhart.eulerian import _b_row
+
+    for d in range(5):
+        row = _b_row(d)
+        assert len(row) == d + 1
+        for l in range(d + 1):
+            assert b_l_polynomial_via_a(d, l) is row[l]
+    for d, l in ((-1, 0), (2, -1), (2, 3)):
+        with pytest.raises(LatticeMathError):
+            b_l_polynomial_via_a(d, l)
+
+
 def test_b_l_coefficient_sums_and_guards():
     for d in range(1, 7):
         for l in range(1, d + 1):

@@ -1,9 +1,12 @@
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
 
-from zonoehrhart.errors import DependentSetError, LatticeMathError
+from zonoehrhart import _linalg
+from zonoehrhart.errors import (DependentSetError, EnumerationLimitError,
+                                LatticeMathError)
 from zonoehrhart.matroid import VectorConfiguration
 
 HEXAGON = VectorConfiguration([(1, 0), (0, 1), (1, 1)])
@@ -215,3 +218,61 @@ def test_empty_configuration_needs_dimension():
     empty = VectorConfiguration([], dim=2)
     assert empty.rank() == 0
     assert empty.bases() == ((),)
+
+
+def _reference_minor_gcd(config, s):
+    """gcd of all maximal minors of the selected columns; 0 when dependent."""
+    g = 0
+    for rows in combinations(range(config.dim), len(s)):
+        g = gcd(g, _linalg.det_bareiss(
+            [[config.vectors[i - 1][r] for i in s] for r in rows]))
+    return g
+
+
+def _gcd_test_configs(rng):
+    """Seeded configurations for d = 1..6 with gcds above 1, parallel
+    elements, loops and the reversed order among them."""
+    for d in range(1, 7):
+        for _ in range(1 if d > 4 else 3):
+            config = _random_config(rng, d, rng.randint(d, d + 1), low=-3, high=3)
+            vectors = list(config.vectors)
+            vectors.insert(rng.randrange(len(vectors) + 1), (0,) * d)  # a loop
+            vectors.append(tuple(2 * x for x in rng.choice(config.vectors)))  # parallel
+            yield config
+            yield VectorConfiguration(vectors, d, reverse_order=True)
+
+
+def test_minor_gcd_matches_bareiss_reference():
+    rng = random.Random(61)
+    above_one = 0
+    for config in _gcd_test_configs(rng):
+        independent = set(config.independent_sets())
+        assert set(config._minor_gcds) == independent
+        for k in range(min(config.n, config.dim + 1) + 1):
+            for s in combinations(range(1, config.n + 1), k):
+                expected = _reference_minor_gcd(config, s)
+                if s in independent:
+                    assert expected > 0, (config, s)
+                    assert config.minor_gcd(s) == expected, (config, s)
+                    assert config._minor_gcds[s] == expected, (config, s)
+                    above_one += expected > 1
+                else:
+                    assert expected == 0, (config, s)
+                    with pytest.raises(DependentSetError, match="is not independent"):
+                        config.minor_gcd(s)
+    assert above_one > 50
+
+
+def test_minor_gcd_needs_no_enumeration():
+    # Past the enumeration guard a single set's gcd is still a few folds.
+    rng = random.Random(12)
+    config = VectorConfiguration(
+        [[rng.randint(-2, 2) for _ in range(12)] for _ in range(60)])
+    with pytest.raises(EnumerationLimitError):
+        config.independent_sets()
+    for s in ((1, 2, 3), (7, 30, 59)):
+        assert config.minor_gcd(s) == _reference_minor_gcd(config, s)
+    scaled = VectorConfiguration([tuple(3 * x for x in v) for v in config.vectors])
+    assert scaled.minor_gcd((1, 2, 3)) == 27 * config.minor_gcd((1, 2, 3))
+    with pytest.raises(DependentSetError, match="is not independent"):
+        config.minor_gcd(tuple(range(1, 14)))  # more vectors than coordinates

@@ -1,5 +1,7 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -11,7 +13,8 @@ from zonoehrhart.matroid import VectorConfiguration
 from zonoehrhart.oracle import count_lattice_points, hstar_via_oracle, interpolate_ehrhart
 from zonoehrhart.polycore import HStarVector, Poly, hstar_from_ehrhart
 from zonoehrhart.zonotope import (MODES, BoxValuationTable, ZonotopeSpec,
-                                  default_box_table, ehrhart_halfopen_cube,
+                                  default_box_table, ehrhart,
+                                  ehrhart_halfopen_cube,
                                   ehrhart_type_b_zonotope, ehrhart_zonotope,
                                   eulerian_ray_parallelepiped,
                                   express_in_eulerian_basis, hstar,
@@ -48,6 +51,67 @@ def test_default_box_table_examples():
     assert table.value((1,)) == 3
     assert table.value(()) == 1
     assert table.value((2,)) == 0 and table.value((1, 2)) == 0
+
+
+def _seeded_configs(rng, count, dims=(1, 2, 3, 4)):
+    """Full-rank configurations with a loop or a parallel pair now and then,
+    every other one under the reversed order."""
+    for i in range(count):
+        d = rng.choice(dims)
+        while True:
+            vectors = [tuple(rng.randint(-3, 3) for _ in range(d))
+                       for _ in range(rng.randint(d, d + 2))]
+            if i % 3 == 1:
+                vectors.append((0,) * d)
+            elif i % 3 == 2:
+                vectors.append(tuple(-x for x in vectors[0]))
+            config = VectorConfiguration(vectors, d, reverse_order=i % 2 == 1)
+            if config.full_rank == d:
+                yield config
+                break
+
+
+def test_default_box_table_is_inclusion_exclusion():
+    rng = random.Random(67)
+    for config in _seeded_configs(rng, 40):
+        table = default_box_table(config)
+        for s in config.independent_sets():
+            expected = sum((-1) ** (len(s) - k) * config.minor_gcd(sub)
+                           for k in range(len(s) + 1) for sub in combinations(s, k))
+            assert table.value(s) == expected, (config, s)
+
+
+def test_ehrhart_default_and_custom_table_paths_agree():
+    rng = random.Random(71)
+    for config in _seeded_configs(rng, 30):
+        table = default_box_table(config)
+        custom = BoxValuationTable(
+            config, {s: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                     for s in config.independent_sets()})
+        # phi(box(I)) = sum over J subseteq I of b(J), summed explicitly.
+        coeffs = [0] * (config.dim + 1)
+        for s in config.independent_sets():
+            coeffs[len(s)] += sum(custom.value(sub) for k in range(len(s) + 1)
+                                  for sub in combinations(s, k))
+        for mode in MODES:
+            z = ZonotopeSpec(config, mode)
+            assert ehrhart(z) == ehrhart(z, table), (config, mode)
+            expected = Poly(coeffs)
+            if mode == "typeB":
+                expected = expected.scale_argument(2)
+            assert ehrhart(z, custom) == expected, (config, mode)
+
+
+def test_box_table_rejects_inexact_values():
+    sets = SKEW.independent_sets()
+    table = BoxValuationTable(SKEW, {s: Fraction(4, 2) for s in sets})
+    assert all(type(table.value(s)) is int for s in sets)
+    for bad in (0.5, 2.0, "1/2", Decimal(1), None):
+        with pytest.raises(LatticeMathError, match="int or Fraction"):
+            BoxValuationTable(SKEW, {s: (bad if s == (1,) else 1) for s in sets})
+        with pytest.raises(LatticeMathError, match="int or Fraction"):
+            table.override({(1, 2): bad})
+    assert table.override({(1, 2): Fraction(1, 2)}).value((1, 2)) == Fraction(1, 2)
 
 
 def test_box_table_requires_complete_domain():
