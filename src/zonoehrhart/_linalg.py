@@ -1,35 +1,64 @@
 """Exact linear algebra over integers and rationals.
 
 Everything here works with Python ints and fractions.Fraction; no floats.
-Matrices are lists of row lists.  Determinants are fraction-free (Bareiss);
+Vectors and columns are tuples of ints.
+
+`fold` is the one integer routine: Hermite-style reduction of Z^d by
+unimodular column operations (Cohen, A Course in Computational Algebraic
+Number Theory, ch. 2).  Folding vectors w_1, ..., w_k one at a time into
+the unit columns keeps a unimodular matrix whose "used" columns make the
+w_i triangular, with the gcd of each step on the diagonal, and whose "free"
+columns are orthogonal to every w_i.  So the product of the steps is the
+gcd of the maximal minors of the w_i, a zero step marks a w_i in the span
+of the earlier ones, and the free columns are a lattice basis of the
+orthogonal complement of their span; every one of them is primitive.
 `rank` is the one routine left that eliminates over Fraction.
 """
 
 from fractions import Fraction
-from math import gcd
 
 
-def det_bareiss(rows):
-    """Determinant of a square integer matrix by fraction-free elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [list(map(int, row)) for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def _xgcd(a: int, b: int) -> tuple:
+    """(g, x, y) with x*a + y*b = g and |g| = gcd(a, b)."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def unit_columns(d: int) -> list:
+    """The columns of the d x d identity matrix."""
+    return [tuple(int(r == c) for r in range(d)) for c in range(d)]
+
+
+def fold(v, columns: list) -> tuple:
+    """Fold the vector v into the free columns of a unimodular transform.
+
+    Returns (g, rest): g >= 0 is the gcd of the products v.u over the free
+    columns u, and rest are the free columns left once unimodular column
+    steps have gathered g into one column, which becomes used.  g == 0 means
+    v lies in the span of the rows already folded in, and rest is columns.
+    """
+    rest = []
+    g = 0
+    pivot = None
+    for u in columns:
+        a = sum(x * y for x, y in zip(v, u))
+        if a == 0:
+            rest.append(u)
+        elif pivot is None:
+            pivot, g = u, a
+        else:
+            # [pivot, u] -> [x pivot + y u, (a/h) pivot - (g/h) u], determinant -1.
+            h, x, y = _xgcd(g, a)
+            p, q = a // h, g // h
+            rest.append(tuple(p * s - q * t for s, t in zip(pivot, u)))
+            pivot = tuple(x * s + y * t for s, t in zip(pivot, u))
+            g = h
+    return abs(g), rest
 
 
 def rank(rows):
@@ -53,11 +82,3 @@ def rank(rows):
         if r == nrows:
             break
     return r
-
-
-def vector_gcd(values):
-    """gcd of an iterable of integers, 0 for an empty or all-zero input."""
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g

@@ -27,44 +27,6 @@ from .errors import DependentSetError, EnumerationLimitError, LatticeMathError
 MAX_INDEPENDENT_SETS = 10**5
 
 
-def _xgcd(a: int, b: int) -> tuple:
-    """(g, x, y) with x*a + y*b = g and |g| = gcd(a, b)."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
-
-
-def _fold(v: Sequence[int], columns: list) -> tuple:
-    """Fold the vector v into the free columns of a unimodular transform.
-
-    Returns (g, rest): g >= 0 is the gcd of the products v.u over the free
-    columns u, and rest are the free columns left once unimodular column
-    steps have gathered g into one column, which becomes used.  g == 0 means
-    v lies in the span of the rows already folded in.
-    """
-    rest = []
-    g = 0
-    pivot = None
-    for u in columns:
-        a = sum(x * y for x, y in zip(v, u))
-        if a == 0:
-            rest.append(u)
-        elif pivot is None:
-            pivot, g = u, a
-        else:
-            # [pivot, u] -> [x pivot + y u, (a/h) pivot - (g/h) u], determinant -1.
-            h, x, y = _xgcd(g, a)
-            p, q = a // h, g // h
-            rest.append(tuple(p * s - q * t for s, t in zip(pivot, u)))
-            pivot = tuple(x * s + y * t for s, t in zip(pivot, u))
-            g = h
-    return abs(g), rest
-
-
 def _as_index_set(indices: Iterable[int], n: int) -> tuple:
     s = tuple(sorted(indices))
     if len(set(s)) != len(s):
@@ -79,11 +41,9 @@ class VectorConfiguration:
 
     def __init__(self, vectors: Sequence[Sequence[int]], dim: int | None = None,
                  reverse_order: bool = False):
-        vecs = tuple(tuple(int(x) for x in v) for v in vectors)
-        for v in vecs:
-            for x in v:
-                if not isinstance(x, int):
-                    raise LatticeMathError("generator entries must be integers")
+        vecs = tuple(tuple(v) for v in vectors)
+        if any(not isinstance(x, int) or isinstance(x, bool) for v in vecs for x in v):
+            raise LatticeMathError("generator entries must be integers")
         if dim is None:
             if not vecs:
                 raise LatticeMathError("dimension is required for an empty configuration")
@@ -124,10 +84,6 @@ class VectorConfiguration:
             return 0
         return _linalg.rank([list(self.vectors[i - 1]) for i in s])
 
-    def is_independent(self, indices: Iterable[int]) -> bool:
-        s = _as_index_set(indices, self.n)
-        return self.rank(s) == len(s)
-
     @cached_property
     def full_rank(self) -> int:
         return self.rank()
@@ -166,16 +122,9 @@ class VectorConfiguration:
 
     # -- minor gcd ------------------------------------------------------------
     #
-    # For an independent set P there is a unimodular column transform U_P of
-    # Z^d after which the rows v_p U_P (p in P) are supported on |P| "used"
-    # columns, triangular there; the gcd of maximal minors survives U_P.  For
-    # a further vector v the maximal minors of P + v are then gcd(P) times the
-    # entries of v U_P in the free columns, so gcd(P + v) = gcd(P) * gcd of
-    # those entries, and an extended-gcd fold of the free columns yields the
-    # transform of P + v.  Only the free columns of U_P are carried.
-
-    def _unit_columns(self) -> list:
-        return [tuple(int(r == c) for r in range(self.dim)) for c in range(self.dim)]
+    # Folding P's vectors with `_linalg.fold` makes them triangular under a
+    # unimodular column transform, which keeps the gcd of maximal minors, so
+    # gcd(P + v) = gcd(P) * (the step of v).  Only the free columns are carried.
 
     def minor_gcd(self, indices: Iterable[int]) -> int:
         """gcd of all maximal minors of the column matrix of an independent set.
@@ -185,9 +134,9 @@ class VectorConfiguration:
         the set's own elements, so it needs no enumeration.
         """
         s = _as_index_set(indices, self.n)
-        g, free = 1, self._unit_columns()
+        g, free = 1, _linalg.unit_columns(self.dim)
         for i in s:
-            step, free = _fold(self.vectors[i - 1], free)
+            step, free = _linalg.fold(self.vectors[i - 1], free)
             if step == 0:
                 raise DependentSetError(f"{s!r} is not independent")
             g *= step
@@ -202,12 +151,12 @@ class VectorConfiguration:
         the free columns of the current k-element prefix.
         """
         gcds = {(): 1}
-        free = [self._unit_columns()]
+        free = [_linalg.unit_columns(self.dim)]
         for s in sorted(self._independent_sets):
             if not s:
                 continue
             k = len(s)
-            step, cols = _fold(self.vectors[s[-1] - 1], free[k - 1])
+            step, cols = _linalg.fold(self.vectors[s[-1] - 1], free[k - 1])
             gcds[s] = gcds[s[:-1]] * step
             del free[k:]
             free.append(cols)

@@ -6,12 +6,19 @@ the generators:
 
 * Facets.  Inside the span of the generators, every facet of Z is parallel
   to r-1 linearly independent generators, where r is the rank.  Its primitive
-  normal u is the cofactor cross product of those generators together with an
-  integer basis of the orthogonal complement of the span.  The extent of Z
-  along u is [sum_i min(0, u.v_i), sum_i max(0, u.v_i)], or [-s, s] with
+  normal u spans the integer vectors orthogonal to those generators and to
+  the orthogonal complement of the span.  The extent of Z along u is
+  [sum_i min(0, u.v_i), sum_i max(0, u.v_i)], or [-s, s] with
   s = sum_i |u.v_i| in typeB mode.
-* Equalities.  Each vector w of the complement basis gives the row
-  0 <= w . p <= 0, which confines the points to the span.
+* Equalities.  Each vector w of a lattice basis of the complement gives the
+  row 0 <= w . p <= 0, which confines the points to the span.
+
+One integer column fold (`_linalg.fold`) gives all of it.  Folding the
+generators into the unit columns counts the rank r and leaves a lattice
+basis of the complement.  Folding that basis into fresh unit columns leaves
+r columns, a lattice basis of the span; folding r-1 generators into those
+leaves one column, the primitive normal, unless a step is zero, when the
+generators are dependent and give no facet.
 
 Zero generators are dropped, and each row is scaled by -1 if need be so that
 its last nonzero coefficient is positive.  Counting sweeps the integer
@@ -35,8 +42,7 @@ the bounding box shrunk by one on each side.  hstar_via_oracle reads the
 counting polynomial at negative dilates from these interior counts by
 Ehrhart-Macdonald reciprocity, so its largest dilate is about (d+1)/2, not
 d+1.  No floating point is used anywhere, and no rational elimination:
-independence is a nonzero Gram determinant, and interpolation runs over the
-integers.
+the fold and the interpolation run over the integers.
 """
 
 from __future__ import annotations
@@ -56,67 +62,41 @@ from .zonotope import ZonotopeSpec
 MAX_BOX_POINTS = 10**7
 
 
-def _normal(vectors, d):
-    """Primitive integer normal of d-1 vectors in Z^d, sign-fixed so that its
-    first nonzero entry is positive; all zeros if the vectors are dependent."""
-    u = [(-1) ** j * _linalg.det_bareiss([v[:j] + v[j + 1:] for v in vectors])
-         for j in range(d)]
-    g = _linalg.vector_gcd(u)
-    if g == 0:
-        return tuple(u)
-    if next(x for x in u if x) < 0:
-        g = -g
-    return tuple(x // g for x in u)
-
-
-def _extend_independent(chosen, candidates, d):
-    """chosen plus the candidates that each raise its rank, taken greedily,
-    up to d vectors of Z^d.  Vectors are independent exactly when their Gram
-    determinant is nonzero."""
-    chosen = list(chosen)
-    for v in candidates:
-        if len(chosen) == d:
-            break
-        trial = chosen + [v]
-        if _linalg.det_bareiss([[sum(map(mul, a, b)) for b in trial] for a in trial]):
-            chosen.append(v)
-    return chosen
-
-
-def _last_positive(u, lo, hi):
-    """The row lo <= u . p <= hi with u scaled so its last nonzero entry is positive."""
-    if next(x for x in reversed(u) if x) > 0:
-        return u, lo, hi
-    return tuple(-x for x in u), -hi, -lo
-
-
 class _Membership:
     """Exact integer H-description of the dilates of one zonotope."""
 
     def __init__(self, config, type_b: bool):
         d = config.dim
         gens = [v for v in config.vectors if any(v)]
-        span = _extend_independent([], gens, d)
-        r = len(span)
-        units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
-        completion = _extend_independent(span, units, d)[r:]
-        complement = [_normal(span + completion[:k] + completion[k + 1:], d)
-                      for k in range(len(completion))]
-        rows = {w: (0, 0) for w in complement}
+        r, complement = 0, _linalg.unit_columns(d)
+        for v in gens:
+            step, complement = _linalg.fold(v, complement)
+            r += step > 0
+        span = _linalg.unit_columns(d)
+        for w in complement:
+            _, span = _linalg.fold(w, span)
+        normals = list(complement)
         for subset in combinations(gens, r - 1) if r else ():
-            u = _normal(list(subset) + complement, d)
-            if u in rows or not any(u):
-                continue
+            columns = span
+            for v in subset:
+                step, columns = _linalg.fold(v, columns)
+                if not step:
+                    break
+            else:
+                normals.append(columns[0])
+        rows = []
+        for u in {u if next(x for x in reversed(u) if x) > 0 else tuple(-x for x in u)
+                  for u in normals}:
             dots = [sum(map(mul, u, v)) for v in gens]
             if type_b:
-                spread = sum(abs(t) for t in dots)
-                rows[u] = (-spread, spread)
+                spread = sum(map(abs, dots))
+                rows.append((u, -spread, spread))
             else:
-                rows[u] = (sum(t for t in dots if t < 0), sum(t for t in dots if t > 0))
+                rows.append((u, sum(t for t in dots if t < 0), sum(t for t in dots if t > 0)))
         self.dim = d
         self.rank = r
         self.box = _unit_box(gens, d, type_b)
-        self.rows = tuple(sorted(_last_positive(u, lo, hi) for u, (lo, hi) in rows.items()))
+        self.rows = tuple(sorted(rows))
 
     def bounds(self, n: int, strict: bool = False) -> list:
         """(u, low, high) for each row low <= u . p <= high of the n-th dilate.

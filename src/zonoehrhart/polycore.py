@@ -143,9 +143,6 @@ class Poly:
             raise LatticeMathError(f"degree {self.degree} does not fit in length {length}")
         return self.coeffs + (0,) * (length - len(self.coeffs))
 
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coeffs)
-
 
 class HStarVector:
     """Coefficient vector (h_0, ..., h_d) with explicit ambient degree d."""

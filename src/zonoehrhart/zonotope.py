@@ -18,7 +18,6 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from . import _linalg
 from .errors import (DependentSetError, InternalDisagreementError, LatticeMathError,
                      NotFullDimensionalError)
 from .eulerian import _a_row, _b_row, a_j_polynomial
@@ -336,14 +335,14 @@ def hstar_totally_unimodular(z: ZonotopeSpec) -> HStarVector:
     if config.full_rank != d:
         raise NotFullDimensionalError(
             f"generators span rank {config.full_rank} < ambient dimension {d}")
-    cols = [list(v) for v in config.vectors]
-    for subset in combinations(range(config.n), d):
-        minor = _linalg.det_bareiss([[cols[c][r] for c in subset] for r in range(d)])
-        if minor not in (-1, 0, 1):
-            raise LatticeMathError(
-                f"maximal minor {minor} outside {{0, +-1}}; configuration is not unimodular")
     c = [0] * (d + 1)
     for b in config.bases():
+        # For d vectors in Z^d the minor gcd is |det|; non-bases have det 0.
+        minor = config.minor_gcd(b)
+        if minor != 1:
+            raise LatticeMathError(
+                f"maximal minor of absolute value {minor} outside {{0, +-1}}; "
+                "configuration is not unimodular")
         c[len(config.internally_passive(b))] += 1
     return _assemble(c, d, "standard")
 

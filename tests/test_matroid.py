@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 import pytest
 
-from zonoehrhart import _linalg
+from integer_reference import det_bareiss
 from zonoehrhart.errors import (DependentSetError, EnumerationLimitError,
                                 LatticeMathError)
 from zonoehrhart.matroid import VectorConfiguration
@@ -212,6 +213,14 @@ def test_duplicate_vectors_are_parallel_elements():
     assert config.internally_passive((2, 3)) == (2,)
 
 
+def test_generator_entries_must_be_integers():
+    # Checked before anything is stored: no entry is truncated or parsed.
+    for bad in (Fraction(7, 2), 1.5, "3", True):
+        with pytest.raises(LatticeMathError, match="generator entries must be integers"):
+            VectorConfiguration([(bad, 0), (0, 1)])
+    assert VectorConfiguration([(-7, 0), (0, 1)]).vectors == ((-7, 0), (0, 1))
+
+
 def test_empty_configuration_needs_dimension():
     with pytest.raises(LatticeMathError):
         VectorConfiguration([])
@@ -224,7 +233,7 @@ def _reference_minor_gcd(config, s):
     """gcd of all maximal minors of the selected columns; 0 when dependent."""
     g = 0
     for rows in combinations(range(config.dim), len(s)):
-        g = gcd(g, _linalg.det_bareiss(
+        g = gcd(g, det_bareiss(
             [[config.vectors[i - 1][r] for i in s] for r in rows]))
     return g
 

@@ -1,14 +1,14 @@
 import ast
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import factorial, gcd
 from pathlib import Path
 
 import pytest
 
 import zonoehrhart.oracle
-from zonoehrhart._linalg import det_bareiss
+from integer_reference import cofactor_normal, det_bareiss, is_independent
 from zonoehrhart.errors import (EnumerationLimitError, InternalDisagreementError,
                                 LatticeMathError, NotFullDimensionalError)
 from zonoehrhart.matroid import VectorConfiguration
@@ -299,6 +299,62 @@ def test_membership_against_naive_elimination():
                                 for i in range(3)))
         for p in points:
             assert contains_point(z, n, p) == _naive_member(z, n, p), (config, mode, n, p)
+
+
+def _cofactor_rows(config, type_b):
+    """The inequality rows lo < hi of the zonotope, each facet normal the
+    cofactor normal of r-1 independent generators together with a basis of
+    the complement of their span; the basis is itself made of cofactor
+    normals of a completion of the span by unit vectors."""
+    def extend(chosen, candidates):
+        for v in candidates:
+            if is_independent(chosen + [v]):
+                chosen = chosen + [v]
+        return chosen
+
+    d = config.dim
+    gens = [v for v in config.vectors if any(v)]
+    span = extend([], gens)
+    r = len(span)
+    completion = extend(span, [tuple(int(i == j) for j in range(d)) for i in range(d)])[r:]
+    complement = [cofactor_normal(span + completion[:k] + completion[k + 1:], d)
+                  for k in range(d - r)]
+    rows = set()
+    for subset in combinations(gens, r - 1) if r else ():
+        u = cofactor_normal(list(subset) + complement, d)
+        if any(u):
+            dots = [sum(a * b for a, b in zip(u, v)) for v in gens]
+            spread = sum(map(abs, dots))
+            rows.add((u, -spread, spread) if type_b else
+                     (u, sum(t for t in dots if t < 0), sum(t for t in dots if t > 0)))
+    return sorted(rows)
+
+
+def test_compiled_rows_are_the_cofactor_facets():
+    # Every inequality row is a facet, found exactly once: no redundant
+    # supporting row from a dependent subset.  The equality rows are d - r
+    # independent vectors orthogonal to every generator.  Every row ends in a
+    # positive entry, as the sweep needs.
+    rng = random.Random(131)
+    for draw in range(150):
+        d = draw % 5 + 1
+        rank = rng.randint(0, d)
+        config = _random_of_rank(rng, d, rank, d + 2)
+        vectors = list(config.vectors)
+        if rank:
+            k, v = rng.choice((-2, -1, 1)), rng.choice(vectors)
+            vectors.append(tuple(k * x for x in v))  # a parallel element
+        config = VectorConfiguration(vectors, d)
+        for type_b in (False, True):
+            member = zonoehrhart.oracle._Membership(config, type_b)
+            assert member.rank == rank
+            assert [row for row in member.rows if row[1] < row[2]] == \
+                _cofactor_rows(config, type_b), (config, type_b)
+            equalities = [u for u, lo, hi in member.rows if lo == hi]
+            assert len(equalities) == d - rank and is_independent(equalities), config
+            assert all(sum(a * b for a, b in zip(w, v)) == 0
+                       for w in equalities for v in vectors), config
+            assert all(next(x for x in reversed(u) if x) > 0 for u, _, _ in member.rows)
 
 
 def _swept_and_pointwise(z, n):

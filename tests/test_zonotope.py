@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from integer_reference import det_bareiss
 from zonoehrhart import _linalg
 from zonoehrhart.errors import (DependentSetError, LatticeMathError,
                                 NotFullDimensionalError)
@@ -189,6 +190,34 @@ def test_hstar_totally_unimodular_matches_general_formula():
             continue
         assert tu == hstar_zonotope(z)
         checked += 1
+
+
+def test_unimodularity_test_agrees_with_bareiss_minors():
+    # Rejected exactly when some d x d minor lies outside {0, +-1}; the
+    # message names |det| of the first such basis in the basis order.
+    rng = random.Random(137)
+    accepted = rejected = 0
+    for draw in range(120):
+        d = draw % 4 + 1
+        n = rng.randint(d, d + 2)
+        while True:
+            config = VectorConfiguration(
+                [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(n)], d)
+            if config.full_rank == d:
+                break
+        z = ZonotopeSpec(config)
+        minors = {b: det_bareiss([config.vectors[i - 1] for i in b])
+                  for b in combinations(range(1, n + 1), d)}
+        assert {b for b, minor in minors.items() if minor} == set(config.bases())
+        offending = [abs(minors[b]) for b in config.bases() if minors[b] not in (-1, 1)]
+        if offending:
+            with pytest.raises(LatticeMathError, match=f"absolute value {offending[0]} "):
+                hstar_totally_unimodular(z)
+            rejected += 1
+        else:
+            assert hstar_totally_unimodular(z) == hstar_zonotope(z), config
+            accepted += 1
+    assert accepted >= 10 and rejected >= 10, (accepted, rejected)
 
 
 def test_matroid_queries_make_no_rank_calls_after_enumeration(monkeypatch):
