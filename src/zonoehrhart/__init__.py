@@ -26,7 +26,8 @@ from .eulerian import (a_j_polynomial, a_j_polynomial_enumerate,
                        signed_descent_set, signed_permutations)
 from .matroid import VectorConfiguration
 from .oracle import (bounding_box, contains_point, count_interior_lattice_points,
-                     count_lattice_points, hstar_via_oracle, interpolate_ehrhart)
+                     count_lattice_points, ehrhart_via_oracle, hstar_via_oracle,
+                     interpolate_ehrhart)
 from .polycore import (HStarVector, Poly, count_distinct_real_roots,
                        ehrhart_from_hstar, express_in_shifted_power_basis,
                        hstar_from_ehrhart, is_alternatingly_increasing,

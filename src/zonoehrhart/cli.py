@@ -74,19 +74,9 @@ def _parse_rational(raw):
                     "(floats are rejected to keep arithmetic exact)")
 
 
-class _InputDocument:
-    def __init__(self, config, mode, table, echo):
-        self.config = config
-        self.mode = mode
-        self.table = table
-        self.echo = echo
-
-    @property
-    def spec(self):
-        return zonotope.ZonotopeSpec(self.config, self.mode)
-
-
 def _load_input(path):
+    """The document's ZonotopeSpec, its box table (None without one) and the
+    echo of its input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -133,7 +123,7 @@ def _load_input(path):
     echo = {"generators": [list(v) for v in config.vectors], "mode": mode}
     if "box_table" in doc:
         echo["box_table"] = doc["box_table"]
-    return _InputDocument(config, mode, table, echo)
+    return zonotope.ZonotopeSpec(config, mode), table, echo
 
 
 # ---------------------------------------------------------------------------
@@ -141,19 +131,17 @@ def _load_input(path):
 # ---------------------------------------------------------------------------
 
 def _cmd_ehrhart(args):
-    inp = _load_input(args.input)
-    doc = {"command": "ehrhart", "input": inp.echo, "method": args.method}
+    spec, table, echo = _load_input(args.input)
+    doc = {"command": "ehrhart", "input": echo, "method": args.method}
     formula = oracle_poly = None
     if args.method in ("formula", "both"):
-        formula = zonotope.ehrhart(inp.spec, inp.table)
+        formula = zonotope.ehrhart(spec, table)
     if args.method in ("oracle", "both"):
-        if inp.table is not None:
+        if table is not None:
             raise _CliError("the oracle counts lattice points and cannot honor a "
                             "custom box_table", code="bad-input")
-        r = inp.config.full_rank
-        counts = [oracle.count_lattice_points(inp.spec, n) for n in range(r + 2)]
-        oracle_poly = oracle.interpolate_ehrhart(counts, r)
-        doc["counts"] = counts
+        oracle_poly = oracle.ehrhart_via_oracle(spec)
+        doc["counts"] = [oracle_poly(n) for n in range(oracle_poly.degree + 2)]
     doc["coefficients"] = formula if formula is not None else oracle_poly
     if args.method == "both":
         agree = formula == oracle_poly
@@ -165,12 +153,13 @@ def _cmd_ehrhart(args):
 
 
 def _cmd_hstar(args):
-    inp = _load_input(args.input)
-    h = zonotope.hstar(inp.spec, inp.table)
-    doc = {"command": "hstar", "input": inp.echo, "hstar": h, "degree": h.d}
+    spec, table, echo = _load_input(args.input)
+    h = zonotope.hstar(spec, table)
+    doc = {"command": "hstar", "input": echo, "hstar": h, "degree": h.d}
     if args.diagnostics:
-        config = inp.config
-        table = inp.table if inp.table is not None else zonotope.default_box_table(config)
+        config = spec.config
+        if table is None:
+            table = zonotope.default_box_table(config)
         bases = config.bases()
         diag = {
             "bases": [list(b) for b in bases],
@@ -178,7 +167,7 @@ def _cmd_hstar(args):
             "box_table": {json.dumps(list(s), separators=(",", ":")): table.value(s)
                           for s in config.independent_sets()},
         }
-        if inp.mode == "standard":
+        if spec.mode == "standard":
             diag["eulerian_multiplicities"] = list(zonotope.express_in_eulerian_basis(h))
         doc["diagnostics"] = diag
     return doc
@@ -199,10 +188,10 @@ def _cmd_check(args):
     else:
         if args.input is None:
             raise _CliError("check needs an input file or --hvector")
-        inp = _load_input(args.input)
-        h = zonotope.hstar(inp.spec, inp.table)
+        spec, table, echo = _load_input(args.input)
+        h = zonotope.hstar(spec, table)
         doc["source"] = "input"
-        doc["input"] = inp.echo
+        doc["input"] = echo
     doc["hstar"] = h
     doc["degree"] = h.d
     wanted = _PROPERTIES if args.properties is None else tuple(args.properties.split(","))
@@ -286,12 +275,12 @@ def _cmd_eulerian(args):
 
 
 def _cmd_matroid(args):
-    inp = _load_input(args.input)
-    config = inp.config
+    spec, _, echo = _load_input(args.input)
+    config = spec.config
     bases = config.bases()
     return {
         "command": "matroid",
-        "input": inp.echo,
+        "input": echo,
         "n": config.n,
         "dim": config.dim,
         "rank": config.full_rank,

@@ -48,6 +48,8 @@ class VectorConfiguration:
             if not vecs:
                 raise LatticeMathError("dimension is required for an empty configuration")
             dim = len(vecs[0])
+        elif not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
+            raise LatticeMathError(f"dimension must be a nonnegative integer, got {dim!r}")
         if any(len(v) != dim for v in vecs):
             raise LatticeMathError("all generators must have the same length")
         self.vectors = vecs

@@ -38,11 +38,12 @@ The relative interior of the n-th dilate is where every inequality row holds
 strictly: every hyperplane spanned by generators supports two opposite
 facets of a zonotope, so the rows are exactly its facets.  Strict rows
 n*lo + 1 <= u . p <= n*hi - 1 stay centred and are swept the same way, over
-the bounding box shrunk by one on each side.  hstar_via_oracle reads the
+the bounding box shrunk by one on each side.  ehrhart_via_oracle reads the
 counting polynomial at negative dilates from these interior counts by
-Ehrhart-Macdonald reciprocity, so its largest dilate is about (d+1)/2, not
-d+1.  No floating point is used anywhere, and no rational elimination:
-the fold and the interpolation run over the integers.
+Ehrhart-Macdonald reciprocity, so its largest dilate is about (r+1)/2, not
+r+1; hstar_via_oracle reads the same polynomial.  No floating point is used
+anywhere, and no rational elimination: the fold and the interpolation run
+over the integers.
 """
 
 from __future__ import annotations
@@ -190,11 +191,22 @@ def _sweep(lines, slabs, heads, last) -> int:
     return total
 
 
+def _integers(what: str, values: Sequence, least: int | None = None) -> tuple[int, ...]:
+    """The values as a tuple, each checked to be an int (bool excluded) and,
+    if least is given, at least least."""
+    values = tuple(values)
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise LatticeMathError(f"{what} must be an integer, got {x!r}")
+        if least is not None and x < least:
+            raise LatticeMathError(f"{what} must be at least {least}, got {x}")
+    return values
+
+
 def contains_point(z: ZonotopeSpec, n: int, point: Sequence[int]) -> bool:
     """Whether the integer point lies in the n-th dilate of the zonotope."""
-    if n < 0:
-        raise LatticeMathError(f"dilate must be nonnegative, got {n}")
-    p = tuple(int(x) for x in point)
+    _integers("dilate", (n,), 0)
+    p = _integers("point coordinate", point)
     if len(p) != z.dim:
         raise LatticeMathError(f"point has length {len(p)}, ambient dimension is {z.dim}")
     return _Membership(z.config, z.mode == "typeB").test(n, p)
@@ -215,11 +227,13 @@ def _unit_box(vectors, d: int, type_b: bool) -> list[tuple[int, int]]:
 
 def bounding_box(z: ZonotopeSpec, n: int) -> list[tuple[int, int]]:
     """Componentwise integer bounds from the sign decomposition of the generators."""
+    _integers("dilate", (n,), 0)
     return [(n * lo, n * hi) for lo, hi in _unit_box(z.config.vectors, z.dim, z.mode == "typeB")]
 
 
 def count_lattice_points(z: ZonotopeSpec, n: int) -> int:
     """|nZ cap Z^d| by sweeping the integer bounding box line by line."""
+    _integers("dilate", (n,), 0)
     return _count(_Membership(z.config, z.mode == "typeB"), n)
 
 
@@ -230,14 +244,11 @@ def count_interior_lattice_points(z: ZonotopeSpec, n: int) -> int:
     zonotope, so the relative interior is exactly where every inequality row
     holds strictly, and the sweep counts it the same way.
     """
-    if n < 1:
-        raise LatticeMathError(f"dilate of an interior count must be positive, got {n}")
+    _integers("dilate of an interior count", (n,), 1)
     return _count(_Membership(z.config, z.mode == "typeB"), n, strict=True)
 
 
 def _count(member: _Membership, n: int, strict: bool = False) -> int:
-    if n < 0:
-        raise LatticeMathError(f"dilate must be nonnegative, got {n}")
     # A point of the relative interior lies strictly inside every coordinate
     # range that is not a single value, so strict counts sweep a smaller box.
     s = int(strict)
@@ -258,11 +269,8 @@ def interpolate_ehrhart(counts: Sequence[int], r: int) -> Poly:
     Any counts beyond index r must lie on the polynomial; otherwise the
     declared degree was too small and an error is raised.
     """
-    if r < 0:
-        raise LatticeMathError(f"degree must be nonnegative, got {r}")
-    values = list(counts)
-    if any(not isinstance(c, int) or isinstance(c, bool) for c in values):
-        raise LatticeMathError("counts must be integers")
+    _integers("degree", (r,), 0)
+    values = list(_integers("count", counts))
     if len(values) < r + 1:
         raise LatticeMathError(f"need at least {r + 1} counts for degree {r}")
     return _interpolate(values, r, 0)
@@ -301,25 +309,37 @@ def _interpolate(values: list[int], r: int, start: int) -> Poly:
     return Poly(Fraction(c, scale) for c in scaled)
 
 
-def hstar_via_oracle(z: ZonotopeSpec) -> HStarVector:
-    """h*-vector from raw lattice-point counts and Ehrhart-Macdonald reciprocity.
+def ehrhart_via_oracle(z: ZonotopeSpec) -> Poly:
+    """Counting polynomial of the zonotope, of any rank r, from raw
+    lattice-point counts and Ehrhart-Macdonald reciprocity.
 
-    The counting polynomial E of the d-dimensional zonotope Z satisfies
-    E(-k) = (-1)^d times the number of interior lattice points of kZ.  So
-    closed counts at dilates 0..ceil((d+1)/2) and interior counts at dilates
-    1..floor((d+1)/2) give E at the d+2 equally spaced nodes
-    -floor((d+1)/2)..ceil((d+1)/2): d+1 to interpolate, and one more to
-    guard the degree.  The largest dilate counted is about half of d+1.
+    The counting polynomial E of the r-dimensional zonotope Z satisfies
+    E(-k) = (-1)^r times the number of points in the relative interior of
+    kZ.  So closed counts at dilates 0..ceil((r+1)/2) and interior counts at
+    dilates 1..floor((r+1)/2) give E at the r+2 equally spaced nodes
+    -floor((r+1)/2)..ceil((r+1)/2): r+1 to interpolate, and one more to
+    guard the degree.  The largest dilate counted is about half of r+1.
     """
+    return _ehrhart(_Membership(z.config, z.mode == "typeB"))
+
+
+def _ehrhart(member: _Membership) -> Poly:
+    r = member.rank
+    below, above = (r + 1) // 2, (r + 2) // 2
+    # The closed count at the largest dilate has the largest box, so the
+    # box guard fires before any interior count is spent.
+    closed = [_count(member, n) for n in range(above + 1)]
+    interior = [_count(member, k, strict=True) for k in range(below, 0, -1)]
+    values = [(-1) ** r * c for c in interior] + closed
+    return _interpolate(values, r, -below)
+
+
+def hstar_via_oracle(z: ZonotopeSpec) -> HStarVector:
+    """h*-vector of a full-dimensional zonotope from `ehrhart_via_oracle`'s
+    polynomial; the rank is checked before anything is counted."""
     d = z.dim
     member = _Membership(z.config, z.mode == "typeB")
     if member.rank != d:
         raise NotFullDimensionalError(
             f"generators span rank {member.rank} < ambient dimension {d}")
-    below, above = (d + 1) // 2, (d + 2) // 2
-    # The closed count at the largest dilate has the largest box, so the
-    # box guard fires before any interior count is spent.
-    closed = [_count(member, n) for n in range(above + 1)]
-    interior = [_count(member, k, strict=True) for k in range(below, 0, -1)]
-    values = [(-1) ** d * c for c in interior] + closed
-    return hstar_from_ehrhart(_interpolate(values, d, -below), d)
+    return hstar_from_ehrhart(_ehrhart(member), d)

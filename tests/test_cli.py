@@ -96,6 +96,43 @@ def test_hstar_rank_deficient_exits_1(tmp_path):
     assert err["code"] == "not-full-dimensional"
 
 
+def test_oracle_compiles_once_per_document(tmp_path, monkeypatch, capsys):
+    from zonoehrhart import cli, oracle
+
+    compiles = []
+    compile_rows = oracle._Membership.__init__
+
+    def counted(self, config, type_b):
+        compiles.append(config)
+        compile_rows(self, config, type_b)
+
+    monkeypatch.setattr(oracle._Membership, "__init__", counted)
+    # counts holds E(0..r+1), read from the oracle's polynomial.
+    segment = {"generators": [[1, 2, 0], [0, 0, 0], [2, 4, 0]], "mode": "typeB"}
+    for doc, counts in ((HEXAGON_DOC, [1, 7, 19, 37]), (segment, [1, 7, 13])):
+        path = write_doc(tmp_path, doc)
+        for method in ("oracle", "both"):
+            compiles.clear()
+            assert cli.main(["ehrhart", path, "--method", method]) == 0
+            assert len(compiles) == 1, (doc, method)
+            assert json.loads(capsys.readouterr().out)["counts"] == counts
+
+
+def test_oracle_reaches_d5(tmp_path, capsys):
+    # The second full-rank draw of random.Random(7) at d=5, n=7, entries in
+    # [-1, 1], whose dilate-6 box holds 13.6 M points: past the 10^7 guard
+    # for counting dilates 0..d+1, in reach of reciprocity.
+    from zonoehrhart import cli
+
+    generators = [[-1, 1, -1, 0, 0], [-1, 1, -1, 1, 0], [1, 1, -1, -1, 1], [1, 1, -1, 0, -1],
+                  [1, 1, -1, 1, -1], [1, -1, 0, 1, 1], [0, 0, 0, 1, 0]]
+    assert cli.main(["ehrhart", write_doc(tmp_path, {"generators": generators}),
+                     "--method", "both"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["agree"] is True
+    assert out["counts"][0] == 1 and len(out["counts"]) == 7
+
+
 def test_resource_guard_exits_2(tmp_path):
     path = write_doc(tmp_path, {"generators": [[4000, 0], [0, 4000]]})
     proc = run_cli("ehrhart", path, "--method", "oracle")
@@ -289,6 +326,20 @@ def test_method_both_never_disagrees(tmp_path):
                                     "mode": mode}, f"corpus{case}.json")
         proc = run_cli("ehrhart", path, "--method", "both")
         assert proc.returncode == 0, (proc.stderr, config, mode)
+        assert json.loads(proc.stdout)["agree"] is True
+    # Below full rank, and with loops: a point in Z^3, segments in Z^1 and
+    # Z^2 (d - r = 0 and 1), a flat hexagon in Z^3 (d - r = 1), and two
+    # full-rank bodies with a loop.
+    for case, (generators, mode) in enumerate((
+            ([[0, 0, 0]], "standard"),
+            ([[2], [0], [-1]], "typeB"),
+            ([[1, -2], [0, 0], [-2, 4]], "standard"),
+            ([[1, 0, 1], [0, 1, -1], [1, 1, 0]], "typeB"),
+            ([[0, 0], [1, 2], [-1, 1]], "standard"),
+            ([[1, 0, 0], [0, 0, 0], [0, 1, 1], [1, -1, 1]], "typeB"))):
+        path = write_doc(tmp_path, {"generators": generators, "mode": mode}, f"low{case}.json")
+        proc = run_cli("ehrhart", path, "--method", "both")
+        assert proc.returncode == 0, (proc.stderr, generators, mode)
         assert json.loads(proc.stdout)["agree"] is True
 
 

@@ -221,6 +221,14 @@ def test_generator_entries_must_be_integers():
     assert VectorConfiguration([(-7, 0), (0, 1)]).vectors == ((-7, 0), (0, 1))
 
 
+def test_dimension_must_be_a_nonnegative_integer():
+    for bad in (1.5, -1, True, "2", Fraction(2)):
+        with pytest.raises(LatticeMathError, match="dimension must be a nonnegative integer"):
+            VectorConfiguration([], bad)
+    assert VectorConfiguration([], 0).full_rank == 0
+    assert VectorConfiguration([(1, 0)], 2).dim == 2
+
+
 def test_empty_configuration_needs_dimension():
     with pytest.raises(LatticeMathError):
         VectorConfiguration([])

@@ -14,9 +14,9 @@ from zonoehrhart.errors import (EnumerationLimitError, InternalDisagreementError
 from zonoehrhart.matroid import VectorConfiguration
 from zonoehrhart.oracle import (bounding_box, contains_point,
                                 count_interior_lattice_points, count_lattice_points,
-                                hstar_via_oracle, interpolate_ehrhart)
+                                ehrhart_via_oracle, hstar_via_oracle, interpolate_ehrhart)
 from zonoehrhart.polycore import Poly, hstar_from_ehrhart
-from zonoehrhart.zonotope import ZonotopeSpec, hstar
+from zonoehrhart.zonotope import ZonotopeSpec, ehrhart, hstar
 
 HEXAGON = ZonotopeSpec(VectorConfiguration([(1, 0), (0, 1), (1, 1)]))
 SKEW = ZonotopeSpec(VectorConfiguration([(1, 1), (1, -1)]))
@@ -35,6 +35,27 @@ def test_contains_point_validation():
         contains_point(HEXAGON, 1, (1, 2, 3))
     with pytest.raises(LatticeMathError):
         contains_point(HEXAGON, -1, (0, 0))
+
+
+@pytest.mark.parametrize("call, args", [
+    pytest.param(contains_point, (HEXAGON, 0, (0.5, 0.5)), id="point-float"),
+    pytest.param(contains_point, (HEXAGON, 0, ("1", "1")), id="point-str"),
+    pytest.param(contains_point, (HEXAGON, 1, (Fraction(1, 2), 0)), id="point-fraction"),
+    pytest.param(contains_point, (HEXAGON, 1, (True, 0)), id="point-bool"),
+    pytest.param(contains_point, (HEXAGON, 1.5, (1, 1)), id="contains-dilate-float"),
+    pytest.param(contains_point, (HEXAGON, True, (1, 1)), id="contains-dilate-bool"),
+    pytest.param(bounding_box, (HEXAGON, -1), id="box-dilate-negative"),
+    pytest.param(bounding_box, (HEXAGON, 0.5), id="box-dilate-float"),
+    pytest.param(count_lattice_points, (HEXAGON, 1.5), id="count-dilate-float"),
+    pytest.param(count_lattice_points, (HEXAGON, -1), id="count-dilate-negative"),
+    pytest.param(count_interior_lattice_points, (HEXAGON, 1.0), id="interior-dilate-float"),
+    pytest.param(interpolate_ehrhart, ([1, 7, 19], 2.0), id="degree-float"),
+    pytest.param(interpolate_ehrhart, ([1, 7, 19], True), id="degree-bool"),
+    pytest.param(interpolate_ehrhart, ([1, Fraction(7), 19], 2), id="count-fraction"),
+])
+def test_oracle_entry_points_take_integers_only(call, args):
+    with pytest.raises(LatticeMathError):
+        call(*args)
 
 
 def test_count_examples():
@@ -449,22 +470,43 @@ def test_oracle_matches_formula_at_d4():
         checked += 1
 
 
+def _small_of_rank(rng, d, rank, m_max):
+    """Seeded configuration in Z^d with entries in [-1, 1] spanning the given
+    rank: generators drawn in Z^rank until they span it, lifted by the
+    coordinates x_1..x_rank and d - rank more of the form +-x_j in shuffled
+    order, with one possible loop."""
+    while True:
+        low = [[rng.randint(-1, 1) for _ in range(rank)]
+               for _ in range(rng.randint(max(rank, 1), m_max))]
+        if VectorConfiguration(low, rank).full_rank == rank:
+            break
+    rows = [(j, 1) for j in range(rank)] + [
+        (rng.randrange(rank), rng.choice((-1, 1))) if rank else (0, 0)
+        for _ in range(d - rank)]
+    rng.shuffle(rows)
+    vectors = [tuple(s * w[j] if s else 0 for j, s in rows) for w in low]
+    if rng.random() < 0.5:
+        vectors.insert(rng.randint(0, len(vectors)), (0,) * d)
+    return VectorConfiguration(vectors, d)
+
+
 def test_reciprocity_path_equals_counting_path():
-    # hstar_via_oracle reads E at -K'..K from interior and closed counts; the
-    # plain path interpolates closed counts at dilates 0..d+1.
+    # ehrhart_via_oracle reads E at -floor((r+1)/2)..ceil((r+1)/2) from
+    # interior and closed counts, signed by (-1)^r for the rank r, not the
+    # ambient dimension d; the plain path interpolates closed counts at
+    # dilates 0..r+1.  Ten draws for each d = 0..4, rank 0..d and mode: 300,
+    # of which 120 have d - r odd, where the two signs differ.
     rng = random.Random(109)
-    for d in range(1, 5):
-        for mode in ("standard", "typeB"):
-            for _ in range(4 if d < 4 else 2):
-                while True:
-                    config = VectorConfiguration(
-                        [tuple(rng.randint(-1, 1) for _ in range(d)) for _ in range(d + 1)], d)
-                    if config.full_rank == d:
-                        break
-                z = ZonotopeSpec(config, mode)
-                counts = [count_lattice_points(z, n) for n in range(d + 2)]
-                plain = hstar_from_ehrhart(interpolate_ehrhart(counts, d), d)
-                assert hstar_via_oracle(z) == plain, (config, mode)
+    for d in range(5):
+        for rank in range(d + 1):
+            for mode in ("standard", "typeB"):
+                for _ in range(10):
+                    z = ZonotopeSpec(_small_of_rank(rng, d, rank, rank + 2), mode)
+                    counts = [count_lattice_points(z, n) for n in range(rank + 2)]
+                    plain = interpolate_ehrhart(counts, rank)
+                    assert ehrhart_via_oracle(z) == plain == ehrhart(z), (z.config, mode)
+                    if rank == d:
+                        assert hstar_via_oracle(z) == hstar_from_ehrhart(plain, d)
 
 
 def test_oracle_matches_formula_at_d5():
