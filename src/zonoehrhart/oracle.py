@@ -18,7 +18,9 @@ generators into the unit columns counts the rank r and leaves a lattice
 basis of the complement.  Folding that basis into fresh unit columns leaves
 r columns, a lattice basis of the span; folding r-1 generators into those
 leaves one column, the primitive normal, unless a step is zero, when the
-generators are dependent and give no facet.
+generators are dependent and give no facet.  The (r-1)-subsets are folded
+down their prefix tree, so a prefix shared by several subsets is folded
+once, and a dependent prefix is dropped with all its extensions.
 
 Zero generators are dropped, and each row is scaled by -1 if need be so that
 its last nonzero coefficient is positive.  Counting sweeps the integer
@@ -30,34 +32,39 @@ u_{d-1}; rows without an x_d term bound x_{d-1} instead, once per run of
 x_{d-1}.  Every row satisfies lo + hi = u . sum_i v_i (0 in typeB mode), and
 the bounding box is centred on the same point, so the point reflection
 p -> (box lo + box hi) - p maps each dilate and its box onto themselves.
-Only the heads that are lexicographically at most their mirror image are
-swept: each of their lines counts twice, except the lines that are their own
-mirror, in the centre slice.
+It maps the head with row-major index i among the N heads of the box to the
+head with index N-1-i, so one pass sweeps the first floor(N/2) heads and
+counts each of their lines twice, and the middle head's line, when N is
+odd, once.  A box of one point is tested directly.
 
 The relative interior of the n-th dilate is where every inequality row holds
 strictly: every hyperplane spanned by generators supports two opposite
 facets of a zonotope, so the rows are exactly its facets.  Strict rows
 n*lo + 1 <= u . p <= n*hi - 1 stay centred and are swept the same way, over
-the bounding box shrunk by one on each side.  ehrhart_via_oracle reads the
-counting polynomial at negative dilates from these interior counts by
-Ehrhart-Macdonald reciprocity, so its largest dilate is about (r+1)/2, not
-r+1; hstar_via_oracle reads the same polynomial.  No floating point is used
-anywhere, and no rational elimination: the fold and the interpolation run
-over the integers.
+the bounding box shrunk by one on each side.
+
+h* of the rank-r body comes from both ends, in integers: its bottom entries
+from closed counts, as the numerator of the Ehrhart series, and its top
+entries from interior counts, by Ehrhart-Macdonald reciprocity.  So the
+largest dilate counted is ceil((r+1)/2), not r+1, and the entry both ends
+reach guards the degree.  hstar_via_oracle returns that h*, and
+ehrhart_via_oracle its counting polynomial.  No floating point is used
+anywhere, and no rational elimination: the fold and the counts run over the
+integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product, repeat
-from math import factorial
+from itertools import islice, product, repeat
+from math import comb, factorial
 from operator import floordiv, mul, sub
 from typing import Sequence
 
 from . import _linalg
 from .errors import (EnumerationLimitError, InternalDisagreementError, LatticeMathError,
                      NotFullDimensionalError)
-from .polycore import HStarVector, Poly, hstar_from_ehrhart
+from .polycore import HStarVector, Poly, ehrhart_from_hstar
 from .zonotope import ZonotopeSpec
 
 MAX_BOX_POINTS = 10**7
@@ -77,23 +84,19 @@ class _Membership:
         for w in complement:
             _, span = _linalg.fold(w, span)
         normals = list(complement)
-        for subset in combinations(gens, r - 1) if r else ():
-            columns = span
-            for v in subset:
-                step, columns = _linalg.fold(v, columns)
-                if not step:
-                    break
-            else:
-                normals.append(columns[0])
+        if r:
+            _facet_normals(gens, span, 0, r - 1, normals)
         rows = []
         for u in {u if next(x for x in reversed(u) if x) > 0 else tuple(-x for x in u)
                   for u in normals}:
             dots = [sum(map(mul, u, v)) for v in gens]
+            spread = sum(map(abs, dots))
             if type_b:
-                spread = sum(map(abs, dots))
                 rows.append((u, -spread, spread))
             else:
-                rows.append((u, sum(t for t in dots if t < 0), sum(t for t in dots if t > 0)))
+                # The sums of the negative and of the positive u . v_i.
+                total = sum(dots)
+                rows.append((u, (total - spread) // 2, (total + spread) // 2))
         self.dim = d
         self.rank = r
         self.box = _unit_box(gens, d, type_b)
@@ -117,48 +120,71 @@ class _Membership:
         """Integer points of the n-th dilate (its relative interior if strict)
         inside box, a box centred on it.
 
-        Only the heads h with h <= c - h lexicographically are swept, where
-        c is the head of box lo + box hi: the heads below the centre in
-        x_1, then those at the centre in x_1 and below it in x_2, and so on,
-        each line counted twice; then the centre line itself, once.  Strict
-        bounds move both ends of a row by one, so they stay centred.
+        The point reflection about the centre maps the head with row-major
+        index i among the N heads (x_1, ..., x_{d-1}) of box to the head
+        with index N-1-i, so the lines of the first floor(N/2) heads are
+        swept in one pass and counted twice, and the middle head's line, if
+        N is odd, once.  Strict bounds move both ends of a row by one, so
+        they stay centred.
         """
-        if self.dim == 0:
-            return int(self.test(n, (), strict))
         centre = [lo + hi for lo, hi in box]
         for u, lo, hi in self.rows:
             if n * (lo + hi) != sum(map(mul, u, centre)):
                 raise InternalDisagreementError(
                     f"row {lo} <= {u} . p <= {hi} of dilate {n} is not centred on "
                     f"the bounding box {list(box)}; the half sweep needs central symmetry")
+        if all(lo == hi for lo, hi in box):
+            return int(self.test(n, [lo for lo, _ in box], strict))
         d = self.dim
         # (coefficients of x_1..x_{d-2}, of x_{d-1}, of x_d, low, high)
         rows = [(u[:d - 2], u[d - 2] if d > 1 else 0, u[-1], low, high)
                 for u, low, high in self.bounds(n, strict)]
         lines = [row for row in rows if row[2]]
         slabs = [row for row in rows if not row[2]]
-        *heads, last = box
-        total = 0
-        for k, (lo, _) in enumerate(heads):
-            below = [(c // 2, c // 2) for c in centre[:k]] + [(lo, (centre[k] - 1) // 2)]
-            total += 2 * _sweep(lines, slabs, below + heads[k + 1:], last)
-            if centre[k] % 2:
-                return total
-        return total + _sweep(lines, slabs, [(c // 2, c // 2) for c in centre[:-1]], last)
+        *outer, (start, stop) = box[:-1] or [(0, 0)]
+        width = stop - start + 1
+        heads = width
+        for lo, hi in outer:
+            heads *= hi - lo + 1
+        half, odd = divmod(heads, 2)
+        # A strict box can be empty along x_{d-1}; then half is 0 as well.
+        full, part = divmod(half, width or 1)
+        prefixes = product(*(range(lo, hi + 1) for lo, hi in outer))
+        runs = [(prefix, start, stop, 2) for prefix in islice(prefixes, full)]
+        if part or odd:
+            prefix, middle = next(prefixes), start + part
+            runs.append((prefix, start, middle - 1, 2))
+            if odd:
+                runs.append((prefix, middle, middle, 1))
+        return _sweep(lines, slabs, runs, box[-1])
 
 
-def _sweep(lines, slabs, heads, last) -> int:
-    """Integer points of the rows over the box heads x last, one line along
-    x_d at a time, with x_{d-1} innermost.
+def _facet_normals(gens, columns, start: int, depth: int, normals: list) -> None:
+    """Append the column left by folding each independent depth-subset of
+    gens[start:] into columns, down the prefix tree of the subsets: every
+    prefix is folded once for all its extensions, and a zero step prunes
+    the dependent prefix with all of them."""
+    if not depth:
+        normals.append(columns[0])
+        return
+    for i in range(start, len(gens) - depth + 1):
+        step, rest = _linalg.fold(gens[i], columns)
+        if step:
+            _facet_normals(gens, rest, i + 1, depth - 1, normals)
+
+
+def _sweep(lines, slabs, runs, last) -> int:
+    """Weighted integer points of the rows over runs of lines along x_d.
 
     Rows are (coefficients of x_1..x_{d-2}, e, c, lo, hi) for
     lo <= u . p <= hi, where e and c are the coefficients of x_{d-1} and
-    x_d; c > 0 in lines, c = 0 and e >= 0 in slabs.
+    x_d; c > 0 in lines, c = 0 and e >= 0 in slabs.  Each run
+    (prefix, start, stop, weight) is the heads (prefix, x_{d-1}) with
+    start <= x_{d-1} <= stop, whose lines count weight times each.
     """
     first, final = last
-    *outer, (start, stop) = heads or [(0, 0)]
     total = 0
-    for prefix in product(*(range(lo, hi + 1) for lo, hi in outer)):
+    for prefix, start, stop, weight in runs:
         # Slabs bound x_{d-1}, or hold or fail for the whole prefix.
         low, high = start, stop
         for p, e, _, lo, hi in slabs:
@@ -179,15 +205,18 @@ def _sweep(lines, slabs, heads, last) -> int:
         for p, e, c, lo, hi in lines:
             s = sum(map(mul, p, prefix)) + e * low
             a, b = lo - s + c - 1, hi - s
-            if e:
-                bottoms.append(map(floordiv, range(a, a - e * length, -e), repeat(c)))
-                tops.append(map(floordiv, range(b, b - e * length, -e), repeat(c)))
-            else:
+            if not e:
                 bottoms.append(repeat(a // c, length))
                 tops.append(repeat(b // c, length))
+            elif c == 1:
+                bottoms.append(range(a, a - e * length, -e))
+                tops.append(range(b, b - e * length, -e))
+            else:
+                bottoms.append(map(floordiv, range(a, a - e * length, -e), repeat(c)))
+                tops.append(map(floordiv, range(b, b - e * length, -e), repeat(c)))
         # A line holds top - bottom + 1 points, or none when that is negative.
         gaps = map(sub, map(min, *tops), map(max, *bottoms))
-        total += length + sum(map(max, gaps, repeat(-1)))
+        total += weight * (length + sum(map(max, gaps, repeat(-1))))
     return total
 
 
@@ -311,35 +340,47 @@ def _interpolate(values: list[int], r: int, start: int) -> Poly:
 
 def ehrhart_via_oracle(z: ZonotopeSpec) -> Poly:
     """Counting polynomial of the zonotope, of any rank r, from raw
-    lattice-point counts and Ehrhart-Macdonald reciprocity.
+    lattice-point counts and Ehrhart-Macdonald reciprocity: the polynomial
+    of the h*-vector of rank r that `hstar_via_oracle` reads from them."""
+    return ehrhart_from_hstar(_hstar(_Membership(z.config, z.mode == "typeB")))
 
-    The counting polynomial E of the r-dimensional zonotope Z satisfies
-    E(-k) = (-1)^r times the number of points in the relative interior of
-    kZ.  So closed counts at dilates 0..ceil((r+1)/2) and interior counts at
-    dilates 1..floor((r+1)/2) give E at the r+2 equally spaced nodes
-    -floor((r+1)/2)..ceil((r+1)/2): r+1 to interpolate, and one more to
-    guard the degree.  The largest dilate counted is about half of r+1.
+
+def _hstar(member: _Membership) -> HStarVector:
+    """h*-vector of rank r from closed counts at dilates 0..ceil((r+1)/2) and
+    interior counts at dilates 1..floor((r+1)/2), in integers.
+
+    With E(n) the closed and I(n) the interior count of the n-th dilate,
+    sum_n E(n) t^n = h*(t) / (1-t)^(r+1), and by Ehrhart-Macdonald
+    reciprocity sum_n I(n) t^n = t^(r+1) h*(1/t) / (1-t)^(r+1).  So
+    h*_k = sum_i (-1)^(k-i) C(r+1, k-i) E(i) for the bottom entries, and
+    h*_(r+1-k) = sum_i (-1)^(k-i) C(r+1, k-i) I(i) for the top ones.  Both
+    ends reach the entry h*_ceil((r+1)/2) (for r = 0, h*_1, which must be
+    0); the counts lie on one polynomial of degree r exactly when the two
+    agree, so that entry guards the degree.
     """
-    return _ehrhart(_Membership(z.config, z.mode == "typeB"))
-
-
-def _ehrhart(member: _Membership) -> Poly:
     r = member.rank
     below, above = (r + 1) // 2, (r + 2) // 2
     # The closed count at the largest dilate has the largest box, so the
     # box guard fires before any interior count is spent.
     closed = [_count(member, n) for n in range(above + 1)]
-    interior = [_count(member, k, strict=True) for k in range(below, 0, -1)]
-    values = [(-1) ** r * c for c in interior] + closed
-    return _interpolate(values, r, -below)
+    interior = [0] + [_count(member, k, strict=True) for k in range(1, below + 1)]
+    signed = [(-1) ** j * comb(r + 1, j) for j in range(above + 1)]
+    bottom, top = ([sum(map(mul, signed[k::-1], counts)) for k in range(len(counts))]
+                   for counts in (closed, interior))
+    if bottom[above] != top[below]:
+        raise InternalDisagreementError(
+            f"h*_{above} is {bottom[above]} from the closed counts {closed} but "
+            f"{top[below]} from the interior counts {interior[1:]}; the counts do not "
+            f"lie on one polynomial of degree {r}")
+    return HStarVector(bottom[:above] + top[below:0:-1], r)
 
 
 def hstar_via_oracle(z: ZonotopeSpec) -> HStarVector:
-    """h*-vector of a full-dimensional zonotope from `ehrhart_via_oracle`'s
-    polynomial; the rank is checked before anything is counted."""
+    """h*-vector of a full-dimensional zonotope from closed and interior
+    lattice-point counts; the rank is checked before anything is counted."""
     d = z.dim
     member = _Membership(z.config, z.mode == "typeB")
     if member.rank != d:
         raise NotFullDimensionalError(
             f"generators span rank {member.rank} < ambient dimension {d}")
-    return hstar_from_ehrhart(_ehrhart(member), d)
+    return _hstar(member)

@@ -198,14 +198,6 @@ def _as_hstar(h, d: int | None = None) -> HStarVector:
 # Basis transformations
 # ---------------------------------------------------------------------------
 
-def _binomial_poly(shift: int, r: int) -> Poly:
-    """C(n + shift, r) as an exact polynomial in n."""
-    p = Poly((Fraction(1, 1),))
-    for s in range(r):
-        p = p * Poly((shift - s, 1))
-    return p * Fraction(1, factorial(r))
-
-
 def hstar_from_ehrhart(ehr: Poly, r: int) -> HStarVector:
     """h*-vector of a counting polynomial of an r-dimensional body.
 
@@ -232,13 +224,24 @@ def hstar_from_ehrhart(ehr: Poly, r: int) -> HStarVector:
 
 
 def ehrhart_from_hstar(h: HStarVector) -> Poly:
-    """Counting polynomial sum_i h_i C(n+d-i, d); exact inverse of hstar_from_ehrhart."""
+    """Counting polynomial sum_i h_i C(n+d-i, d); exact inverse of hstar_from_ehrhart.
+
+    d! C(n+d-i, d) = (n+1-i)(n+2-i)...(n+d-i) has integer coefficients, so
+    d! times the polynomial is summed without division; each coefficient
+    becomes a Fraction once, at the end.
+    """
     h = _as_hstar(h)
-    out = Poly()
+    d = h.d
+    scaled = [0] * (d + 1)  # d! * E, the coefficient of n^k at index k
     for i, hi in enumerate(h.h):
-        if hi != 0:
-            out = out + _binomial_poly(h.d - i, h.d) * hi
-    return out
+        if hi:
+            product = [1]  # (n+1-i)...(n+shift) so far, the coefficient of n^k at index k
+            for shift in range(1 - i, d + 1 - i):
+                product = [a + shift * b for a, b in zip([0] + product, product + [0])]
+            for k, c in enumerate(product):
+                scaled[k] += hi * c
+    scale = factorial(d)
+    return Poly(Fraction(c, scale) for c in scaled)
 
 
 def express_in_shifted_power_basis(p: Poly, d: int) -> tuple:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import zonoehrhart.oracle
+import zonoehrhart.polycore
 from integer_reference import cofactor_normal, det_bareiss, is_independent
 from zonoehrhart.errors import (EnumerationLimitError, InternalDisagreementError,
                                 LatticeMathError, NotFullDimensionalError)
@@ -414,12 +415,14 @@ def test_sweep_matches_pointwise_membership():
                 break
         swept, pointwise = _swept_and_pointwise(z, n)
         assert swept == pointwise, (config, z.mode, n)
-    # The half sweep, for d = 0..4: with c = box lo + box hi, it sweeps the
-    # heads below the centre in x_1, then those at the centre in x_1 and
-    # below it in x_2, and so on, until some c_k is odd; if none is, the
-    # centre line comes last.  Each depth, the number of leading even c_k
-    # among the d-1 head coordinates, is drawn twice, in both modes where
-    # the centre line is swept (typeB boxes are centred on 0).
+    # The half sweep, for d = 0..4: of the N heads (x_1, ..., x_{d-1}) of
+    # the box, in row-major order, it sweeps the first floor(N/2) twice and
+    # the middle one, if N is odd, once.  With c = box lo + box hi, the
+    # depth is the number of leading even c_k among the head coordinates:
+    # the half ends after a whole run of x_{d-1} below depth d-2, part way
+    # along one at depth d-2, and at the middle head, the centre, at depth
+    # d-1.  Each depth is drawn twice, in both modes where the centre line
+    # is swept (typeB boxes are centred on 0).
     rng = random.Random(97)
     for d in range(5):
         heads = max(d - 1, 0)
@@ -491,11 +494,11 @@ def _small_of_rank(rng, d, rank, m_max):
 
 
 def test_reciprocity_path_equals_counting_path():
-    # ehrhart_via_oracle reads E at -floor((r+1)/2)..ceil((r+1)/2) from
-    # interior and closed counts, signed by (-1)^r for the rank r, not the
-    # ambient dimension d; the plain path interpolates closed counts at
+    # ehrhart_via_oracle reads h* of the rank r, not the ambient dimension
+    # d, from closed counts at dilates 0..ceil((r+1)/2) and interior counts
+    # at 1..floor((r+1)/2); the plain path interpolates closed counts at
     # dilates 0..r+1.  Ten draws for each d = 0..4, rank 0..d and mode: 300,
-    # of which 120 have d - r odd, where the two signs differ.
+    # of which 120 have d - r odd, where (-1)^r and (-1)^d differ.
     rng = random.Random(109)
     for d in range(5):
         for rank in range(d + 1):
@@ -507,6 +510,80 @@ def test_reciprocity_path_equals_counting_path():
                     assert ehrhart_via_oracle(z) == plain == ehrhart(z), (z.config, mode)
                     if rank == d:
                         assert hstar_via_oracle(z) == hstar_from_ehrhart(plain, d)
+
+
+def _counted_dilates(rank):
+    """(dilate, strict) of every count the oracle takes at the given rank."""
+    return ([(n, False) for n in range((rank + 2) // 2 + 1)]
+            + [(k, True) for k in range(1, (rank + 1) // 2 + 1)])
+
+
+def test_a_count_off_the_polynomial_raises(monkeypatch):
+    # One count moved by 1, closed or interior, at any counted dilate: the
+    # two ends of h* then disagree on their shared entry, for d = 1..4.
+    count = zonoehrhart.oracle._count
+    rng = random.Random(137)
+    for d in range(1, 5):
+        for mode in ("standard", "typeB"):
+            z = ZonotopeSpec(_small_of_rank(rng, d, d, d + 1), mode)
+            counted = []
+            monkeypatch.setattr(zonoehrhart.oracle, "_count", lambda member, n, strict=False:
+                                counted.append((n, strict)) or count(member, n, strict))
+            hstar_via_oracle(z)
+            assert counted == _counted_dilates(d)
+            for target in counted:
+                def off_by_one(member, n, strict=False, target=target):
+                    return count(member, n, strict) + ((n, strict) == target)
+
+                monkeypatch.setattr(zonoehrhart.oracle, "_count", off_by_one)
+                for call in (hstar_via_oracle, ehrhart_via_oracle):
+                    with pytest.raises(InternalDisagreementError, match="polynomial of degree"):
+                        call(z)
+                monkeypatch.setattr(zonoehrhart.oracle, "_count", count)
+            assert hstar_via_oracle(z) == hstar(z), (z.config, mode)
+
+
+def test_rank_zero_bodies(monkeypatch):
+    # A body of rank 0 is a point.  The oracle counts closed dilates 0 and 1
+    # only; h* = (1) keeps its one entry, and h*_1 = E(1) - E(0) = 0 is the
+    # entry both ends share, so it guards the degree.
+    count = zonoehrhart.oracle._count
+    counted = []
+    monkeypatch.setattr(zonoehrhart.oracle, "_count", lambda member, n, strict=False:
+                        counted.append((n, strict)) or count(member, n, strict))
+    loops = VectorConfiguration([(0, 0), (0, 0)])
+    for config in (VectorConfiguration([], dim=0), VectorConfiguration([], dim=3), loops):
+        for type_b in (False, True):
+            counted.clear()
+            h = zonoehrhart.oracle._hstar(zonoehrhart.oracle._Membership(config, type_b))
+            assert (h.h, h.d) == ((1,), 0)
+            assert counted == [(0, False), (1, False)]
+            z = ZonotopeSpec(config, ("standard", "typeB")[type_b])
+            assert ehrhart_via_oracle(z) == Poly((1,))
+    assert hstar_via_oracle(ZonotopeSpec(VectorConfiguration([], dim=0))).h == (1,)
+    with pytest.raises(NotFullDimensionalError):
+        hstar_via_oracle(ZonotopeSpec(loops))
+    monkeypatch.setattr(zonoehrhart.oracle, "_count",
+                        lambda m, n, strict=False: count(m, n, strict) + (n == 1))
+    with pytest.raises(InternalDisagreementError, match=r"h\*_1 is 1 .* degree 0"):
+        ehrhart_via_oracle(ZonotopeSpec(loops))
+
+
+def test_oracle_hstar_needs_no_interpolation(monkeypatch):
+    # h* comes from the counts in integers; neither Newton interpolation nor
+    # the binomial transform of a polynomial is on its path.
+    def refuse(*args):
+        raise AssertionError("called on the oracle's h* path")
+
+    monkeypatch.setattr(zonoehrhart.oracle, "_interpolate", refuse)
+    monkeypatch.setattr(zonoehrhart.polycore, "hstar_from_ehrhart", refuse)
+    monkeypatch.setattr(zonoehrhart.oracle, "hstar_from_ehrhart", refuse, raising=False)
+    rng = random.Random(139)
+    for d in range(4):
+        for mode in ("standard", "typeB"):
+            z = ZonotopeSpec(_small_of_rank(rng, d, d, d + 2), mode)
+            assert hstar_via_oracle(z) == hstar(z), (z.config, mode)
+            assert ehrhart_via_oracle(z) == ehrhart(z), (z.config, mode)
 
 
 def test_oracle_matches_formula_at_d5():

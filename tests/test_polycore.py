@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -75,6 +76,34 @@ def test_round_trip_random_integer_polynomials():
         coeffs = [rng.randint(-9, 9) for _ in range(r + 1)]
         p = Poly(coeffs)
         assert ehrhart_from_hstar(hstar_from_ehrhart(p, r)) == p
+
+
+def _ehrhart_from_hstar_reference(h):
+    """sum_i h_i C(n+d-i, d), each binomial a product of Fraction polynomials."""
+    out = Poly()
+    for i, hi in enumerate(h.h):
+        binomial = Poly((1,))
+        for s in range(h.d):
+            binomial = binomial * Poly((h.d - i - s, 1))
+        out = out + binomial * Fraction(hi, factorial(h.d))
+    return out
+
+
+def test_ehrhart_from_hstar_matches_the_binomial_sum():
+    # 360 seeded h*-vectors, 40 for each d = 0..8: integer ones, about half
+    # their entries zero, round-trip; every fifth is rational.
+    rng = random.Random(151)
+    for draw in range(360):
+        d = draw % 9
+        if draw % 5 == 4:
+            h = HStarVector([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                             for _ in range(d + 1)], d)
+        else:
+            h = HStarVector([rng.choice((0, rng.randint(-40, 40))) for _ in range(d + 1)], d)
+        ehr = ehrhart_from_hstar(h)
+        assert ehr == _ehrhart_from_hstar_reference(h), h
+        if draw % 5 != 4:
+            assert hstar_from_ehrhart(ehr, d) == h
 
 
 def test_shifted_power_basis_elements():
