@@ -34,7 +34,7 @@ def main():
     print("The same data as an h*-vector, three ways:")
     print("  binomial transform of ehr :", hstar_from_ehrhart(ehr, 2).h)
     print("  matroid decomposition     :", hstar_zonotope(z).h)
-    print("  oracle interpolation      :", hstar_via_oracle(z).h)
+    print("  oracle lattice counts     :", hstar_via_oracle(z).h)
     print()
 
     table = default_box_table(config)

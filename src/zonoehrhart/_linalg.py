@@ -16,6 +16,7 @@ orthogonal complement of their span; every one of them is primitive.
 """
 
 from fractions import Fraction
+from operator import mul
 
 
 def _xgcd(a: int, b: int) -> tuple:
@@ -46,7 +47,7 @@ def fold(v, columns: list) -> tuple:
     g = 0
     pivot = None
     for u in columns:
-        a = sum(x * y for x, y in zip(v, u))
+        a = sum(map(mul, v, u))
         if a == 0:
             rest.append(u)
         elif pivot is None:

@@ -47,24 +47,24 @@ h* of the rank-r body comes from both ends, in integers: its bottom entries
 from closed counts, as the numerator of the Ehrhart series, and its top
 entries from interior counts, by Ehrhart-Macdonald reciprocity.  So the
 largest dilate counted is ceil((r+1)/2), not r+1, and the entry both ends
-reach guards the degree.  hstar_via_oracle returns that h*, and
-ehrhart_via_oracle its counting polynomial.  No floating point is used
-anywhere, and no rational elimination: the fold and the counts run over the
-integers.
+reach guards the degree.  Each end is the binomial sum that
+hstar_from_ehrhart takes (`polycore._hstar_numerator`); interpolate_ehrhart
+reads given counts 0..r through it too, as the counting polynomial of their
+h*.  hstar_via_oracle returns that h*, and ehrhart_via_oracle its counting
+polynomial.  No floating point is used anywhere, and no rational
+elimination: the fold and the counts run over the integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice, product, repeat
-from math import comb, factorial
 from operator import floordiv, mul, sub
 from typing import Sequence
 
 from . import _linalg
 from .errors import (EnumerationLimitError, InternalDisagreementError, LatticeMathError,
                      NotFullDimensionalError)
-from .polycore import HStarVector, Poly, ehrhart_from_hstar
+from .polycore import HStarVector, Poly, _hstar_numerator, ehrhart_from_hstar
 from .zonotope import ZonotopeSpec
 
 MAX_BOX_POINTS = 10**7
@@ -73,9 +73,10 @@ MAX_BOX_POINTS = 10**7
 class _Membership:
     """Exact integer H-description of the dilates of one zonotope."""
 
-    def __init__(self, config, type_b: bool):
-        d = config.dim
-        gens = [v for v in config.vectors if any(v)]
+    def __init__(self, z: ZonotopeSpec):
+        d = z.dim
+        type_b = z.mode == "typeB"
+        gens = [v for v in z.config.vectors if any(v)]
         r, complement = 0, _linalg.unit_columns(d)
         for v in gens:
             step, complement = _linalg.fold(v, complement)
@@ -99,7 +100,7 @@ class _Membership:
                 rows.append((u, (total - spread) // 2, (total + spread) // 2))
         self.dim = d
         self.rank = r
-        self.box = _unit_box(gens, d, type_b)
+        self.box = _unit_box(z)
         self.rows = tuple(sorted(rows))
 
     def bounds(self, n: int, strict: bool = False) -> list:
@@ -238,15 +239,15 @@ def contains_point(z: ZonotopeSpec, n: int, point: Sequence[int]) -> bool:
     p = _integers("point coordinate", point)
     if len(p) != z.dim:
         raise LatticeMathError(f"point has length {len(p)}, ambient dimension is {z.dim}")
-    return _Membership(z.config, z.mode == "typeB").test(n, p)
+    return _Membership(z).test(n, p)
 
 
-def _unit_box(vectors, d: int, type_b: bool) -> list[tuple[int, int]]:
+def _unit_box(z: ZonotopeSpec) -> list[tuple[int, int]]:
     """Componentwise integer bounds of the zonotope itself, the dilate 1,
     from the sign decomposition of the generators."""
     box = []
-    for column in (tuple(v[i] for v in vectors) for i in range(d)):
-        if type_b:
+    for column in (tuple(v[i] for v in z.config.vectors) for i in range(z.dim)):
+        if z.mode == "typeB":
             spread = sum(map(abs, column))
             box.append((-spread, spread))
         else:
@@ -257,13 +258,13 @@ def _unit_box(vectors, d: int, type_b: bool) -> list[tuple[int, int]]:
 def bounding_box(z: ZonotopeSpec, n: int) -> list[tuple[int, int]]:
     """Componentwise integer bounds from the sign decomposition of the generators."""
     _integers("dilate", (n,), 0)
-    return [(n * lo, n * hi) for lo, hi in _unit_box(z.config.vectors, z.dim, z.mode == "typeB")]
+    return [(n * lo, n * hi) for lo, hi in _unit_box(z)]
 
 
 def count_lattice_points(z: ZonotopeSpec, n: int) -> int:
     """|nZ cap Z^d| by sweeping the integer bounding box line by line."""
     _integers("dilate", (n,), 0)
-    return _count(_Membership(z.config, z.mode == "typeB"), n)
+    return _count(_Membership(z), n)
 
 
 def count_interior_lattice_points(z: ZonotopeSpec, n: int) -> int:
@@ -274,7 +275,7 @@ def count_interior_lattice_points(z: ZonotopeSpec, n: int) -> int:
     holds strictly, and the sweep counts it the same way.
     """
     _integers("dilate of an interior count", (n,), 1)
-    return _count(_Membership(z.config, z.mode == "typeB"), n, strict=True)
+    return _count(_Membership(z), n, strict=True)
 
 
 def _count(member: _Membership, n: int, strict: bool = False) -> int:
@@ -293,56 +294,31 @@ def _count(member: _Membership, n: int, strict: bool = False) -> int:
 
 
 def interpolate_ehrhart(counts: Sequence[int], r: int) -> Poly:
-    """Unique degree-<=r polynomial through (n, counts[n]) by Newton differences.
+    """Unique degree-<=r polynomial through (n, counts[n]), n = 0..r: the
+    counting polynomial of the h*-vector read from those counts.
 
     Any counts beyond index r must lie on the polynomial; otherwise the
     declared degree was too small and an error is raised.
     """
     _integers("degree", (r,), 0)
-    values = list(_integers("count", counts))
+    values = _integers("count", counts)
     if len(values) < r + 1:
         raise LatticeMathError(f"need at least {r + 1} counts for degree {r}")
-    return _interpolate(values, r, 0)
-
-
-def _interpolate(values: list[int], r: int, start: int) -> Poly:
-    """The degree-<=r polynomial through (start + i, values[i]), i = 0..r,
-    checked against the values beyond index r.
-
-    Newton's forward form P(t) = sum_j D_j (t - start)_j / j!, with D_j the
-    j-th difference at start and (x)_j the falling factorial, is summed as
-    r! * P over the integers; each coefficient becomes a Fraction once, at
-    the end.
-    """
-    diffs = values[: r + 1]
-    scale = factorial(r)
-    scaled = [0] * (r + 1)  # r! * P, the coefficient of t^i at index i
-    falling = [1]  # (t - start)_j, the coefficient of t^i at index i
-    for j in range(r + 1):
-        if j:
-            root = start + j - 1
-            falling = [a - root * b for a, b in zip([0] + falling, falling + [0])]
-        weight = diffs[0] * (scale // factorial(j))
-        for i, c in enumerate(falling):
-            scaled[i] += weight * c
-        diffs = list(map(sub, diffs[1:], diffs))
-    for extra in range(r + 1, len(values)):
-        node = start + extra
-        got = 0
-        for c in reversed(scaled):
-            got = got * node + c
-        if got != scale * values[extra]:
+    ehr = ehrhart_from_hstar(HStarVector(_hstar_numerator(values[:r + 1], r), r))
+    for n in range(r + 1, len(values)):
+        got = ehr(n)
+        if got != values[n]:
             raise LatticeMathError(
-                f"count at n={node} is {values[extra]}, but the degree-{r} "
-                f"interpolant gives {Fraction(got, scale)}; the degree was underestimated")
-    return Poly(Fraction(c, scale) for c in scaled)
+                f"count at n={n} is {values[n]}, but the degree-{r} "
+                f"interpolant gives {got}; the degree was underestimated")
+    return ehr
 
 
 def ehrhart_via_oracle(z: ZonotopeSpec) -> Poly:
     """Counting polynomial of the zonotope, of any rank r, from raw
     lattice-point counts and Ehrhart-Macdonald reciprocity: the polynomial
     of the h*-vector of rank r that `hstar_via_oracle` reads from them."""
-    return ehrhart_from_hstar(_hstar(_Membership(z.config, z.mode == "typeB")))
+    return ehrhart_from_hstar(_hstar(_Membership(z)))
 
 
 def _hstar(member: _Membership) -> HStarVector:
@@ -364,9 +340,7 @@ def _hstar(member: _Membership) -> HStarVector:
     # box guard fires before any interior count is spent.
     closed = [_count(member, n) for n in range(above + 1)]
     interior = [0] + [_count(member, k, strict=True) for k in range(1, below + 1)]
-    signed = [(-1) ** j * comb(r + 1, j) for j in range(above + 1)]
-    bottom, top = ([sum(map(mul, signed[k::-1], counts)) for k in range(len(counts))]
-                   for counts in (closed, interior))
+    bottom, top = _hstar_numerator(closed, r), _hstar_numerator(interior, r)
     if bottom[above] != top[below]:
         raise InternalDisagreementError(
             f"h*_{above} is {bottom[above]} from the closed counts {closed} but "
@@ -379,7 +353,7 @@ def hstar_via_oracle(z: ZonotopeSpec) -> HStarVector:
     """h*-vector of a full-dimensional zonotope from closed and interior
     lattice-point counts; the rank is checked before anything is counted."""
     d = z.dim
-    member = _Membership(z.config, z.mode == "typeB")
+    member = _Membership(z)
     if member.rank != d:
         raise NotFullDimensionalError(
             f"generators span rank {member.rank} < ambient dimension {d}")

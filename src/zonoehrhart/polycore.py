@@ -5,6 +5,10 @@ h*-vectors pair a coefficient tuple (h_0, ..., h_d) with an explicit ambient
 degree d, because the shape predicates (palindromicity, alternating increase)
 depend on d and not just on the nonzero support.
 
+A counting polynomial E, its h*-vector and its coordinates in the shifted
+power basis n^j (1+n)^(d-j) are converted by one closed sum per direction.
+The oracle applies the sum that takes values of E to h* to its raw counts.
+
 Real-rootedness is decided by one primitive Sturm chain in Z[t]: rational
 coefficients are cleared once on entry, and every later step is an integer
 pseudo-remainder, so no rational division happens along the chain.
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import LatticeMathError
@@ -155,6 +160,8 @@ class HStarVector:
             raise LatticeMathError("empty h*-vector")
         if d is None:
             d = len(h) - 1
+        elif not isinstance(d, int) or isinstance(d, bool) or d < 0:
+            raise LatticeMathError(f"ambient degree must be a nonnegative integer, got {d!r}")
         if len(h) != d + 1:
             raise LatticeMathError(f"expected {d + 1} entries for ambient degree {d}, got {len(h)}")
         self.h = h
@@ -198,6 +205,13 @@ def _as_hstar(h, d: int | None = None) -> HStarVector:
 # Basis transformations
 # ---------------------------------------------------------------------------
 
+def _hstar_numerator(values: Sequence[Scalar], r: int) -> list:
+    """h_k = sum_{i<=k} (-1)^(k-i) C(r+1, k-i) values[i] for each k < len(values):
+    from values E(0), E(1), ..., the bottom of h(t) = (1-t)^(r+1) sum_n E(n) t^n."""
+    signed = [(-1) ** j * comb(r + 1, j) for j in range(len(values))]
+    return [sum(map(mul, signed[k::-1], values)) for k in range(len(values))]
+
+
 def hstar_from_ehrhart(ehr: Poly, r: int) -> HStarVector:
     """h*-vector of a counting polynomial of an r-dimensional body.
 
@@ -209,17 +223,13 @@ def hstar_from_ehrhart(ehr: Poly, r: int) -> HStarVector:
         raise LatticeMathError("ambient degree must be nonnegative")
     if ehr.degree > r:
         raise LatticeMathError(f"polynomial degree {ehr.degree} exceeds ambient degree {r}")
-    values = [ehr(i) for i in range(r + 1)]
-    h = []
-    for k in range(r + 1):
-        hk = sum((-1) ** (k - i) * comb(r + 1, k - i) * values[i] for i in range(k + 1))
-        hk = _exact(Fraction(hk)) if not isinstance(hk, int) else hk
+    h = [_exact(hk) for hk in _hstar_numerator([ehr(i) for i in range(r + 1)], r)]
+    for k, hk in enumerate(h):
         if not isinstance(hk, int):
             raise LatticeMathError(
                 f"h*-entry h_{k} = {hk} is not an integer; the input is not an "
                 f"integer-valued polynomial of degree at most {r}"
             )
-        h.append(hk)
     return HStarVector(h, r)
 
 
@@ -245,20 +255,17 @@ def ehrhart_from_hstar(h: HStarVector) -> Poly:
 
 
 def express_in_shifted_power_basis(p: Poly, d: int) -> tuple:
-    """Coordinates (c_0, ..., c_d) with p(n) = sum_j c_j n^j (1+n)^(d-j)."""
+    """Coordinates (c_0, ..., c_d) with p(n) = sum_j c_j n^j (1+n)^(d-j).
+
+    At n = x/(1-x) the element n^j (1+n)^(d-j) is x^j / (1-x)^d, so
+    sum_j c_j x^j = (1-x)^d p(x/(1-x)) = sum_k p_k x^k (1-x)^(d-k), and
+    c_j = sum_{k<=j} (-1)^(j-k) C(d-k, j-k) p_k.
+    """
     if p.degree > d:
         raise LatticeMathError(f"degree {p.degree} exceeds basis degree {d}")
-    one_plus_n = Poly((1, 1))
-    coords = []
-    q = p
-    for j in range(d + 1):
-        c = q(0)
-        coords.append(c)
-        q = q - one_plus_n ** (d - j) * c
-        assert (not q) or q.coeffs[0] == 0
-        q = Poly(q.coeffs[1:])
-    assert not q
-    return tuple(coords)
+    return tuple(_exact(sum((-1) ** (j - k) * comb(d - k, j - k) * c
+                            for k, c in enumerate(p.coeffs[:j + 1])))
+                 for j in range(d + 1))
 
 
 # ---------------------------------------------------------------------------

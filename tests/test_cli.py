@@ -102,9 +102,9 @@ def test_oracle_compiles_once_per_document(tmp_path, monkeypatch, capsys):
     compiles = []
     compile_rows = oracle._Membership.__init__
 
-    def counted(self, config, type_b):
-        compiles.append(config)
-        compile_rows(self, config, type_b)
+    def counted(self, z):
+        compiles.append(z)
+        compile_rows(self, z)
 
     monkeypatch.setattr(oracle._Membership, "__init__", counted)
     # counts holds E(0..r+1), read from the oracle's polynomial.
@@ -206,7 +206,7 @@ def test_check_from_file(tmp_path):
 def test_check_computes_the_coordinates_once(tmp_path, monkeypatch, capsys):
     from zonoehrhart import cli, polycore, zonotope
 
-    calls = {"peel": 0, "ehrhart_from_hstar": 0}
+    calls = {"coordinates": 0, "ehrhart_from_hstar": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -214,14 +214,14 @@ def test_check_computes_the_coordinates_once(tmp_path, monkeypatch, capsys):
             return fn(*args)
         return wrapper
 
-    peel = counted("peel", polycore.express_in_shifted_power_basis)
+    coordinates = counted("coordinates", polycore.express_in_shifted_power_basis)
     to_ehrhart = counted("ehrhart_from_hstar", polycore.ehrhart_from_hstar)
     for module in (polycore, zonotope):
-        monkeypatch.setattr(module, "express_in_shifted_power_basis", peel)
+        monkeypatch.setattr(module, "express_in_shifted_power_basis", coordinates)
         monkeypatch.setattr(module, "ehrhart_from_hstar", to_ehrhart)
     path = write_doc(tmp_path, {"generators": [[2, 1, 0], [0, 1, 0], [1, 1, 3], [1, 0, 1]]})
     assert cli.main(["check", path]) == 0
-    assert calls == {"peel": 1, "ehrhart_from_hstar": 1}
+    assert calls == {"coordinates": 1, "ehrhart_from_hstar": 1}
     results = json.loads(capsys.readouterr().out)["results"]
     assert set(results) == {"real-rooted", "unimodal", "alt-inc", "palindromic",
                             "reflexive", "cone"}

@@ -133,17 +133,8 @@ def test_interpolate_examples():
 def test_interpolate_guards():
     with pytest.raises(LatticeMathError):
         interpolate_ehrhart([1, 7], 2)
-    with pytest.raises(LatticeMathError):
+    with pytest.raises(LatticeMathError, match=r"count at n=3 is 38\b"):
         interpolate_ehrhart([1, 7, 19, 38], 2)  # 38 is off the polynomial
-
-
-def test_interpolate_on_nodes_from_a_start_offset():
-    # The hexagon's E(n) = 3n^2 + 3n + 1 at the nodes -2..2, as the oracle reads it.
-    interpolate = zonoehrhart.oracle._interpolate
-    assert interpolate([7, 1, 1, 7, 19], 2, -2) == Poly((1, 3, 3))
-    with pytest.raises(LatticeMathError, match=r"count at n=2 is 20\b"):
-        interpolate([7, 1, 1, 7, 20], 2, -2)
-    assert interpolate([-1, 1, 3], 1, -1) == Poly((1, 2))
 
 
 def test_interpolate_is_exact_on_seeded_polynomials():
@@ -155,8 +146,16 @@ def test_interpolate_is_exact_on_seeded_polynomials():
         scale = 1
         for c in coeffs:
             scale = scale * c.denominator // gcd(scale, c.denominator)
-        values = [int(scale * p(n)) for n in range(r + 2)]
+        values = [int(scale * p(n)) for n in range(r + 1 + rng.randint(1, 2))]
         assert interpolate_ehrhart(values, r) == p * scale
+        # A count off the polynomial, at either extra node, is refused.
+        off = rng.randrange(r + 1, len(values))
+        values[off] += rng.choice((-1, 1)) * rng.randint(1, 5)
+        got = Fraction(scale) * p(off)
+        with pytest.raises(LatticeMathError, match=rf"^count at n={off} is {values[off]}, "
+                           rf"but the degree-{r} interpolant gives {got}; the degree was "
+                           rf"underestimated$"):
+            interpolate_ehrhart(values, r)
 
 
 def test_hstar_via_oracle_examples():
@@ -367,11 +366,11 @@ def test_compiled_rows_are_the_cofactor_facets():
             k, v = rng.choice((-2, -1, 1)), rng.choice(vectors)
             vectors.append(tuple(k * x for x in v))  # a parallel element
         config = VectorConfiguration(vectors, d)
-        for type_b in (False, True):
-            member = zonoehrhart.oracle._Membership(config, type_b)
+        for mode in ("standard", "typeB"):
+            member = zonoehrhart.oracle._Membership(ZonotopeSpec(config, mode))
             assert member.rank == rank
             assert [row for row in member.rows if row[1] < row[2]] == \
-                _cofactor_rows(config, type_b), (config, type_b)
+                _cofactor_rows(config, mode == "typeB"), (config, mode)
             equalities = [u for u, lo, hi in member.rows if lo == hi]
             assert len(equalities) == d - rank and is_independent(equalities), config
             assert all(sum(a * b for a, b in zip(w, v)) == 0
@@ -384,7 +383,7 @@ def _swept_and_pointwise(z, n):
     count_interior_lattice_points(z, n); and the same counts taken point by
     point over the bounding box with the compiled rows' membership test,
     closed and strict."""
-    member = zonoehrhart.oracle._Membership(z.config, z.mode == "typeB")
+    member = zonoehrhart.oracle._Membership(z)
     points = list(product(*(range(lo, hi + 1) for lo, hi in bounding_box(z, n))))
     swept = [count_lattice_points(z, n)]
     pointwise = [sum(member.test(n, p) for p in points)]
@@ -446,8 +445,8 @@ def test_half_sweep_rejects_an_off_centre_row(monkeypatch):
     # only while every row is centred on the bounding box.
     compile_rows = zonoehrhart.oracle._Membership.__init__
 
-    def off_centre(self, config, type_b):
-        compile_rows(self, config, type_b)
+    def off_centre(self, z):
+        compile_rows(self, z)
         (u, lo, hi), *rest = self.rows
         self.rows = ((u, lo, hi + 1), *rest)
 
@@ -553,12 +552,12 @@ def test_rank_zero_bodies(monkeypatch):
                         counted.append((n, strict)) or count(member, n, strict))
     loops = VectorConfiguration([(0, 0), (0, 0)])
     for config in (VectorConfiguration([], dim=0), VectorConfiguration([], dim=3), loops):
-        for type_b in (False, True):
+        for mode in ("standard", "typeB"):
             counted.clear()
-            h = zonoehrhart.oracle._hstar(zonoehrhart.oracle._Membership(config, type_b))
+            z = ZonotopeSpec(config, mode)
+            h = zonoehrhart.oracle._hstar(zonoehrhart.oracle._Membership(z))
             assert (h.h, h.d) == ((1,), 0)
             assert counted == [(0, False), (1, False)]
-            z = ZonotopeSpec(config, ("standard", "typeB")[type_b])
             assert ehrhart_via_oracle(z) == Poly((1,))
     assert hstar_via_oracle(ZonotopeSpec(VectorConfiguration([], dim=0))).h == (1,)
     with pytest.raises(NotFullDimensionalError):
@@ -570,12 +569,13 @@ def test_rank_zero_bodies(monkeypatch):
 
 
 def test_oracle_hstar_needs_no_interpolation(monkeypatch):
-    # h* comes from the counts in integers; neither Newton interpolation nor
-    # the binomial transform of a polynomial is on its path.
+    # h* comes from the counts in integers, through the private binomial sum;
+    # neither interpolation nor the public transform of a polynomial is on
+    # its path.
     def refuse(*args):
         raise AssertionError("called on the oracle's h* path")
 
-    monkeypatch.setattr(zonoehrhart.oracle, "_interpolate", refuse)
+    monkeypatch.setattr(zonoehrhart.oracle, "interpolate_ehrhart", refuse)
     monkeypatch.setattr(zonoehrhart.polycore, "hstar_from_ehrhart", refuse)
     monkeypatch.setattr(zonoehrhart.oracle, "hstar_from_ehrhart", refuse, raising=False)
     rng = random.Random(139)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -48,6 +49,10 @@ def test_hstar_vector_invariants():
         HStarVector(())
     with pytest.raises(LatticeMathError):
         HStarVector((1, 2), d=2)
+    for d in (-1, True, 2.0, "2", Fraction(2)):
+        with pytest.raises(LatticeMathError, match=re.escape(
+                f"ambient degree must be a nonnegative integer, got {d!r}")):
+            HStarVector((1, 2, 3), d)
 
 
 def test_hstar_from_ehrhart_examples():
@@ -119,13 +124,21 @@ def test_shifted_power_basis_elements():
 
 
 def test_shifted_power_basis_reproduces_values():
+    # Rebuilt by Poly products, which share nothing with the closed sum:
+    # integer and rational coefficients, degree below d, the zero polynomial.
     rng = random.Random(7)
     n = Poly((0, 1))
     one_plus_n = Poly((1, 1))
-    for _ in range(50):
-        d = rng.randint(0, 6)
-        p = Poly([rng.randint(-5, 5) for _ in range(d + 1)])
+    for draw in range(120):
+        d = rng.randint(0, 8)
+        degree = -1 if draw % 10 == 9 else rng.randint(0, d)
+        if draw % 3:
+            p = Poly([rng.randint(-5, 5) for _ in range(degree + 1)])
+        else:
+            p = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                      for _ in range(degree + 1)])
         coords = express_in_shifted_power_basis(p, d)
+        assert len(coords) == d + 1
         rebuilt = sum((n**j * one_plus_n ** (d - j) * c for j, c in enumerate(coords)),
                       Poly())
         for x in range(d + 1):
