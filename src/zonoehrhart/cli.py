@@ -119,7 +119,10 @@ def _load_input(path):
                     or any(not isinstance(i, int) or isinstance(i, bool) for i in indices)):
                 raise _CliError(f"box_table key {key!r} is not a list of integers")
             overrides[tuple(indices)] = _parse_rational(raw)
-        table = zonotope.default_box_table(config).override(overrides)
+        # The lattice counts fill only the sets the document leaves out.
+        given = {tuple(sorted(s)) for s in overrides}
+        counts = {s: config._box_counts[s] for s in config.independent_sets() if s not in given}
+        table = zonotope.BoxValuationTable(config, {**counts, **overrides})
     echo = {"generators": [list(v) for v in config.vectors], "mode": mode}
     if "box_table" in doc:
         echo["box_table"] = doc["box_table"]

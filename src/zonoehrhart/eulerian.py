@@ -15,9 +15,10 @@ from __future__ import annotations
 from functools import cache
 from itertools import permutations, product
 from math import comb, factorial
+from operator import mul
 from typing import Iterator, Sequence
 
-from .errors import EnumerationLimitError, LatticeMathError
+from .errors import EnumerationLimitError, LatticeMathError, _integers
 from .polycore import Poly
 
 MAX_ENUMERATION_D_TYPE_A = 12
@@ -38,10 +39,18 @@ def _validate_signs(word: tuple, signs: Sequence[int]) -> tuple:
     return s
 
 
+def _descents(values: tuple) -> frozenset:
+    """Positions i with values[i] > values[i+1]; values[0] is the virtual letter 0.
+
+    A trailing value d - j puts d in the set exactly when the last letter is
+    at least d+1-j, which is how the j- and l-descent sets extend the plain ones.
+    """
+    return frozenset(i for i in range(len(values) - 1) if values[i] > values[i + 1])
+
+
 def descent_set(word: Sequence[int]) -> frozenset:
     """Positions i in [d-1] with word_i > word_{i+1}."""
-    w = _validate_word(word)
-    return frozenset(i for i in range(1, len(w)) if w[i - 1] > w[i])
+    return _descents((0,) + _validate_word(word))
 
 
 def descent_count(word: Sequence[int]) -> int:
@@ -54,18 +63,18 @@ def j_descent_set(word: Sequence[int], j: int) -> frozenset:
     d = len(w)
     if not 0 <= j <= d:
         raise LatticeMathError(f"j must lie in 0..{d}, got {j}")
-    des = descent_set(w)
-    if w and w[-1] >= d + 1 - j:
-        des = des | {d}
-    return des
+    return _descents((0,) + w + (d - j,))
+
+
+def _signed_letters(word: Sequence[int], signs: Sequence[int]) -> tuple:
+    """(0, eps_1 w_1, ..., eps_d w_d) for a validated signed permutation."""
+    w = _validate_word(word)
+    return (0,) + tuple(map(mul, _validate_signs(w, signs), w))
 
 
 def signed_descent_set(word: Sequence[int], signs: Sequence[int]) -> frozenset:
     """Positions i in {0} u [d-1] with eps_i w_i > eps_{i+1} w_{i+1}, using w_0 = 0."""
-    w = _validate_word(word)
-    s = _validate_signs(w, signs)
-    values = (0,) + tuple(e * x for e, x in zip(s, w))
-    return frozenset(i for i in range(len(w)) if values[i] > values[i + 1])
+    return _descents(_signed_letters(word, signs))
 
 
 def signed_descent_count(word: Sequence[int], signs: Sequence[int]) -> int:
@@ -74,15 +83,11 @@ def signed_descent_count(word: Sequence[int], signs: Sequence[int]) -> int:
 
 def l_descent_set_b(word: Sequence[int], signs: Sequence[int], l: int) -> frozenset:
     """signed_descent_set plus {d} exactly when the last signed letter is at least d+1-l."""
-    w = _validate_word(word)
-    s = _validate_signs(w, signs)
-    d = len(w)
+    values = _signed_letters(word, signs)
+    d = len(values) - 1
     if not 0 <= l <= d:
         raise LatticeMathError(f"l must lie in 0..{d}, got {l}")
-    des = signed_descent_set(w, s)
-    if d and s[-1] * w[-1] >= d + 1 - l:
-        des = des | {d}
-    return des
+    return _descents(values + (d - l,))
 
 
 def signed_permutations(d: int) -> Iterator[tuple[tuple, tuple]]:
@@ -138,23 +143,21 @@ def a_j_polynomial(d: int, j: int) -> Poly:
 
 
 def _check_a_args(d: int, j: int) -> None:
-    if d < 1:
-        raise LatticeMathError(f"d must be at least 1, got {d}")
+    _integers("d", (d,), 1)
+    _integers("j", (j,))
     if not 1 <= j <= d:
         raise LatticeMathError(f"j must lie in 1..{d}, got {j}")
 
 
 def eulerian_a(d: int) -> Poly:
     """Classical Eulerian polynomial of S_d (coefficient sum d!)."""
-    if d < 1:
-        raise LatticeMathError(f"d must be at least 1, got {d}")
+    _integers("d", (d,), 1)
     return a_j_polynomial(d + 1, 1)
 
 
 def eulerian_a_enumerate(d: int) -> Poly:
     """Classical Eulerian polynomial by direct enumeration of S_d."""
-    if d < 1:
-        raise LatticeMathError(f"d must be at least 1, got {d}")
+    _integers("d", (d,), 1)
     if d > MAX_ENUMERATION_D_TYPE_A:
         raise EnumerationLimitError(
             f"enumerating d! = {factorial(d)} words exceeds the d <= "
@@ -180,8 +183,8 @@ def _check_b_enumeration(d: int) -> None:
 
 def b_l_polynomial_enumerate(d: int, l: int) -> Poly:
     """Signed-descent generating polynomial over B_d with last signed letter d+1-l."""
-    if d < 1:
-        raise LatticeMathError(f"d must be at least 1, got {d}")
+    _integers("d", (d,), 1)
+    _integers("l", (l,))
     if not 1 <= l <= d:
         raise LatticeMathError(f"l must lie in 1..{d}, got {l}")
     _check_b_enumeration(d)
@@ -199,6 +202,8 @@ def b_l_polynomial_enumerate(d: int, l: int) -> Poly:
 
 def b_l_polynomial_via_a(d: int, l: int) -> Poly:
     """B_{l+1}(d+1,t) = 2^l sum_j C(d-l, j) A_{j+l+1}(d+1,t), for 0 <= l <= d."""
+    _integers("d", (d,))
+    _integers("l", (l,))
     if d < 0:
         raise LatticeMathError(f"d must be nonnegative, got {d}")
     if not 0 <= l <= d:
@@ -221,8 +226,7 @@ def _b_row(d: int) -> tuple[Poly, ...]:
 
 def eulerian_b(d: int) -> Poly:
     """Type-B Eulerian polynomial over all signed permutations (sum 2^d d!)."""
-    if d < 1:
-        raise LatticeMathError(f"d must be at least 1, got {d}")
+    _integers("d", (d,), 1)
     _check_b_enumeration(d)
     counts = [0] * (d + 1)
     for word, signs in signed_permutations(d):
@@ -236,8 +240,7 @@ def eulerian_b_via_a(d: int) -> Poly:
     Splits B_d by the sign of the last signed letter; the negative half is the
     coefficient reversal of the positive half (negate every letter).
     """
-    if d < 1:
-        raise LatticeMathError(f"d must be at least 1, got {d}")
+    _integers("d", (d,), 1)
     total = Poly()
     for l in range(1, d + 1):
         half = b_l_polynomial_via_a(d - 1, l - 1)

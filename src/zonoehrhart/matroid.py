@@ -36,6 +36,22 @@ def _as_index_set(indices: Iterable[int], n: int) -> tuple:
     return s
 
 
+def _subset_transform(f: dict, n: int, sign: int) -> dict:
+    """g(I) = sum over J subseteq I of sign^|I - J| f(J), for f on a family of
+    subsets of 1..n closed under taking subsets (here: independent sets).
+
+    One pass per element e adds sign * g(I - e) to g(I) for every I containing
+    e; I - e lacks e, so a pass never reads a value it has already changed.
+    """
+    g = dict(f)
+    for e in range(1, n + 1):
+        for s in g:
+            if e in s:
+                i = s.index(e)
+                g[s] += sign * g[s[:i] + s[i + 1:]]
+    return g
+
+
 class VectorConfiguration:
     """Ordered list of integer vectors in a fixed ambient dimension."""
 
@@ -163,6 +179,12 @@ class VectorConfiguration:
             del free[k:]
             free.append(cols)
         return gcds
+
+    @cached_property
+    def _box_counts(self) -> dict:
+        """Lattice points of the open box of every independent set: the
+        Moebius inversion of `_minor_gcds`, which count the half-open boxes."""
+        return _subset_transform(self._minor_gcds, self.n, -1)
 
     # -- order-sensitive structure ---------------------------------------------
     #

@@ -63,7 +63,7 @@ from typing import Sequence
 
 from . import _linalg
 from .errors import (EnumerationLimitError, InternalDisagreementError, LatticeMathError,
-                     NotFullDimensionalError)
+                     NotFullDimensionalError, _integers)
 from .polycore import HStarVector, Poly, _hstar_numerator, ehrhart_from_hstar
 from .zonotope import ZonotopeSpec
 
@@ -219,18 +219,6 @@ def _sweep(lines, slabs, runs, last) -> int:
         gaps = map(sub, map(min, *tops), map(max, *bottoms))
         total += weight * (length + sum(map(max, gaps, repeat(-1))))
     return total
-
-
-def _integers(what: str, values: Sequence, least: int | None = None) -> tuple[int, ...]:
-    """The values as a tuple, each checked to be an int (bool excluded) and,
-    if least is given, at least least."""
-    values = tuple(values)
-    for x in values:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise LatticeMathError(f"{what} must be an integer, got {x!r}")
-        if least is not None and x < least:
-            raise LatticeMathError(f"{what} must be at least {least}, got {x}")
-    return values
 
 
 def contains_point(z: ZonotopeSpec, n: int, point: Sequence[int]) -> bool:

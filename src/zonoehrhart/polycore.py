@@ -21,7 +21,7 @@ from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
-from .errors import LatticeMathError
+from .errors import LatticeMathError, _integers
 
 Scalar = Union[int, Fraction]
 
@@ -219,6 +219,7 @@ def hstar_from_ehrhart(ehr: Poly, r: int) -> HStarVector:
     sum_i h_i C(n+r-i, r) = ehr(n) for all n.  Non-integer entries mean the
     input was not integer-valued of the declared degree.
     """
+    _integers("ambient degree", (r,))
     if r < 0:
         raise LatticeMathError("ambient degree must be nonnegative")
     if ehr.degree > r:
@@ -261,6 +262,7 @@ def express_in_shifted_power_basis(p: Poly, d: int) -> tuple:
     sum_j c_j x^j = (1-x)^d p(x/(1-x)) = sum_k p_k x^k (1-x)^(d-k), and
     c_j = sum_{k<=j} (-1)^(j-k) C(d-k, j-k) p_k.
     """
+    _integers("basis degree", (d,))
     if p.degree > d:
         raise LatticeMathError(f"degree {p.degree} exceeds basis degree {d}")
     return tuple(_exact(sum((-1) ** (j - k) * comb(d - k, j - k) * c

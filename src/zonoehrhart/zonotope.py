@@ -14,14 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
 from .errors import (DependentSetError, InternalDisagreementError, LatticeMathError,
-                     NotFullDimensionalError)
+                     NotFullDimensionalError, _integers)
 from .eulerian import _a_row, _b_row, a_j_polynomial
-from .matroid import VectorConfiguration
+from .matroid import VectorConfiguration, _subset_transform
 from .polycore import (HStarVector, Poly, _as_hstar, _exact, ehrhart_from_hstar,
                        express_in_shifted_power_basis)
 
@@ -69,13 +68,7 @@ class BoxValuationTable:
             raise DependentSetError(f"{key!r} is not an independent set of the configuration")
 
     def override(self, updates: Mapping[tuple, int | Fraction]) -> "BoxValuationTable":
-        merged = dict(self.values)
-        for indices, v in updates.items():
-            key = tuple(sorted(indices))
-            if key not in merged:
-                raise DependentSetError(f"{key!r} is not an independent set of the configuration")
-            merged[key] = _table_value(key, v)
-        return BoxValuationTable(self.config, merged)
+        return BoxValuationTable(self.config, {**self.values, **updates})
 
 
 def _table_value(key: tuple, v) -> int | Fraction:
@@ -85,37 +78,18 @@ def _table_value(key: tuple, v) -> int | Fraction:
     return _exact(v)
 
 
-def _subset_transform(f: Mapping[tuple, int | Fraction], n: int, sign: int) -> dict:
-    """g(I) = sum over J subseteq I of sign^|I - J| f(J), for f on a family of
-    subsets of 1..n closed under taking subsets (here: independent sets).
-
-    One pass per element e adds sign * g(I - e) to g(I) for every I containing
-    e; I - e lacks e, so a pass never reads a value it has already changed.
-    """
-    g = dict(f)
-    for e in range(1, n + 1):
-        for s in g:
-            if e in s:
-                i = s.index(e)
-                g[s] += sign * g[s[:i] + s[i + 1:]]
-    return g
-
-
-# Shared across callers (the CLI reads many documents against few
-# configurations) but bounded, so a stream of distinct configurations cannot
-# grow it for the life of the process.
-@lru_cache(maxsize=128)
 def default_box_table(config: VectorConfiguration) -> BoxValuationTable:
-    """Box table of the lattice-point count, by Moebius inversion of minor gcds."""
-    return BoxValuationTable(config, _subset_transform(config._minor_gcds, config.n, -1))
+    """Box table of the lattice-point count: the configuration's own box counts."""
+    return BoxValuationTable(config, config._box_counts)
 
 
-def _resolve_table(config, table) -> BoxValuationTable:
+def _resolve_table(config, table) -> Mapping[tuple, int | Fraction]:
+    """The table's values, or the configuration's box counts without a table."""
     if table is None:
-        return default_box_table(config)
+        return config._box_counts
     if table.config != config:
         raise LatticeMathError("box table belongs to a different configuration")
-    return table
+    return table.values
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +109,7 @@ def ehrhart(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> Poly:
     if table is None:
         phi = config._minor_gcds  # the lattice-point count of box(I) is gcd(I)
     else:
-        phi = _subset_transform(_resolve_table(config, table).values, config.n, 1)
+        phi = _subset_transform(_resolve_table(config, table), config.n, 1)
     coeffs = [0] * (config.full_rank + 1)
     for s, v in phi.items():
         coeffs[len(s)] += v
@@ -171,6 +145,8 @@ def hstar_halfopen_cube(d: int, j: int) -> HStarVector:
 
 
 def _check_cube_args(d: int, j: int) -> None:
+    _integers("d", (d,))
+    _integers("j", (j,))
     if d < 0 or not 0 <= j <= d:
         raise LatticeMathError(f"need 0 <= j <= d, got j={j}, d={d}")
 
@@ -223,12 +199,12 @@ def _hstar_parallelepiped(vectors, removed, table, mode: str) -> HStarVector:
         config = VectorConfiguration(vectors)
     if config.full_rank != config.n:
         raise DependentSetError("parallelepiped generators must be linearly independent")
-    table = _resolve_table(config, table)
+    values = _resolve_table(config, table)
     r = config.n
     removed = frozenset(removed)
     if not removed <= set(range(1, r + 1)):
         raise LatticeMathError(f"removed-facet directions {sorted(removed)!r} not within 1..{r}")
-    c = _eulerian_histogram(table.values, [(tuple(range(1, r + 1)), removed)], r)
+    c = _eulerian_histogram(values, [(tuple(range(1, r + 1)), removed)], r)
     return _assemble(c, r, mode)
 
 
@@ -264,7 +240,7 @@ def hstar(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> HStarVecto
     asserted equal.
     """
     config = z.config
-    values = _resolve_table(config, table).values
+    values = _resolve_table(config, table)
     d = config.dim
     if config.full_rank != d:
         raise NotFullDimensionalError(
@@ -379,6 +355,9 @@ def eulerian_ray_parallelepiped(d: int, k: int, m: int) -> ZonotopeSpec:
     v_{k-1} = e_1 + ... + e_{k-2} + (m+1) e_{k-1}.  For k = 2 this degenerates
     to a single scaled generator (m+1) e_1.
     """
+    _integers("d", (d,))
+    _integers("k", (k,))
+    _integers("m", (m,))
     if not 2 <= k <= d + 1:
         raise LatticeMathError(f"k must lie in 2..{d + 1}, got {k}")
     if m < 0:

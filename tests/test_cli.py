@@ -351,7 +351,7 @@ def test_ordering_disagreement_exits_3(tmp_path, monkeypatch, capsys):
 
     generators = [[2, 1], [0, 1], [1, 1]]
     config = VectorConfiguration(generators)
-    table = default_box_table(config)  # built, and cached, on the full domain
+    table = default_box_table(config)  # built on the full domain
     complete = config.independent_sets()
     dropped = next(s for s in complete if s and table.value(s) != 0)
     # Only the independent-set-major ordering reads independent_sets(); the

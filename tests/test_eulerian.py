@@ -69,6 +69,10 @@ def test_a_j_guards():
         a_j_polynomial(3, 0)
     with pytest.raises(LatticeMathError):
         a_j_polynomial(3, 4)
+    with pytest.raises(LatticeMathError, match="d must be an integer"):
+        a_j_polynomial(3.0, 1)
+    with pytest.raises(LatticeMathError, match="d must be an integer"):
+        eulerian_a(2.0)
 
 
 def test_a_j_coefficient_sums():
@@ -185,7 +189,7 @@ def test_b_l_identity_reads_one_cached_row():
         assert len(row) == d + 1
         for l in range(d + 1):
             assert b_l_polynomial_via_a(d, l) is row[l]
-    for d, l in ((-1, 0), (2, -1), (2, 3)):
+    for d, l in ((-1, 0), (2, -1), (2, 3), (2.0, 0)):
         with pytest.raises(LatticeMathError):
             b_l_polynomial_via_a(d, l)
 
@@ -199,6 +203,8 @@ def test_b_l_coefficient_sums_and_guards():
         b_l_polynomial_enumerate(11, 1)
     with pytest.raises(EnumerationLimitError):
         eulerian_b(11)
+    with pytest.raises(LatticeMathError, match="d must be an integer"):
+        eulerian_b(2.0)
 
 
 def test_eulerian_b_split_by_last_letter():

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from integer_reference import det_bareiss
+from integer_reference import det_bareiss, is_independent
 from zonoehrhart.errors import (DependentSetError, EnumerationLimitError,
                                 LatticeMathError)
 from zonoehrhart.matroid import VectorConfiguration
@@ -102,16 +102,21 @@ def _check_exchange_lemmas(config):
     bases = config.bases()
     ip = {b: set(config.internally_passive(b)) for b in bases}
     closure = {s: config.min_basis_containing(s) for s in independents}
-    # Both lookups agree with their definitions, computed here by rank tests.
+    # The enumeration and both lookups agree with their definitions, computed
+    # here from Gram determinants, which share no code with the library's rank.
     order = sorted(range(1, config.n + 1), reverse=config.reverse_order)
-    r = config.full_rank
+    reference = {c for k in range(min(config.n, config.dim) + 1)
+                 for c in combinations(range(1, config.n + 1), k)
+                 if is_independent([config.vectors[i - 1] for i in c])}
+    assert set(independents) == reference, config
+    r = max(map(len, reference))
+    rank_bases = sorted(c for c in reference if len(c) == r)
+    assert sorted(bases) == rank_bases, config
     for b in bases:
         expected = {i for i in b
-                    if any(config.rank(set(b) - {i} | {j}) == r
+                    if any(tuple(sorted(set(b) - {i} | {j})) in reference
                            for j in order[:order.index(i)] if j not in b)}
         assert ip[b] == expected, (config, b)
-    rank_bases = [c for c in combinations(range(1, config.n + 1), r)
-                  if config.rank(c) == r]
     for s in independents:
         expected = min((c for c in rank_bases if set(s) <= set(c)),
                        key=lambda c: sorted(order.index(i) for i in c))

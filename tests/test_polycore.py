@@ -66,6 +66,11 @@ def test_hstar_from_ehrhart_errors():
         hstar_from_ehrhart(Poly((1, 3, 3)), 1)  # degree exceeds ambient
     with pytest.raises(LatticeMathError):
         hstar_from_ehrhart(Poly((0, Fraction(1, 2))), 1)  # not integer-valued
+    for degree in (2.0, "2"):
+        with pytest.raises(LatticeMathError, match="ambient degree must be an integer"):
+            hstar_from_ehrhart(Poly((1, 1)), degree)
+    with pytest.raises(LatticeMathError, match="basis degree must be an integer"):
+        express_in_shifted_power_basis(Poly((1, 1)), 2.0)
 
 
 def test_ehrhart_from_hstar_examples():

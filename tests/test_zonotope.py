@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
@@ -136,6 +138,10 @@ def test_halfopen_cube_examples():
     assert hstar_halfopen_cube(2, 0).h == (1, 1, 0)
     assert hstar_halfopen_cube(2, 2).h == (0, 1, 1)
     assert hstar_halfopen_cube(1, 1).h == (0, 1)
+    with pytest.raises(LatticeMathError, match="d must be an integer"):
+        ehrhart_halfopen_cube(2.0, 1)
+    with pytest.raises(LatticeMathError, match="j must be an integer"):
+        hstar_halfopen_cube(2, 1.0)
 
 
 def test_halfopen_cube_consistency():
@@ -246,12 +252,26 @@ def test_matroid_queries_make_no_rank_calls_after_enumeration(monkeypatch):
         for s in config.independent_sets():
             config.min_basis_containing(s)
         config.is_coloop_free()
-        default_box_table.__wrapped__(config)
+        default_box_table(config)
         for mode in MODES:
             hstar(ZonotopeSpec(config, mode))
         if unimodular:
             hstar_totally_unimodular(ZonotopeSpec(config))
         assert not calls, (config, len(calls))
+
+
+def test_library_keeps_no_configuration_alive():
+    # The box counts live on the configuration, so once the caller lets go
+    # of it, nothing in the library holds its enumeration.
+    config = VectorConfiguration([(2, 1, 0), (0, 1, 1), (1, 1, -1), (1, 0, 3)])
+    ref = weakref.ref(config)
+    for mode in MODES:
+        hstar(ZonotopeSpec(config, mode))
+        ehrhart(ZonotopeSpec(config, mode))
+    default_box_table(config)
+    del config
+    gc.collect()
+    assert ref() is None
 
 
 def test_hstar_type_b_parallelepiped_examples():
@@ -343,6 +363,8 @@ def test_eulerian_ray_parallelepiped():
         eulerian_ray_parallelepiped(2, 4, 1)
     with pytest.raises(LatticeMathError):
         eulerian_ray_parallelepiped(2, 2, -1)
+    with pytest.raises(LatticeMathError, match="k must be an integer"):
+        eulerian_ray_parallelepiped(3, 2.0, 1)
 
 
 def test_reflexive_examples():
