@@ -7,34 +7,40 @@ virtual position 0 (word_0 = 0 with positive sign, never stored).
 
 Each polynomial family has two deliberately independent computation paths,
 enumeration and recurrence/identity, so that one can serve as the other's
-oracle in tests.
+oracle in tests.  The four enumerators feed one descent counter, which reads
+each word after the virtual letter 0 (type A needs no special case, since 0
+never descends to a positive letter).  Before it makes any word, the counter
+raises EnumerationLimitError, naming the word count, if more than
+MAX_ENUMERATION_WORDS = 10^7 words would be read.  The largest admitted calls
+read 10! words (a_j_polynomial_enumerate at d = 11, eulerian_a_enumerate at
+d = 10) or 2^7 7! signed words (b_l_polynomial_enumerate at d = 8,
+eulerian_b at d = 7).
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations, product
+from itertools import accumulate, chain, compress, count, permutations, product
 from math import comb, factorial
-from operator import mul
+from operator import gt, mul
 from typing import Iterator, Sequence
 
 from .errors import EnumerationLimitError, LatticeMathError, _integers
 from .polycore import Poly
 
-MAX_ENUMERATION_D_TYPE_A = 12
-MAX_ENUMERATION_D_TYPE_B = 10
+MAX_ENUMERATION_WORDS = 10**7
 
 
 def _validate_word(word: Sequence[int]) -> tuple:
-    w = tuple(word)
+    w = _integers("a letter", word)
     if sorted(w) != list(range(1, len(w) + 1)):
         raise LatticeMathError(f"{w!r} is not a permutation of 1..{len(w)}")
     return w
 
 
 def _validate_signs(word: tuple, signs: Sequence[int]) -> tuple:
-    s = tuple(signs)
-    if len(s) != len(word) or any(e not in (1, -1) for e in s):
+    s = _integers("a sign", signs)
+    if len(s) != len(word) or not {*s} <= {1, -1}:
         raise LatticeMathError("signs must be a +1/-1 vector matching the word length")
     return s
 
@@ -45,7 +51,7 @@ def _descents(values: tuple) -> frozenset:
     A trailing value d - j puts d in the set exactly when the last letter is
     at least d+1-j, which is how the j- and l-descent sets extend the plain ones.
     """
-    return frozenset(i for i in range(len(values) - 1) if values[i] > values[i + 1])
+    return frozenset(compress(count(), map(gt, values, values[1:])))
 
 
 def descent_set(word: Sequence[int]) -> frozenset:
@@ -61,6 +67,7 @@ def j_descent_set(word: Sequence[int], j: int) -> frozenset:
     """descent_set(word) plus {d} exactly when the last letter is at least d+1-j."""
     w = _validate_word(word)
     d = len(w)
+    _integers("j", (j,))
     if not 0 <= j <= d:
         raise LatticeMathError(f"j must lie in 0..{d}, got {j}")
     return _descents((0,) + w + (d - j,))
@@ -85,6 +92,7 @@ def l_descent_set_b(word: Sequence[int], signs: Sequence[int], l: int) -> frozen
     """signed_descent_set plus {d} exactly when the last signed letter is at least d+1-l."""
     values = _signed_letters(word, signs)
     d = len(values) - 1
+    _integers("l", (l,))
     if not 0 <= l <= d:
         raise LatticeMathError(f"l must lie in 0..{d}, got {l}")
     return _descents(values + (d - l,))
@@ -97,6 +105,28 @@ def signed_permutations(d: int) -> Iterator[tuple[tuple, tuple]]:
             yield word, signs
 
 
+def _descent_polynomial(letters: Sequence[int], last: tuple, signed: bool) -> Poly:
+    """Descent generating polynomial over the words that order letters every
+    way (and, if signed, sign each letter every way), each followed by last.
+
+    Each word is read with the virtual letter 0 in front, which descends only
+    to a negative letter; so type A counts the same descents as without it.
+    """
+    n_words = factorial(len(letters)) << (len(letters) if signed else 0)
+    if n_words > MAX_ENUMERATION_WORDS:
+        raise EnumerationLimitError(
+            f"enumerating {n_words} words exceeds the guard of "
+            f"{MAX_ENUMERATION_WORDS} words"
+        )
+    words = permutations(letters)
+    if signed:
+        words = chain.from_iterable(product(*((x, -x) for x in w)) for w in words)
+    counts = [0] * (len(letters) + len(last) + 1)
+    for word in words:
+        counts[sum(map(gt, (0,) + word, word + last))] += 1
+    return Poly(counts)
+
+
 # ---------------------------------------------------------------------------
 # Refined Eulerian polynomials, type A
 # ---------------------------------------------------------------------------
@@ -104,36 +134,21 @@ def signed_permutations(d: int) -> Iterator[tuple[tuple, tuple]]:
 def a_j_polynomial_enumerate(d: int, j: int) -> Poly:
     """Descent generating polynomial over words in S_d with last letter d+1-j."""
     _check_a_args(d, j)
-    if d > MAX_ENUMERATION_D_TYPE_A:
-        raise EnumerationLimitError(
-            f"enumerating (d-1)! = {factorial(d - 1)} words exceeds the d <= "
-            f"{MAX_ENUMERATION_D_TYPE_A} guard"
-        )
     last = d + 1 - j
-    rest = [x for x in range(1, d + 1) if x != last]
-    counts = [0] * d
-    for head in permutations(rest):
-        word = head + (last,)
-        counts[sum(1 for i in range(d - 1) if word[i] > word[i + 1])] += 1
-    return Poly(counts)
+    return _descent_polynomial([x for x in range(1, d + 1) if x != last], (last,), False)
 
 
 @cache
 def _a_row(d: int) -> tuple[Poly, ...]:
-    """The tuple (A_1(d,t), ..., A_d(d,t)) built bottom-up from A_1(1,t) = 1."""
-    if d == 1:
-        return (Poly((1,)),)
-    prev = _a_row(d - 1)
+    """The tuple (A_1(d,t), ..., A_d(d,t)) built bottom-up from A_1(1,t) = 1 by
+    A_j(d,t) = t sum_{i<j} A_i(d-1,t) + sum_{i>=j} A_i(d-1,t), in a loop, so
+    the stack stays flat at any d and only the rows asked for stay cached."""
     t = Poly((0, 1))
-    prefix = [Poly()]
-    for p in prev:
-        prefix.append(prefix[-1] + p)
-    total = prefix[-1]
-    row = []
-    for j in range(1, d + 1):
-        below = prefix[j - 1]
-        row.append(t * below + (total - below))
-    return tuple(row)
+    row = (Poly((1,)),)
+    for _ in range(d - 1):
+        prefix = list(accumulate(row, initial=Poly()))
+        row = tuple(t * below + (prefix[-1] - below) for below in prefix)
+    return row
 
 
 def a_j_polynomial(d: int, j: int) -> Poly:
@@ -158,28 +173,12 @@ def eulerian_a(d: int) -> Poly:
 def eulerian_a_enumerate(d: int) -> Poly:
     """Classical Eulerian polynomial by direct enumeration of S_d."""
     _integers("d", (d,), 1)
-    if d > MAX_ENUMERATION_D_TYPE_A:
-        raise EnumerationLimitError(
-            f"enumerating d! = {factorial(d)} words exceeds the d <= "
-            f"{MAX_ENUMERATION_D_TYPE_A} guard"
-        )
-    counts = [0] * d
-    for word in permutations(range(1, d + 1)):
-        counts[sum(1 for i in range(d - 1) if word[i] > word[i + 1])] += 1
-    return Poly(counts)
+    return _descent_polynomial(range(1, d + 1), (), False)
 
 
 # ---------------------------------------------------------------------------
 # Refined Eulerian polynomials, type B
 # ---------------------------------------------------------------------------
-
-def _check_b_enumeration(d: int) -> None:
-    if d > MAX_ENUMERATION_D_TYPE_B:
-        raise EnumerationLimitError(
-            f"enumerating 2^d d! = {2**d * factorial(d)} signed words exceeds "
-            f"the d <= {MAX_ENUMERATION_D_TYPE_B} guard"
-        )
-
 
 def b_l_polynomial_enumerate(d: int, l: int) -> Poly:
     """Signed-descent generating polynomial over B_d with last signed letter d+1-l."""
@@ -187,17 +186,8 @@ def b_l_polynomial_enumerate(d: int, l: int) -> Poly:
     _integers("l", (l,))
     if not 1 <= l <= d:
         raise LatticeMathError(f"l must lie in 1..{d}, got {l}")
-    _check_b_enumeration(d)
     last = d + 1 - l
-    rest = [x for x in range(1, d + 1) if x != last]
-    counts = [0] * (d + 1)
-    for head in permutations(rest):
-        word = head + (last,)
-        for head_signs in product((1, -1), repeat=d - 1):
-            signs = head_signs + (1,)
-            values = (0,) + tuple(e * x for e, x in zip(signs, word))
-            counts[sum(1 for i in range(d) if values[i] > values[i + 1])] += 1
-    return Poly(counts)
+    return _descent_polynomial([x for x in range(1, d + 1) if x != last], (last,), True)
 
 
 def b_l_polynomial_via_a(d: int, l: int) -> Poly:
@@ -227,11 +217,7 @@ def _b_row(d: int) -> tuple[Poly, ...]:
 def eulerian_b(d: int) -> Poly:
     """Type-B Eulerian polynomial over all signed permutations (sum 2^d d!)."""
     _integers("d", (d,), 1)
-    _check_b_enumeration(d)
-    counts = [0] * (d + 1)
-    for word, signs in signed_permutations(d):
-        counts[signed_descent_count(word, signs)] += 1
-    return Poly(counts)
+    return _descent_polynomial(range(1, d + 1), (), True)
 
 
 def eulerian_b_via_a(d: int) -> Poly:

@@ -172,6 +172,23 @@ def test_enumeration_guard_exits_2_before_enumerating(tmp_path, capsys):
         assert json.loads(capsys.readouterr().err)["code"] == "resource-limit"
 
 
+def test_eulerian_guard_exits_2_before_enumerating(monkeypatch, capsys):
+    from math import factorial
+
+    from zonoehrhart import cli
+
+    def refuse(*_):
+        raise AssertionError("enumerated past the guard")
+
+    monkeypatch.setattr("zonoehrhart.eulerian.permutations", refuse)
+    assert cli.main(["eulerian", "--family", "B", "--d", "8", "--method", "enumerate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["code"] == "resource-limit"
+    assert f"enumerating {2**8 * factorial(8)} words" in error["error"]
+
+
 def test_check_literal_hvector():
     proc = run_cli("check", "--hvector", "1,4,1")
     assert proc.returncode == 0, proc.stderr

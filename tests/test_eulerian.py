@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from itertools import permutations
 from math import comb, factorial
 
@@ -23,6 +25,9 @@ def test_descent_set_examples():
     assert descent_set((4, 2, 1, 3, 5)) == {1, 2}
     with pytest.raises(LatticeMathError):
         descent_set((1, 3))
+    for word in ([1.0, 2], [True, 2]):
+        with pytest.raises(LatticeMathError, match="a letter must be an integer"):
+            descent_set(word)
 
 
 def test_j_descent_set_examples():
@@ -31,6 +36,8 @@ def test_j_descent_set_examples():
     assert j_descent_set((2, 1), 1) == {1}
     with pytest.raises(LatticeMathError):
         j_descent_set((1, 2), 3)
+    with pytest.raises(LatticeMathError, match="j must be an integer"):
+        j_descent_set((1, 2), 1.5)
 
 
 def test_signed_descent_set_examples():
@@ -38,6 +45,11 @@ def test_signed_descent_set_examples():
     assert signed_descent_set((4, 2, 1, 3, 5), (-1, -1, 1, -1, 1)) == {0, 3}
     assert signed_descent_set((1, 2, 3), (1, 1, 1)) == frozenset()
     assert signed_descent_set((1,), (-1,)) == {0}
+    for word, signs in (((2, 1), (True, -1)), ((1, 2), (1.0, -1))):
+        with pytest.raises(LatticeMathError, match="a sign must be an integer"):
+            signed_descent_set(word, signs)
+    with pytest.raises(LatticeMathError, match="signs must be a"):
+        signed_descent_set((1, 2), (1, 2))
 
 
 def test_l_descent_set_examples():
@@ -45,6 +57,8 @@ def test_l_descent_set_examples():
     assert l_descent_set_b((1,), (-1,), 1) == {0}
     for word, signs in signed_permutations(3):
         assert l_descent_set_b(word, signs, 0) == signed_descent_set(word, signs)
+    with pytest.raises(LatticeMathError, match="l must be an integer"):
+        l_descent_set_b((1, 2), (1, 1), 0.5)
 
 
 def test_a_j_small_tables():
@@ -73,6 +87,36 @@ def test_a_j_guards():
         a_j_polynomial(3.0, 1)
     with pytest.raises(LatticeMathError, match="d must be an integer"):
         eulerian_a(2.0)
+
+
+def test_a_j_row_needs_no_stack():
+    # The row is built in a loop: d = 80 runs within a few dozen frames.
+    from zonoehrhart.eulerian import _a_row
+
+    _a_row.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        p = a_j_polynomial(80, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert sum(p.coeffs) == factorial(79)
+    assert p == a_j_polynomial(80, 80).reversed(79)
+
+
+@pytest.mark.parametrize("enumerate_, args, words", [
+    (a_j_polynomial_enumerate, (12, 1), factorial(11)),
+    (eulerian_a_enumerate, (11,), factorial(11)),
+    (b_l_polynomial_enumerate, (9, 1), 2**8 * factorial(8)),
+    (eulerian_b, (8,), 2**8 * factorial(8)),
+])
+def test_enumeration_guard_refuses_before_enumerating(monkeypatch, enumerate_, args, words):
+    def refuse(*_):
+        raise AssertionError("enumerated past the guard")
+
+    monkeypatch.setattr("zonoehrhart.eulerian.permutations", refuse)
+    with pytest.raises(EnumerationLimitError, match=f"enumerating {words} words"):
+        enumerate_(*args)
 
 
 def test_a_j_coefficient_sums():
