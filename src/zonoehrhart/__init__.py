@@ -16,8 +16,7 @@ The package computes, in exact integer/rational arithmetic:
 """
 
 from .errors import (DependentSetError, EnumerationLimitError,
-                     InternalDisagreementError, LatticeMathError,
-                     NotFullDimensionalError)
+                     InternalDisagreementError, LatticeMathError)
 from .eulerian import (a_j_polynomial, a_j_polynomial_enumerate,
                        b_l_polynomial_enumerate, b_l_polynomial_via_a,
                        descent_count, descent_set, eulerian_a,

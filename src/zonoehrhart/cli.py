@@ -26,8 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import eulerian, oracle, polycore, zonotope
-from .errors import (EnumerationLimitError, InternalDisagreementError,
-                     LatticeMathError, NotFullDimensionalError)
+from .errors import EnumerationLimitError, InternalDisagreementError, LatticeMathError
 from .matroid import VectorConfiguration
 from .polycore import HStarVector, Poly
 
@@ -350,8 +349,6 @@ def main(argv=None) -> int:
         doc = args.fn(args)
     except _CliError as exc:
         return _emit_error(exc, exc.code, exc.exit_code)
-    except NotFullDimensionalError as exc:
-        return _emit_error(exc, "not-full-dimensional", 1)
     except LatticeMathError as exc:
         return _emit_error(exc, "math-precondition", 1)
     except EnumerationLimitError as exc:

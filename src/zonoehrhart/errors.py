@@ -14,10 +14,6 @@ class LatticeMathError(ValueError):
     """A mathematical precondition was violated (rank, dependence, degree)."""
 
 
-class NotFullDimensionalError(LatticeMathError):
-    """The generators do not span the ambient space."""
-
-
 class DependentSetError(LatticeMathError):
     """An operation requiring linear independence received a dependent set."""
 

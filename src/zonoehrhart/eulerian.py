@@ -15,6 +15,13 @@ MAX_ENUMERATION_WORDS = 10^7 words would be read.  The largest admitted calls
 read 10! words (a_j_polynomial_enumerate at d = 11, eulerian_a_enumerate at
 d = 10) or 2^7 7! signed words (b_l_polynomial_enumerate at d = 8,
 eulerian_b at d = 7).
+
+The recurrence builds the rows A(1), ..., A(d) of the refined family; row k
+holds k polynomials of up to k coefficients, so the work grows as d^3.  It
+raises EnumerationLimitError, naming d, before it builds any row when
+d > MAX_RECURRENCE_D = 100.  The largest admitted calls build A(100):
+a_j_polynomial at d = 100, eulerian_a at d = 99 and the type-B identity at
+d = 100.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .errors import EnumerationLimitError, LatticeMathError, _integers
 from .polycore import Poly
 
 MAX_ENUMERATION_WORDS = 10**7
+MAX_RECURRENCE_D = 100
 
 
 def _validate_word(word: Sequence[int]) -> tuple:
@@ -143,6 +151,10 @@ def _a_row(d: int) -> tuple[Poly, ...]:
     """The tuple (A_1(d,t), ..., A_d(d,t)) built bottom-up from A_1(1,t) = 1 by
     A_j(d,t) = t sum_{i<j} A_i(d-1,t) + sum_{i>=j} A_i(d-1,t), in a loop, so
     the stack stays flat at any d and only the rows asked for stay cached."""
+    if d > MAX_RECURRENCE_D:
+        raise EnumerationLimitError(
+            f"the recurrence for A_j({d}, t) builds {d} rows of up to {d} polynomials; "
+            f"d = {d} exceeds the guard of d <= {MAX_RECURRENCE_D}")
     t = Poly((0, 1))
     row = (Poly((1,)),)
     for _ in range(d - 1):

@@ -63,7 +63,7 @@ from typing import Sequence
 
 from . import _linalg
 from .errors import (EnumerationLimitError, InternalDisagreementError, LatticeMathError,
-                     NotFullDimensionalError, _integers)
+                     _integers)
 from .polycore import HStarVector, Poly, _hstar_numerator, ehrhart_from_hstar
 from .zonotope import ZonotopeSpec
 
@@ -338,11 +338,6 @@ def _hstar(member: _Membership) -> HStarVector:
 
 
 def hstar_via_oracle(z: ZonotopeSpec) -> HStarVector:
-    """h*-vector of a full-dimensional zonotope from closed and interior
-    lattice-point counts; the rank is checked before anything is counted."""
-    d = z.dim
-    member = _Membership(z)
-    if member.rank != d:
-        raise NotFullDimensionalError(
-            f"generators span rank {member.rank} < ambient dimension {d}")
-    return _hstar(member)
+    """h*-vector of the zonotope, of any rank r, at degree r, from closed and
+    interior lattice-point counts of its relative interior."""
+    return _hstar(_Membership(z))

@@ -6,8 +6,11 @@ generator coefficients in [0, 1], "typeB" means coefficients in [-1, 1]
 
 All h* computations are parameterized over a box-valuation table holding the
 rational value b(I) assigned to the open box spanned by each independent set
-I; the default table encodes lattice-point counting.  Every h* path requires
-the configuration to span the ambient space.
+I; the default table encodes lattice-point counting.  Every h* path works at
+the rank r of the configuration and returns h* of degree r: a rank-r lattice
+zonotope is unimodularly equivalent to a full-dimensional one in Z^r, and
+that map keeps the independent sets, the bases, IP(B) and the minor gcds,
+which count each half-open box in its own span.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .errors import (DependentSetError, InternalDisagreementError, LatticeMathError,
-                     NotFullDimensionalError, _integers)
+from .errors import DependentSetError, InternalDisagreementError, LatticeMathError, _integers
 from .eulerian import _a_row, _b_row, a_j_polynomial
 from .matroid import VectorConfiguration, _subset_transform
 from .polycore import (HStarVector, Poly, _as_hstar, _exact, ehrhart_from_hstar,
@@ -154,20 +156,20 @@ def _check_cube_args(d: int, j: int) -> None:
 # ---------------------------------------------------------------------------
 # h* of half-open parallelepipeds and zonotopes
 #
-# Every h* below is sum_j c_j R_j(d+1, t) over j = 1..d+1, where the integer
-# (or, for custom tables, rational) histogram c is the matroid double sum and
-# the row R is the refined Eulerian family of the mode: A_j for standard,
-# B_j for typeB.
+# Every h* below is sum_j c_j R_j(r+1, t) over j = 1..r+1, at the rank r of
+# the generators, where the integer (or, for custom tables, rational)
+# histogram c is the matroid double sum and the row R is the refined Eulerian
+# family of the mode: A_j for standard, B_j for typeB.
 # ---------------------------------------------------------------------------
 
-def _eulerian_histogram(values, pieces, d: int) -> list:
+def _eulerian_histogram(values, pieces, r: int) -> list:
     """c[|K u P|] += b(K) for each piece (B, P) and each subset K of B.
 
     B is a sorted tuple of indices, P a set of passive (removed) directions
     and `values` maps sorted index tuples to b; entry i of the result is the
-    coordinate of A_{i+1}(d+1) (or B_{i+1}(d+1)).
+    coordinate of A_{i+1}(r+1) (or B_{i+1}(r+1)).
     """
-    c = [0] * (d + 1)
+    c = [0] * (r + 1)
     for basis, passive in pieces:
         for k in range(len(basis) + 1):
             for sub in combinations(basis, k):
@@ -177,15 +179,15 @@ def _eulerian_histogram(values, pieces, d: int) -> list:
     return c
 
 
-def _assemble(c: Sequence, d: int, mode: str) -> HStarVector:
-    """h* = sum_j c_j R_j(d+1) with the refined family of the mode as row R."""
-    row = _b_row(d) if mode == "typeB" else _a_row(d + 1)
-    h = [0] * (d + 1)
+def _assemble(c: Sequence, r: int, mode: str) -> HStarVector:
+    """h* = sum_j c_j R_j(r+1) with the refined family of the mode as row R."""
+    row = _b_row(r) if mode == "typeB" else _a_row(r + 1)
+    h = [0] * (r + 1)
     for cj, poly in zip(c, row):
         if cj != 0:
             for i, x in enumerate(poly.coeffs):
                 h[i] += cj * x
-    return HStarVector(h, d)
+    return HStarVector(h, r)
 
 
 def _hstar_parallelepiped(vectors, removed, table, mode: str) -> HStarVector:
@@ -230,10 +232,10 @@ def hstar_type_b_parallelepiped(vectors: Sequence[Sequence[int]],
 
 
 def hstar(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> HStarVector:
-    """h* of a full-dimensional zonotope in either mode by the matroid formula.
+    """h* of a zonotope of rank r, at degree r, in either mode by the matroid formula.
 
     Sum over independent I and bases B containing I of
-    b(I) * R_{|I u IP(B)| + 1}(d+1, t), with R = A in standard mode and R = B
+    b(I) * R_{|I u IP(B)| + 1}(r+1, t), with R = A in standard mode and R = B
     in typeB mode; the box table refers to the original (undoubled)
     generators.  The double sum is taken as a histogram over j in two
     independent orderings, basis-major and independent-set-major, which are
@@ -241,15 +243,12 @@ def hstar(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> HStarVecto
     """
     config = z.config
     values = _resolve_table(config, table)
-    d = config.dim
-    if config.full_rank != d:
-        raise NotFullDimensionalError(
-            f"generators span rank {config.full_rank} < ambient dimension {d}")
+    r = config.full_rank
     bases = config.bases()
     ip = {b: frozenset(config.internally_passive(b)) for b in bases}
 
     # Basis-major: each basis contributes its half-open parallelepiped.
-    basis_major = _eulerian_histogram(values, ip.items(), d)
+    basis_major = _eulerian_histogram(values, ip.items(), r)
 
     # Independent-set-major: the same double sum, reindexed.  Basis k is bit
     # k of `containing[e]` when it contains e, so the bases containing I are
@@ -261,7 +260,7 @@ def hstar(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> HStarVecto
             containing[e] |= 1 << k
         passive_bits.append(sum(1 << e for e in ip[b]))
     all_bases = (1 << len(bases)) - 1
-    set_major = [0] * (d + 1)
+    set_major = [0] * (r + 1)
     for s in config.independent_sets():
         b_val = values[s]
         if b_val == 0:
@@ -279,7 +278,7 @@ def hstar(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> HStarVecto
     if basis_major != set_major:
         raise InternalDisagreementError(
             "basis-major and independent-set-major double sums disagree")
-    return _assemble(basis_major, d, z.mode)
+    return _assemble(basis_major, r, z.mode)
 
 
 def hstar_zonotope(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> HStarVector:
@@ -298,29 +297,28 @@ def hstar_type_b_zonotope(z: ZonotopeSpec, table: BoxValuationTable | None = Non
 
 
 def hstar_totally_unimodular(z: ZonotopeSpec) -> HStarVector:
-    """h* of a zonotope all of whose maximal minors lie in {0, +-1}.
+    """h* of a zonotope of rank r, at degree r, whose bases all have minor gcd 1
+    (at full rank: all of whose maximal minors lie in {0, +-1}).
 
-    Reduces to sum over bases of A_{|IP(B)| + 1}(d+1, t), the paper's
+    Reduces to sum over bases of A_{|IP(B)| + 1}(r+1, t), the paper's
     unimodular corollary; it reads no box table, so on such inputs it is a
     cross-check of `hstar`.
     """
     if z.mode != "standard":
         raise LatticeMathError("hstar_totally_unimodular expects standard mode")
     config = z.config
-    d = config.dim
-    if config.full_rank != d:
-        raise NotFullDimensionalError(
-            f"generators span rank {config.full_rank} < ambient dimension {d}")
-    c = [0] * (d + 1)
+    r = config.full_rank
+    c = [0] * (r + 1)
     for b in config.bases():
-        # For d vectors in Z^d the minor gcd is |det|; non-bases have det 0.
+        # A basis's minor gcd is |det| in a lattice basis of the span's
+        # integer points; r-subsets that are not bases have det 0.
         minor = config.minor_gcd(b)
         if minor != 1:
             raise LatticeMathError(
                 f"maximal minor of absolute value {minor} outside {{0, +-1}}; "
                 "configuration is not unimodular")
         c[len(config.internally_passive(b))] += 1
-    return _assemble(c, d, "standard")
+    return _assemble(c, r, "standard")
 
 
 # ---------------------------------------------------------------------------

@@ -88,12 +88,54 @@ def test_hstar_type_b(tmp_path):
     assert out["hstar"] == [1, 6, 1]
 
 
-def test_hstar_rank_deficient_exits_1(tmp_path):
+def test_hstar_rank_deficient_answers_at_its_rank(tmp_path):
+    # The segment from 0 to (3, 0) in Z^2: h* of degree r = 1, not d = 2.
     path = write_doc(tmp_path, {"generators": [[1, 0], [2, 0]]})
     proc = run_cli("hstar", path)
-    assert proc.returncode == 1
-    err = json.loads(proc.stderr)
-    assert err["code"] == "not-full-dimensional"
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["hstar"] == [1, 2]
+    assert out["degree"] == 1
+
+
+@pytest.mark.parametrize("mode", ["standard", "typeB"])
+def test_rank_deficient_documents(tmp_path, capsys, mode):
+    # hstar and check answer at the rank r < d: a flat parallelogram and a
+    # flat hexagon in Z^3, a segment in Z^2 with a loop, and a point in Z^3.
+    from zonoehrhart import cli
+    from zonoehrhart.matroid import VectorConfiguration
+    from zonoehrhart.polycore import hstar_from_ehrhart
+    from zonoehrhart.zonotope import ZonotopeSpec, ehrhart
+
+    for generators, dim, rank in (([[1, 2, 0], [2, 1, 0]], 3, 2),
+                                  ([[1, 0, 1], [0, 1, -1], [1, 1, 0]], 3, 2),
+                                  ([[1, -2], [0, 0], [-2, 4]], 2, 1),
+                                  ([], 3, 0)):
+        z = ZonotopeSpec(VectorConfiguration(generators, dim), mode)
+        expected = list(hstar_from_ehrhart(ehrhart(z), rank).h)
+        path = write_doc(tmp_path, {"generators": generators, "dim": dim, "mode": mode})
+        assert cli.main(["hstar", path, "--diagnostics"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["hstar"], out["degree"]) == (expected, rank), (generators, out)
+        diag = out["diagnostics"]
+        assert diag["bases"] and all(len(b) == rank for b in diag["bases"])
+        if mode == "standard":
+            assert len(diag["eulerian_multiplicities"]) == rank + 1
+        assert cli.main(["check", path]) == 0
+        check = json.loads(capsys.readouterr().out)
+        assert (check["hstar"], check["degree"]) == (expected, rank)
+        results = check["results"]
+        assert set(results) == set(cli._PROPERTIES)
+        assert results["real-rooted"]["value"] and results["cone"]["value"], generators
+        assert len(results["cone"]["eulerian_coordinates"]) == rank + 1
+        values = [results[name]["value"] for name in cli._PROPERTIES]
+        if not generators:
+            assert expected == [1] and all(values)
+        elif mode == "standard" and len(generators) == 2:
+            # 1 + 3t + 2t^2 = (1 + t)(1 + 2t), neither palindromic nor reflexive.
+            assert expected == [1, 3, 2]
+            assert values == [True, True, True, False, False, True]
+            assert results["cone"]["eulerian_coordinates"] == [1, 0, 2]
 
 
 def test_oracle_compiles_once_per_document(tmp_path, monkeypatch, capsys):
@@ -187,6 +229,21 @@ def test_eulerian_guard_exits_2_before_enumerating(monkeypatch, capsys):
     error = json.loads(captured.err)
     assert error["code"] == "resource-limit"
     assert f"enumerating {2**8 * factorial(8)} words" in error["error"]
+
+
+def test_recurrence_guard_exits_2_at_once(capsys):
+    import time
+
+    from zonoehrhart import cli
+
+    start = time.perf_counter()
+    assert cli.main(["eulerian", "--family", "A", "--d", "1100", "--index", "1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["code"] == "resource-limit"
+    assert "A_j(1100, t)" in error["error"]
 
 
 def test_check_literal_hvector():

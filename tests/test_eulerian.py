@@ -104,6 +104,30 @@ def test_a_j_row_needs_no_stack():
     assert p == a_j_polynomial(80, 80).reversed(79)
 
 
+def test_recurrence_guard_refuses_before_building(monkeypatch):
+    # Past d = 100 the recurrence refuses before it builds a row, naming the
+    # row it was asked for; d = 100 itself is admitted.
+    from zonoehrhart.eulerian import MAX_RECURRENCE_D, _a_row
+
+    def refuse(*_):
+        raise AssertionError("built a row past the guard")
+
+    _a_row.cache_clear()
+    with monkeypatch.context() as patched:
+        patched.setattr("zonoehrhart.eulerian.accumulate", refuse)
+        for call, args, row in ((a_j_polynomial, (101, 1), 101),
+                                (a_j_polynomial, (1100, 1), 1100),
+                                (eulerian_a, (100,), 101),
+                                (b_l_polynomial_via_a, (100, 0), 101),
+                                (eulerian_b_via_a, (1100,), 1100)):
+            with pytest.raises(EnumerationLimitError,
+                               match=rf"A_j\({row}, t\).* guard of d <= 100$"):
+                call(*args)
+    assert MAX_RECURRENCE_D == 100
+    assert sum(a_j_polynomial(100, 1).coeffs) == factorial(99)
+    assert eulerian_a(99) == a_j_polynomial(100, 1)
+
+
 @pytest.mark.parametrize("enumerate_, args, words", [
     (a_j_polynomial_enumerate, (12, 1), factorial(11)),
     (eulerian_a_enumerate, (11,), factorial(11)),

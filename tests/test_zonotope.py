@@ -8,13 +8,13 @@ from itertools import combinations
 import pytest
 
 from integer_reference import det_bareiss
+from test_matroid import _random_unimodular_matrix
 from zonoehrhart import _linalg
-from zonoehrhart.errors import (DependentSetError, LatticeMathError,
-                                NotFullDimensionalError)
+from zonoehrhart.errors import DependentSetError, EnumerationLimitError, LatticeMathError
 from zonoehrhart.eulerian import a_j_polynomial, eulerian_b
 from zonoehrhart.matroid import VectorConfiguration
 from zonoehrhart.oracle import count_lattice_points, hstar_via_oracle, interpolate_ehrhart
-from zonoehrhart.polycore import HStarVector, Poly, hstar_from_ehrhart
+from zonoehrhart.polycore import HStarVector, Poly, hstar_from_ehrhart, is_real_rooted
 from zonoehrhart.zonotope import (MODES, BoxValuationTable, ZonotopeSpec,
                                   default_box_table, ehrhart,
                                   ehrhart_halfopen_cube,
@@ -164,8 +164,10 @@ def test_hstar_zonotope_examples():
     assert hstar_zonotope(ZonotopeSpec(HEXAGON)).h == (1, 4, 1)
     assert hstar_zonotope(ZonotopeSpec(SKEW)).h == (1, 2, 1)
     assert hstar_zonotope(ZonotopeSpec(VectorConfiguration([(4, 0), (0, 1)]))).h == (1, 7, 0)
-    with pytest.raises(NotFullDimensionalError):
-        hstar_zonotope(ZonotopeSpec(VectorConfiguration([(1, 0), (2, 0)])))
+    # The segment from 0 to (3, 0) in Z^2 has h* of degree 1, its rank.
+    segment = VectorConfiguration([(1, 0), (2, 0)])
+    assert hstar_zonotope(ZonotopeSpec(segment)) == HStarVector((1, 2), 1)
+    assert hstar_type_b_zonotope(ZonotopeSpec(segment, "typeB")) == HStarVector((1, 5), 1)
 
 
 def test_hstar_totally_unimodular():
@@ -196,6 +198,94 @@ def test_hstar_totally_unimodular_matches_general_formula():
             continue
         assert tu == hstar_zonotope(z)
         checked += 1
+
+
+def _lifted_of_rank(rng, d, rank, m_max):
+    """Seeded configuration of the given rank in Z^d, with one possible loop:
+    generators with entries in [-1, 1] drawn in Z^rank, mapped into Z^d by a
+    d x rank matrix whose rows hold one or two entries +-1.  Two-entry rows
+    can map Z^rank onto a proper sublattice of the integer points of its span."""
+    while True:
+        low = [[rng.randint(-1, 1) for _ in range(rank)]
+               for _ in range(rng.randint(max(rank, 1), m_max))]
+        lift = []
+        for _ in range(d):
+            row = [0] * rank
+            for j in rng.sample(range(rank), min(rank, rng.randint(1, 2))):
+                row[j] = rng.choice((-1, 1))
+            lift.append(row)
+        vectors = [tuple(sum(a * b for a, b in zip(row, w)) for row in lift) for w in low]
+        if rng.random() < 0.5:
+            vectors.insert(rng.randint(0, len(vectors)), (0,) * d)
+        config = VectorConfiguration(vectors, d)
+        if config.full_rank == rank:
+            return config
+
+
+def test_hstar_below_full_rank():
+    # h* has degree r, the rank, on bodies with r < d: eleven draws for each
+    # d = 2..5, r = 0..d-1 and mode, 308 in all, most with a loop.  The
+    # matroid formula must equal the binomial transform of the counting
+    # polynomial, be real-rooted, agree with the unimodular corollary when
+    # every basis has minor gcd 1, and agree with the oracle wherever its box
+    # guard admits the body.
+    rng = random.Random(151)
+    admitted = unimodular = 0
+    for d in range(2, 6):
+        for rank in range(d):
+            for mode in MODES:
+                for _ in range(11):
+                    z = ZonotopeSpec(_lifted_of_rank(rng, d, rank, rank + 1), mode)
+                    h = hstar(z)
+                    assert h == hstar_from_ehrhart(ehrhart(z), rank), (z.config, mode)
+                    assert is_real_rooted(h.poly()), (z.config, mode, h)
+                    if mode == "standard":
+                        try:
+                            assert hstar_totally_unimodular(z) == h, z.config
+                            unimodular += 1
+                        except LatticeMathError:
+                            pass
+                    try:
+                        oracle = hstar_via_oracle(z)
+                    except EnumerationLimitError:
+                        continue
+                    assert oracle == h, (z.config, mode)
+                    admitted += 1
+    assert admitted >= 300 and unimodular >= 50, (admitted, unimodular)
+
+
+def test_hstar_is_invariant_under_unimodular_embedding():
+    # A full-rank configuration in Z^r, padded with zeros into Z^d for
+    # d = r+1 or r+2 and mapped by a unimodular matrix, spans a lattice
+    # zonotope unimodularly equivalent to the original one: same h*, degree r.
+    rng = random.Random(157)
+    for draw in range(80):
+        r = draw % 5 + 1
+        d = r + rng.randint(1, 2)
+        while True:
+            low = VectorConfiguration([tuple(rng.randint(-2, 2) for _ in range(r))
+                                       for _ in range(rng.randint(r, r + 2))], r)
+            if low.full_rank == r:
+                break
+        u = _random_unimodular_matrix(rng, d)
+        padded = [v + (0,) * (d - r) for v in low.vectors]
+        high = VectorConfiguration(
+            [tuple(sum(a * b for a, b in zip(row, v)) for row in u) for v in padded], d)
+        for mode in MODES:
+            assert hstar(ZonotopeSpec(high, mode)) == hstar(ZonotopeSpec(low, mode)), \
+                (low, u, mode)
+
+
+def test_ungrounded_k4_matches_grounded():
+    # The graphical zonotope of K_4: edges e_i - e_j span rank 3 in Z^4;
+    # sending vertex 4 to 0 gives the same body, full-dimensional in Z^3.
+    ungrounded = VectorConfiguration(
+        [tuple(1 if k == i else -1 if k == j else 0 for k in range(4))
+         for i, j in combinations(range(4), 2)])
+    grounded = VectorConfiguration([v[:3] for v in ungrounded.vectors])
+    for config in (ungrounded, grounded):
+        z = ZonotopeSpec(config)
+        assert hstar(z) == hstar_totally_unimodular(z) == HStarVector((1, 34, 55, 6), 3)
 
 
 def test_unimodularity_test_agrees_with_bareiss_minors():
