@@ -15,6 +15,8 @@ The package computes, in exact integer/rational arithmetic:
   truth.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (DependentSetError, EnumerationLimitError,
                      InternalDisagreementError, LatticeMathError)
 from .eulerian import (a_j_polynomial, a_j_polynomial_enumerate,
@@ -43,4 +45,7 @@ from .zonotope import (BoxValuationTable, ZonotopeSpec, default_box_table,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The public names are the imported functions, classes and constants; the
+# submodules that importing them binds here are not among them.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

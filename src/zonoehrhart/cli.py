@@ -10,7 +10,8 @@ with mode optional (default "standard") and box_table optional; its keys are
 JSON-encoded 1-based index lists and its values integers or "p/q" strings.
 Supplied entries override the default lattice-count table entry by entry.
 An optional "dim", required for an empty generator list, must be a
-nonnegative integer equal to the length of every generator.
+nonnegative integer equal to the length of every generator; the echo of the
+input in each result keeps it.
 
 Results go to stdout as JSON with a stable key order; errors go to stderr as
 JSON with a machine-readable "code".  Exit codes: 0 ok, 1 mathematical
@@ -91,18 +92,12 @@ def _load_input(path):
             or any(not isinstance(x, int) or isinstance(x, bool)
                    for v in generators for x in v)):
         raise _CliError("'generators' must be a list of integer vectors")
-    mode = doc.get("mode", "standard")
-    if mode not in zonotope.MODES:
-        raise _CliError(f"mode must be one of {zonotope.MODES}, got {mode!r}")
-    dim = doc.get("dim")
-    if dim is None and not generators:
-        raise _CliError("an empty generator list needs an explicit 'dim'")
-    if dim is not None:
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
-            raise _CliError(f"'dim' must be a nonnegative integer, got {dim!r}")
-        if any(len(v) != dim for v in generators):
-            raise _CliError(f"'dim' is {dim} but a generator has another length")
-    config = VectorConfiguration(generators, dim)
+    mode, dim = doc.get("mode", "standard"), doc.get("dim")
+    try:
+        spec = zonotope.ZonotopeSpec(VectorConfiguration(generators, dim), mode)
+    except LatticeMathError as exc:
+        raise _CliError(str(exc)) from None
+    config = spec.config
     table = None
     if "box_table" in doc:
         raw_table = doc["box_table"]
@@ -122,10 +117,13 @@ def _load_input(path):
         given = {tuple(sorted(s)) for s in overrides}
         counts = {s: config._box_counts[s] for s in config.independent_sets() if s not in given}
         table = zonotope.BoxValuationTable(config, {**counts, **overrides})
-    echo = {"generators": [list(v) for v in config.vectors], "mode": mode}
+    echo = {"generators": [list(v) for v in config.vectors]}
+    if dim is not None:
+        echo["dim"] = dim
+    echo["mode"] = mode
     if "box_table" in doc:
         echo["box_table"] = doc["box_table"]
-    return zonotope.ZonotopeSpec(config, mode), table, echo
+    return spec, table, echo
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Linear matroid of an ordered integer vector configuration.
 
 Indices are 1-based throughout, matching the convention that the ground set
-is [n] with the matroid order v_1 < ... < v_n given by the input order.  The
-`reverse_order` flag exposes the same configuration under the reversed order
-v_n < ... < v_1 without mutating or copying the vectors; it affects every
+is [n] with the matroid order v_1 < ... < v_n given by the input order; every
 order-sensitive notion (lexicographic basis order, internally passive
-elements, minimal completing bases).
+elements, minimal completing bases) reads that order, so another order is
+another input order.  Sets of elements are also kept as bit masks, element i
+at bit i.
 
 Duplicate vectors are distinct parallel elements; zero vectors are loops and
 never independent.
@@ -17,8 +17,9 @@ exceed `MAX_INDEPENDENT_SETS` (the bound is sum_{k <= rank} C(n, k)) raises
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb
+from operator import and_
 from typing import Iterable, Sequence
 
 from . import _linalg
@@ -34,6 +35,10 @@ def _as_index_set(indices: Iterable[int], n: int) -> tuple:
     if s and (s[0] < 1 or s[-1] > n):
         raise LatticeMathError(f"index set {s!r} not contained in 1..{n}")
     return s
+
+
+def _mask(indices: Iterable[int]) -> int:
+    return sum(1 << i for i in indices)
 
 
 def _subset_transform(f: dict, n: int, sign: int) -> dict:
@@ -55,8 +60,7 @@ def _subset_transform(f: dict, n: int, sign: int) -> dict:
 class VectorConfiguration:
     """Ordered list of integer vectors in a fixed ambient dimension."""
 
-    def __init__(self, vectors: Sequence[Sequence[int]], dim: int | None = None,
-                 reverse_order: bool = False):
+    def __init__(self, vectors: Sequence[Sequence[int]], dim: int | None = None):
         vecs = tuple(tuple(v) for v in vectors)
         if any(not isinstance(x, int) or isinstance(x, bool) for v in vecs for x in v):
             raise LatticeMathError("generator entries must be integers")
@@ -67,30 +71,21 @@ class VectorConfiguration:
         elif not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise LatticeMathError(f"dimension must be a nonnegative integer, got {dim!r}")
         if any(len(v) != dim for v in vecs):
-            raise LatticeMathError("all generators must have the same length")
+            raise LatticeMathError(f"every generator must have length {dim}")
         self.vectors = vecs
         self.dim = dim
         self.n = len(vecs)
-        self.reverse_order = bool(reverse_order)
 
     def __eq__(self, other):
         if isinstance(other, VectorConfiguration):
-            return (self.vectors, self.dim, self.reverse_order) == \
-                   (other.vectors, other.dim, other.reverse_order)
+            return (self.vectors, self.dim) == (other.vectors, other.dim)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.vectors, self.dim, self.reverse_order))
+        return hash((self.vectors, self.dim))
 
     def __repr__(self):
-        flag = ", reverse_order=True" if self.reverse_order else ""
-        return f"VectorConfiguration({list(self.vectors)!r}, dim={self.dim}{flag})"
-
-    def with_reverse_order(self) -> "VectorConfiguration":
-        return VectorConfiguration(self.vectors, self.dim, not self.reverse_order)
-
-    def _order_pos(self, i: int) -> int:
-        return self.n + 1 - i if self.reverse_order else i
+        return f"VectorConfiguration({list(self.vectors)!r}, dim={self.dim})"
 
     # -- rank and independence ------------------------------------------------
 
@@ -129,14 +124,12 @@ class VectorConfiguration:
         return tuple(sorted(found, key=lambda s: (len(s), s)))
 
     def bases(self) -> tuple[tuple, ...]:
-        """Maximal independent sets in lexicographic order of the active ordering."""
+        """Maximal independent sets in lexicographic order."""
         return self._bases
 
     @cached_property
     def _bases(self) -> tuple[tuple, ...]:
-        r = self.full_rank
-        maximal = [s for s in self._independent_sets if len(s) == r]
-        return tuple(sorted(maximal, key=lambda b: tuple(sorted(self._order_pos(i) for i in b))))
+        return tuple(s for s in self._independent_sets if len(s) == self.full_rank)
 
     # -- minor gcd ------------------------------------------------------------
     #
@@ -189,56 +182,47 @@ class VectorConfiguration:
     # -- order-sensitive structure ---------------------------------------------
     #
     # Once the independent sets are enumerated the matroid is a finite set
-    # system, so every exchange test below is a membership lookup.
+    # system, so every exchange test below is a lookup of a bit mask.
 
     @cached_property
-    def _independent_set_members(self) -> frozenset:
-        return frozenset(self._independent_sets)
+    def _independent_masks(self) -> frozenset:
+        return frozenset(map(_mask, self._independent_sets))
 
     @cached_property
     def _passive_sets(self) -> dict:
-        """IP(B) for every basis B: the i in B with some order-smaller j outside
-        B such that B - i + j is independent."""
-        members = self._independent_set_members
-        order = sorted(range(1, self.n + 1), key=self._order_pos)
+        """IP(B) as a mask for every basis B: the i in B with some smaller j
+        outside B such that B - i + j is independent."""
+        members = self._independent_masks
         passive_sets = {}
         for b in self._bases:
-            inside = set(b)
-            passive_sets[b] = tuple(
+            inside = _mask(b)
+            passive_sets[b] = _mask(
                 i for i in b
-                if any(tuple(sorted(inside - {i} | {j})) in members
-                       for j in order[:self._order_pos(i) - 1] if j not in inside))
+                if any(not inside >> j & 1 and (inside ^ 1 << i | 1 << j) in members
+                       for j in range(1, i)))
         return passive_sets
 
     def internally_passive(self, basis: Iterable[int]) -> tuple:
-        """Elements of the basis exchangeable for an order-smaller outside element."""
+        """Elements of the basis exchangeable for a smaller outside element."""
         b = _as_index_set(basis, self.n)
         try:
-            return self._passive_sets[b]
+            passive = self._passive_sets[b]
         except KeyError:
             raise DependentSetError(f"{b!r} is not a basis") from None
+        return tuple(i for i in b if passive >> i & 1)
 
     def min_basis_containing(self, indices: Iterable[int]) -> tuple:
         """Lexicographically least basis containing the independent set."""
         s = _as_index_set(indices, self.n)
-        members = self._independent_set_members
-        if s not in members:
+        members = self._independent_masks
+        chosen = _mask(s)
+        if chosen not in members:
             raise DependentSetError(f"{s!r} is not independent")
-        chosen = set(s)
-        order = sorted(range(1, self.n + 1), key=self._order_pos)
-        for j in order:
-            if len(chosen) == self.full_rank:
-                break
-            if j in chosen:
-                continue
-            cand = tuple(sorted(chosen | {j}))
-            if cand in members:
-                chosen.add(j)
-        return tuple(sorted(chosen))
+        for j in range(1, self.n + 1):
+            if chosen | 1 << j in members:
+                chosen |= 1 << j
+        return tuple(j for j in range(1, self.n + 1) if chosen >> j & 1)
 
     def is_coloop_free(self) -> bool:
         """True iff no vector lies in every basis (removing any one keeps the rank)."""
-        in_every_basis = set(range(1, self.n + 1))
-        for b in self._bases:
-            in_every_basis.intersection_update(b)
-        return not in_every_basis
+        return not reduce(and_, map(_mask, self._bases))

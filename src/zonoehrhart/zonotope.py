@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 from .errors import DependentSetError, InternalDisagreementError, LatticeMathError, _integers
 from .eulerian import _a_row, _b_row, a_j_polynomial
-from .matroid import VectorConfiguration, _subset_transform
+from .matroid import VectorConfiguration, _mask, _subset_transform
 from .polycore import (HStarVector, Poly, _as_hstar, _exact, ehrhart_from_hstar,
                        express_in_shifted_power_basis)
 
@@ -165,9 +165,9 @@ def _check_cube_args(d: int, j: int) -> None:
 def _eulerian_histogram(values, pieces, r: int) -> list:
     """c[|K u P|] += b(K) for each piece (B, P) and each subset K of B.
 
-    B is a sorted tuple of indices, P a set of passive (removed) directions
-    and `values` maps sorted index tuples to b; entry i of the result is the
-    coordinate of A_{i+1}(r+1) (or B_{i+1}(r+1)).
+    B is a sorted tuple of indices, P the bit mask of the passive (removed)
+    directions and `values` maps sorted index tuples to b; entry i of the
+    result is the coordinate of A_{i+1}(r+1) (or B_{i+1}(r+1)).
     """
     c = [0] * (r + 1)
     for basis, passive in pieces:
@@ -175,7 +175,7 @@ def _eulerian_histogram(values, pieces, r: int) -> list:
             for sub in combinations(basis, k):
                 b = values[sub]
                 if b != 0:
-                    c[len(passive.union(sub))] += b
+                    c[(passive | _mask(sub)).bit_count()] += b
     return c
 
 
@@ -206,7 +206,7 @@ def _hstar_parallelepiped(vectors, removed, table, mode: str) -> HStarVector:
     removed = frozenset(removed)
     if not removed <= set(range(1, r + 1)):
         raise LatticeMathError(f"removed-facet directions {sorted(removed)!r} not within 1..{r}")
-    c = _eulerian_histogram(values, [(tuple(range(1, r + 1)), removed)], r)
+    c = _eulerian_histogram(values, [(tuple(range(1, r + 1)), _mask(removed))], r)
     return _assemble(c, r, mode)
 
 
@@ -244,35 +244,32 @@ def hstar(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> HStarVecto
     config = z.config
     values = _resolve_table(config, table)
     r = config.full_rank
-    bases = config.bases()
-    ip = {b: frozenset(config.internally_passive(b)) for b in bases}
+    ip = config._passive_sets  # IP(B) as a bit mask, for every basis B
 
     # Basis-major: each basis contributes its half-open parallelepiped.
     basis_major = _eulerian_histogram(values, ip.items(), r)
 
     # Independent-set-major: the same double sum, reindexed.  Basis k is bit
     # k of `containing[e]` when it contains e, so the bases containing I are
-    # the AND of the masks of I's elements; sets of elements are bit masks too.
+    # the AND of the masks of I's elements.
     containing = [0] * (config.n + 1)
-    passive_bits = []
-    for k, b in enumerate(bases):
+    passive_bits = list(ip.values())
+    for k, b in enumerate(ip):
         for e in b:
             containing[e] |= 1 << k
-        passive_bits.append(sum(1 << e for e in ip[b]))
-    all_bases = (1 << len(bases)) - 1
+    all_bases = (1 << len(ip)) - 1
     set_major = [0] * (r + 1)
     for s in config.independent_sets():
         b_val = values[s]
         if b_val == 0:
             continue
-        mask, s_bits = all_bases, 0
+        mask, s_bits = all_bases, _mask(s)
         for e in s:
             mask &= containing[e]
-            s_bits |= 1 << e
         while mask:
             low = mask & -mask
             passive = passive_bits[low.bit_length() - 1]
-            set_major[len(s) + (passive & ~s_bits).bit_count()] += b_val  # |I u IP(B)|
+            set_major[(passive | s_bits).bit_count()] += b_val  # |I u IP(B)|
             mask ^= low
 
     if basis_major != set_major:
@@ -317,7 +314,7 @@ def hstar_totally_unimodular(z: ZonotopeSpec) -> HStarVector:
             raise LatticeMathError(
                 f"maximal minor of absolute value {minor} outside {{0, +-1}}; "
                 "configuration is not unimodular")
-        c[len(config.internally_passive(b))] += 1
+        c[config._passive_sets[b].bit_count()] += 1
     return _assemble(c, r, "standard")
 
 

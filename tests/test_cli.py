@@ -189,6 +189,7 @@ def test_resource_guard_exits_2(tmp_path):
     {"generators": [], "dim": True},
     {"generators": [], "dim": 2.0},
     {"generators": [[1, 0], [0, 1]], "dim": 3},
+    {"generators": [[1, 0], [1]]},
 ])
 def test_bad_dim_exits_1(tmp_path, capsys, doc):
     from zonoehrhart import cli
@@ -196,6 +197,22 @@ def test_bad_dim_exits_1(tmp_path, capsys, doc):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["code"] == "bad-input"
+
+
+def test_echo_is_an_input_document(tmp_path, capsys):
+    # The echo keeps a given "dim", which an empty generator list needs, and
+    # adds none to a document without one.
+    from zonoehrhart import cli
+    for doc, echo in (({"generators": [], "dim": 2},
+                       {"generators": [], "dim": 2, "mode": "standard"}),
+                      ({"generators": [[1, 0]], "dim": None, "mode": "typeB"},
+                       {"generators": [[1, 0]], "mode": "typeB"}),
+                      (HEXAGON_DOC, {**HEXAGON_DOC, "mode": "standard"})):
+        assert cli.main(["hstar", write_doc(tmp_path, doc)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["input"] == echo
+        assert cli.main(["hstar", write_doc(tmp_path, echo, "echo.json")]) == 0
+        assert json.loads(capsys.readouterr().out) == out
 
 
 def test_enumeration_guard_exits_2_before_enumerating(tmp_path, capsys):

@@ -104,7 +104,6 @@ def _check_exchange_lemmas(config):
     closure = {s: config.min_basis_containing(s) for s in independents}
     # The enumeration and both lookups agree with their definitions, computed
     # here from Gram determinants, which share no code with the library's rank.
-    order = sorted(range(1, config.n + 1), reverse=config.reverse_order)
     reference = {c for k in range(min(config.n, config.dim) + 1)
                  for c in combinations(range(1, config.n + 1), k)
                  if is_independent([config.vectors[i - 1] for i in c])}
@@ -115,11 +114,10 @@ def _check_exchange_lemmas(config):
     for b in bases:
         expected = {i for i in b
                     if any(tuple(sorted(set(b) - {i} | {j})) in reference
-                           for j in order[:order.index(i)] if j not in b)}
+                           for j in range(1, i) if j not in b)}
         assert ip[b] == expected, (config, b)
     for s in independents:
-        expected = min((c for c in rank_bases if set(s) <= set(c)),
-                       key=lambda c: sorted(order.index(i) for i in c))
+        expected = min(c for c in rank_bases if set(s) <= set(c))
         assert closure[s] == expected, (config, s)
     for s in independents:
         s_set = set(s)
@@ -151,19 +149,33 @@ def test_exchange_lemmas_random_configs():
         _check_exchange_lemmas(_random_config(rng, d, n))
 
 
-def test_exchange_lemmas_reverse_order():
+def _reversed(config):
+    """The same vectors listed backwards: the reversed matroid order."""
+    return VectorConfiguration(config.vectors[::-1], config.dim)
+
+
+def _flip(s, n):
+    """Relabel an index set by i -> n + 1 - i, between a list and its reversal."""
+    return tuple(sorted(n + 1 - i for i in s))
+
+
+def test_exchange_lemmas_reversed_list():
     rng = random.Random(29)
     for _ in range(40):
         config = _random_config(rng, rng.randint(1, 3), rng.randint(1, 6))
-        _check_exchange_lemmas(config.with_reverse_order())
+        _check_exchange_lemmas(_reversed(config))
 
 
-def test_reverse_order_passive_sets():
-    rev = HEXAGON.with_reverse_order()
-    assert rev.internally_passive((2, 3)) == ()
-    assert rev.internally_passive((1, 2)) == (1, 2)
-    assert rev.bases()[0] == (2, 3)
-    assert rev.min_basis_containing(()) == (2, 3)
+def test_reversed_list_passive_sets():
+    # The reversed list answers for the reversed order, relabelled.
+    skew = VectorConfiguration([(1, 0), (2, 0), (0, 1)])
+    for config, passive in ((HEXAGON, {(1, 2): (1, 2), (2, 3): ()}),
+                            (skew, {(1, 3): (1,), (2, 3): ()})):
+        rev, n = _reversed(config), config.n
+        for b, expected in passive.items():
+            assert rev.internally_passive(_flip(b, n)) == _flip(expected, n)
+        assert rev.bases()[0] == _flip((2, 3), n)
+        assert rev.min_basis_containing(()) == _flip((2, 3), n)
 
 
 def test_coloop_free_passive_cover():
@@ -175,10 +187,10 @@ def test_coloop_free_passive_cover():
         config = _random_config(rng, rng.randint(1, 3), rng.randint(2, 6))
         if not config.is_coloop_free():
             continue
-        rev = config.with_reverse_order()
+        rev, n = _reversed(config), config.n
         for b in config.bases():
             fwd = set(config.internally_passive(b))
-            bwd = set(rev.internally_passive(b))
+            bwd = set(_flip(rev.internally_passive(_flip(b, n)), n))
             assert fwd | bwd == set(b), (config, b)
         checked += 1
     assert checked > 30
@@ -232,6 +244,10 @@ def test_dimension_must_be_a_nonnegative_integer():
             VectorConfiguration([], bad)
     assert VectorConfiguration([], 0).full_rank == 0
     assert VectorConfiguration([(1, 0)], 2).dim == 2
+    # Without a dimension, the first generator's length is the one required.
+    for vectors, dim, length in (([(1, 0), (0, 1)], 3, 3), ([(1, 0), (1,)], None, 2)):
+        with pytest.raises(LatticeMathError, match=f"every generator must have length {length}"):
+            VectorConfiguration(vectors, dim)
 
 
 def test_empty_configuration_needs_dimension():
@@ -261,7 +277,7 @@ def _gcd_test_configs(rng):
             vectors.insert(rng.randrange(len(vectors) + 1), (0,) * d)  # a loop
             vectors.append(tuple(2 * x for x in rng.choice(config.vectors)))  # parallel
             yield config
-            yield VectorConfiguration(vectors, d, reverse_order=True)
+            yield VectorConfiguration(vectors[::-1], d)
 
 
 def test_minor_gcd_matches_bareiss_reference():

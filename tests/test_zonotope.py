@@ -58,7 +58,7 @@ def test_default_box_table_examples():
 
 def _seeded_configs(rng, count, dims=(1, 2, 3, 4)):
     """Full-rank configurations with a loop or a parallel pair now and then,
-    every other one under the reversed order."""
+    every other one listed backwards, so that the extra vector comes first."""
     for i in range(count):
         d = rng.choice(dims)
         while True:
@@ -68,7 +68,7 @@ def _seeded_configs(rng, count, dims=(1, 2, 3, 4)):
                 vectors.append((0,) * d)
             elif i % 3 == 2:
                 vectors.append(tuple(-x for x in vectors[0]))
-            config = VectorConfiguration(vectors, d, reverse_order=i % 2 == 1)
+            config = VectorConfiguration(vectors[::-1] if i % 2 else vectors, d)
             if config.full_rank == d:
                 yield config
                 break
@@ -331,7 +331,7 @@ def test_matroid_queries_make_no_rank_calls_after_enumeration(monkeypatch):
             break
     hexagon = VectorConfiguration(HEXAGON.vectors)  # nothing cached yet
     for config, unimodular in ((hexagon, True), (seeded, False),
-                               (seeded.with_reverse_order(), False)):
+                               (VectorConfiguration(seeded.vectors[::-1], 4), False)):
         calls.clear()
         config.independent_sets()
         config.full_rank
@@ -562,9 +562,20 @@ def test_hstar_independent_of_ground_order():
             if config.full_rank == d:
                 break
         forward = hstar_zonotope(ZonotopeSpec(config))
-        backward = hstar_zonotope(ZonotopeSpec(config.with_reverse_order()))
+        backward = hstar_zonotope(ZonotopeSpec(VectorConfiguration(config.vectors[::-1], d)))
         assert forward == backward, config
         shuffled = list(config.vectors)
         rng.shuffle(shuffled)
         permuted = hstar_zonotope(ZonotopeSpec(VectorConfiguration(shuffled, d)))
         assert permuted == forward, (config, shuffled)
+
+
+def test_public_names_are_not_modules():
+    # `from zonoehrhart import *` binds the API, not the submodules.
+    import types
+
+    import zonoehrhart
+    assert zonoehrhart.__all__
+    assert not [name for name in zonoehrhart.__all__
+                if isinstance(getattr(zonoehrhart, name), types.ModuleType)]
+    assert {"hstar", "VectorConfiguration", "LatticeMathError"} <= set(zonoehrhart.__all__)
