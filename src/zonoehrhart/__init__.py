@@ -39,8 +39,7 @@ from .zonotope import (BoxValuationTable, ZonotopeSpec, default_box_table,
                        ehrhart_zonotope, eulerian_ray_parallelepiped,
                        express_in_eulerian_basis, hstar, hstar_halfopen_cube,
                        hstar_halfopen_parallelepiped, hstar_totally_unimodular,
-                       hstar_type_b_parallelepiped, hstar_type_b_zonotope,
-                       hstar_zonotope, is_in_zonotope_cone,
+                       hstar_type_b_zonotope, hstar_zonotope, is_in_zonotope_cone,
                        is_reflexive_by_ehrhart)
 
 __version__ = "0.1.0"

@@ -8,7 +8,8 @@ Input documents are JSON files of the form
 
 with mode optional (default "standard") and box_table optional; its keys are
 JSON-encoded 1-based index lists and its values integers or "p/q" strings.
-Supplied entries override the default lattice-count table entry by entry.
+Supplied entries override the default lattice-count table entry by entry;
+a set named twice, in any order of its indices, is bad input.
 An optional "dim", required for an empty generator list, must be a
 nonnegative integer equal to the length of every generator; the echo of the
 input in each result keeps it.
@@ -112,10 +113,13 @@ def _load_input(path):
             if (not isinstance(indices, list)
                     or any(not isinstance(i, int) or isinstance(i, bool) for i in indices)):
                 raise _CliError(f"box_table key {key!r} is not a list of integers")
-            overrides[tuple(indices)] = _parse_rational(raw)
+            s = tuple(sorted(indices))
+            if s in overrides:
+                raise _CliError(f"box table names the set {s!r} twice")
+            overrides[s] = _parse_rational(raw)
         # The lattice counts fill only the sets the document leaves out.
-        given = {tuple(sorted(s)) for s in overrides}
-        counts = {s: config._box_counts[s] for s in config.independent_sets() if s not in given}
+        counts = {s: config._box_counts[s] for s in config.independent_sets()
+                  if s not in overrides}
         table = zonotope.BoxValuationTable(config, {**counts, **overrides})
     echo = {"generators": [list(v) for v in config.vectors]}
     if dim is not None:

@@ -75,9 +75,7 @@ def j_descent_set(word: Sequence[int], j: int) -> frozenset:
     """descent_set(word) plus {d} exactly when the last letter is at least d+1-j."""
     w = _validate_word(word)
     d = len(w)
-    _integers("j", (j,))
-    if not 0 <= j <= d:
-        raise LatticeMathError(f"j must lie in 0..{d}, got {j}")
+    _integers("j", (j,), 0, d)
     return _descents((0,) + w + (d - j,))
 
 
@@ -100,9 +98,7 @@ def l_descent_set_b(word: Sequence[int], signs: Sequence[int], l: int) -> frozen
     """signed_descent_set plus {d} exactly when the last signed letter is at least d+1-l."""
     values = _signed_letters(word, signs)
     d = len(values) - 1
-    _integers("l", (l,))
-    if not 0 <= l <= d:
-        raise LatticeMathError(f"l must lie in 0..{d}, got {l}")
+    _integers("l", (l,), 0, d)
     return _descents(values + (d - l,))
 
 
@@ -171,9 +167,7 @@ def a_j_polynomial(d: int, j: int) -> Poly:
 
 def _check_a_args(d: int, j: int) -> None:
     _integers("d", (d,), 1)
-    _integers("j", (j,))
-    if not 1 <= j <= d:
-        raise LatticeMathError(f"j must lie in 1..{d}, got {j}")
+    _integers("j", (j,), 1, d)
 
 
 def eulerian_a(d: int) -> Poly:
@@ -195,21 +189,15 @@ def eulerian_a_enumerate(d: int) -> Poly:
 def b_l_polynomial_enumerate(d: int, l: int) -> Poly:
     """Signed-descent generating polynomial over B_d with last signed letter d+1-l."""
     _integers("d", (d,), 1)
-    _integers("l", (l,))
-    if not 1 <= l <= d:
-        raise LatticeMathError(f"l must lie in 1..{d}, got {l}")
+    _integers("l", (l,), 1, d)
     last = d + 1 - l
     return _descent_polynomial([x for x in range(1, d + 1) if x != last], (last,), True)
 
 
 def b_l_polynomial_via_a(d: int, l: int) -> Poly:
     """B_{l+1}(d+1,t) = 2^l sum_j C(d-l, j) A_{j+l+1}(d+1,t), for 0 <= l <= d."""
-    _integers("d", (d,))
-    _integers("l", (l,))
-    if d < 0:
-        raise LatticeMathError(f"d must be nonnegative, got {d}")
-    if not 0 <= l <= d:
-        raise LatticeMathError(f"l must lie in 0..{d}, got {l}")
+    _integers("d", (d,), 0)
+    _integers("l", (l,), 0, d)
     return _b_row(d)[l]
 
 

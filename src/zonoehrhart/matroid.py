@@ -23,13 +23,13 @@ from operator import and_
 from typing import Iterable, Sequence
 
 from . import _linalg
-from .errors import DependentSetError, EnumerationLimitError, LatticeMathError
+from .errors import DependentSetError, EnumerationLimitError, LatticeMathError, _integers
 
 MAX_INDEPENDENT_SETS = 10**5
 
 
 def _as_index_set(indices: Iterable[int], n: int) -> tuple:
-    s = tuple(sorted(indices))
+    s = tuple(sorted(_integers("an index", indices)))
     if len(set(s)) != len(s):
         raise LatticeMathError(f"index set {s!r} has repeats")
     if s and (s[0] < 1 or s[-1] > n):

@@ -219,9 +219,7 @@ def hstar_from_ehrhart(ehr: Poly, r: int) -> HStarVector:
     sum_i h_i C(n+r-i, r) = ehr(n) for all n.  Non-integer entries mean the
     input was not integer-valued of the declared degree.
     """
-    _integers("ambient degree", (r,))
-    if r < 0:
-        raise LatticeMathError("ambient degree must be nonnegative")
+    _integers("ambient degree", (r,), 0)
     if ehr.degree > r:
         raise LatticeMathError(f"polynomial degree {ehr.degree} exceeds ambient degree {r}")
     h = [_exact(hk) for hk in _hstar_numerator([ehr(i) for i in range(r + 1)], r)]

@@ -2,7 +2,12 @@
 
 A zonotope spec is a vector configuration plus a mode: "standard" means
 generator coefficients in [0, 1], "typeB" means coefficients in [-1, 1]
-(a lattice translate of the dilation by 2 of the standard body).
+(a lattice translate of the dilation by 2 of the standard body).  `ehrhart`,
+`hstar`, `hstar_totally_unimodular` and `hstar_halfopen_parallelepiped`
+read the mode from the spec and answer in both; the h* paths weight each
+half-open piece by the refined Eulerian family of the mode, A_j for
+standard and B_j for typeB.  The four `*_zonotope` wrappers accept one mode
+each.
 
 All h* computations are parameterized over a box-valuation table holding the
 rational value b(I) assigned to the open box spanned by each independent set
@@ -22,7 +27,7 @@ from typing import Mapping, Sequence
 
 from .errors import DependentSetError, InternalDisagreementError, LatticeMathError, _integers
 from .eulerian import _a_row, _b_row, a_j_polynomial
-from .matroid import VectorConfiguration, _mask, _subset_transform
+from .matroid import VectorConfiguration, _as_index_set, _mask, _subset_transform
 from .polycore import (HStarVector, Poly, _as_hstar, _exact, ehrhart_from_hstar,
                        express_in_shifted_power_basis)
 
@@ -52,8 +57,7 @@ class BoxValuationTable:
         self.config = config
         domain = set(config.independent_sets())
         table = {}
-        for indices, v in values.items():
-            key = tuple(sorted(indices))
+        for key, v in _by_sorted_key(values).items():
             if key not in domain:
                 raise DependentSetError(f"{key!r} is not an independent set of the configuration")
             table[key] = _table_value(key, v)
@@ -63,14 +67,29 @@ class BoxValuationTable:
         self.values = table
 
     def value(self, indices: Sequence[int]) -> int | Fraction:
-        key = tuple(sorted(indices))
+        key = _sorted_key(indices)
         try:
             return self.values[key]
         except KeyError:
             raise DependentSetError(f"{key!r} is not an independent set of the configuration")
 
     def override(self, updates: Mapping[tuple, int | Fraction]) -> "BoxValuationTable":
-        return BoxValuationTable(self.config, {**self.values, **updates})
+        return BoxValuationTable(self.config, {**self.values, **_by_sorted_key(updates)})
+
+
+def _sorted_key(indices: Sequence[int]) -> tuple:
+    return tuple(sorted(_integers("an index", indices)))
+
+
+def _by_sorted_key(values: Mapping[tuple, int | Fraction]) -> dict:
+    """The entries keyed by their sorted index tuples; a set named twice raises."""
+    keyed = {}
+    for indices, v in values.items():
+        key = _sorted_key(indices)
+        if key in keyed:
+            raise LatticeMathError(f"box table names the set {key!r} twice")
+        keyed[key] = v
+    return keyed
 
 
 def _table_value(key: tuple, v) -> int | Fraction:
@@ -122,7 +141,7 @@ def ehrhart(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> Poly:
 def ehrhart_zonotope(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> Poly:
     """`ehrhart` of a standard-mode zonotope."""
     if z.mode != "standard":
-        raise LatticeMathError("ehrhart_zonotope expects standard mode; "
+        raise LatticeMathError("ehrhart_zonotope takes a standard-mode spec; "
                                "use ehrhart_type_b_zonotope for [-1,1] coefficients")
     return ehrhart(z, table)
 
@@ -130,7 +149,7 @@ def ehrhart_zonotope(z: ZonotopeSpec, table: BoxValuationTable | None = None) ->
 def ehrhart_type_b_zonotope(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> Poly:
     """`ehrhart` of a typeB-mode zonotope: the standard counting polynomial at 2n."""
     if z.mode != "typeB":
-        raise LatticeMathError("ehrhart_type_b_zonotope expects typeB mode")
+        raise LatticeMathError("ehrhart_type_b_zonotope takes a typeB-mode spec")
     return ehrhart(z, table)
 
 
@@ -147,10 +166,8 @@ def hstar_halfopen_cube(d: int, j: int) -> HStarVector:
 
 
 def _check_cube_args(d: int, j: int) -> None:
-    _integers("d", (d,))
-    _integers("j", (j,))
-    if d < 0 or not 0 <= j <= d:
-        raise LatticeMathError(f"need 0 <= j <= d, got j={j}, d={d}")
+    _integers("d", (d,), 0)
+    _integers("j", (j,), 0, d)
 
 
 # ---------------------------------------------------------------------------
@@ -190,45 +207,23 @@ def _assemble(c: Sequence, r: int, mode: str) -> HStarVector:
     return HStarVector(h, r)
 
 
-def _hstar_parallelepiped(vectors, removed, table, mode: str) -> HStarVector:
-    if isinstance(vectors, VectorConfiguration):
-        config = vectors
-    else:
-        vectors = tuple(vectors)
-        if not vectors:
-            raise LatticeMathError("pass a VectorConfiguration with an explicit dimension "
-                                   "for a zero-generator parallelepiped")
-        config = VectorConfiguration(vectors)
-    if config.full_rank != config.n:
+def hstar_halfopen_parallelepiped(z: ZonotopeSpec, removed: Sequence[int] = (),
+                                  table: BoxValuationTable | None = None) -> HStarVector:
+    """h* of the parallelepiped of z's r independent generators with the
+    facets in the removed directions taken away, in z's mode.
+
+    Computes sum_K b(K) * R_{|removed u K| + 1}(r+1, t) over all subsets K of
+    the generators, with R = A in standard mode and R = B in typeB mode; the
+    box table refers to the original (undoubled) generators.
+    """
+    config = z.config
+    r = config.n
+    if config.full_rank != r:
         raise DependentSetError("parallelepiped generators must be linearly independent")
     values = _resolve_table(config, table)
-    r = config.n
-    removed = frozenset(removed)
-    if not removed <= set(range(1, r + 1)):
-        raise LatticeMathError(f"removed-facet directions {sorted(removed)!r} not within 1..{r}")
-    c = _eulerian_histogram(values, [(tuple(range(1, r + 1)), _mask(removed))], r)
-    return _assemble(c, r, mode)
-
-
-def hstar_halfopen_parallelepiped(vectors: Sequence[Sequence[int]],
-                                  removed: Sequence[int] = (),
-                                  table: BoxValuationTable | None = None) -> HStarVector:
-    """h* of the parallelepiped with facets removed in the given directions.
-
-    Computes sum_K b(K) * A_{|removed u K| + 1}(r+1, t) over all subsets K of
-    the r independent generators.
-    """
-    return _hstar_parallelepiped(vectors, removed, table, "standard")
-
-
-def hstar_type_b_parallelepiped(vectors: Sequence[Sequence[int]],
-                                removed: Sequence[int] = (),
-                                table: BoxValuationTable | None = None) -> HStarVector:
-    """h* of the doubled half-open parallelepiped, via the type-B refined family.
-
-    The box table refers to the original (undoubled) generators.
-    """
-    return _hstar_parallelepiped(vectors, removed, table, "typeB")
+    passive = _mask(_as_index_set(removed, r))
+    c = _eulerian_histogram(values, [(tuple(range(1, r + 1)), passive)], r)
+    return _assemble(c, r, z.mode)
 
 
 def hstar(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> HStarVector:
@@ -281,7 +276,7 @@ def hstar(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> HStarVecto
 def hstar_zonotope(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> HStarVector:
     """`hstar` of a standard-mode zonotope."""
     if z.mode != "standard":
-        raise LatticeMathError("hstar_zonotope expects standard mode; "
+        raise LatticeMathError("hstar_zonotope takes a standard-mode spec; "
                                "use hstar_type_b_zonotope for [-1,1] coefficients")
     return hstar(z, table)
 
@@ -289,7 +284,7 @@ def hstar_zonotope(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> H
 def hstar_type_b_zonotope(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> HStarVector:
     """`hstar` of a typeB-mode ([-1,1]-coefficient) zonotope."""
     if z.mode != "typeB":
-        raise LatticeMathError("hstar_type_b_zonotope expects typeB mode")
+        raise LatticeMathError("hstar_type_b_zonotope takes a typeB-mode spec")
     return hstar(z, table)
 
 
@@ -297,12 +292,11 @@ def hstar_totally_unimodular(z: ZonotopeSpec) -> HStarVector:
     """h* of a zonotope of rank r, at degree r, whose bases all have minor gcd 1
     (at full rank: all of whose maximal minors lie in {0, +-1}).
 
-    Reduces to sum over bases of A_{|IP(B)| + 1}(r+1, t), the paper's
-    unimodular corollary; it reads no box table, so on such inputs it is a
-    cross-check of `hstar`.
+    Every box count but b(()) = 1 is then 0, so the double sum reduces to
+    sum over bases of R_{|IP(B)| + 1}(r+1, t), with R = A in standard mode and
+    R = B in typeB mode: the paper's unimodular corollary.  It reads no box
+    table, so on such inputs it is a cross-check of `hstar`.
     """
-    if z.mode != "standard":
-        raise LatticeMathError("hstar_totally_unimodular expects standard mode")
     config = z.config
     r = config.full_rank
     c = [0] * (r + 1)
@@ -315,7 +309,7 @@ def hstar_totally_unimodular(z: ZonotopeSpec) -> HStarVector:
                 f"maximal minor of absolute value {minor} outside {{0, +-1}}; "
                 "configuration is not unimodular")
         c[config._passive_sets[b].bit_count()] += 1
-    return _assemble(c, r, "standard")
+    return _assemble(c, r, z.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +345,8 @@ def eulerian_ray_parallelepiped(d: int, k: int, m: int) -> ZonotopeSpec:
     to a single scaled generator (m+1) e_1.
     """
     _integers("d", (d,))
-    _integers("k", (k,))
-    _integers("m", (m,))
-    if not 2 <= k <= d + 1:
-        raise LatticeMathError(f"k must lie in 2..{d + 1}, got {k}")
-    if m < 0:
-        raise LatticeMathError(f"m must be nonnegative, got {m}")
+    _integers("k", (k,), 2, d + 1)
+    _integers("m", (m,), 0)
     apex = k - 1
     vectors = []
     for i in range(1, d + 1):

@@ -377,6 +377,19 @@ def test_float_table_rejected(tmp_path):
     assert json.loads(proc.stderr)["code"] == "bad-input"
 
 
+def test_box_table_naming_a_set_twice_exits_1(tmp_path, capsys):
+    # Whichever spelling comes last, the document is refused, not read as it.
+    from zonoehrhart import cli
+    for table in ({"[1,2]": 3, "[2,1]": 5}, {"[2,1]": 5, "[1,2]": 3},
+                  {"[1,2]": 3, "[1, 2]": 5}):
+        path = write_doc(tmp_path, {**HEXAGON_DOC, "box_table": table})
+        assert cli.main(["hstar", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["code"] == "bad-input" and "(1, 2) twice" in err["error"], err
+
+
 def test_bad_json_exits_1(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

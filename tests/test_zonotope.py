@@ -24,7 +24,6 @@ from zonoehrhart.zonotope import (MODES, BoxValuationTable, ZonotopeSpec,
                                   hstar_halfopen_cube,
                                   hstar_halfopen_parallelepiped,
                                   hstar_totally_unimodular,
-                                  hstar_type_b_parallelepiped,
                                   hstar_type_b_zonotope, hstar_zonotope,
                                   is_in_zonotope_cone, is_reflexive_by_ehrhart)
 
@@ -117,6 +116,31 @@ def test_box_table_rejects_inexact_values():
     assert table.override({(1, 2): Fraction(1, 2)}).value((1, 2)) == Fraction(1, 2)
 
 
+def test_box_table_names_each_set_once():
+    table = default_box_table(HEXAGON)
+    with pytest.raises(LatticeMathError, match=r"names the set \(1, 2\) twice"):
+        BoxValuationTable(HEXAGON, {**table.values, (2, 1): 5})
+    with pytest.raises(LatticeMathError, match=r"names the set \(1, 2\) twice"):
+        table.override({(1, 2): 3, (2, 1): 5})
+    # One update, in any spelling, replaces the entry.
+    for key in ((1, 2), (2, 1)):
+        assert table.override({key: 5}).value((1, 2)) == 5
+
+
+def test_index_sets_take_only_integers():
+    table = default_box_table(HEXAGON)
+    square = _parallelepiped([(1, 0), (0, 1)])
+    for call in (lambda: HEXAGON.minor_gcd([1.0]), lambda: HEXAGON.rank([1.5]),
+                 lambda: HEXAGON.min_basis_containing([1.0]),
+                 lambda: HEXAGON.internally_passive([1.0, 2.0]),
+                 lambda: table.value([1.0]), lambda: table.value([True]),
+                 lambda: BoxValuationTable(HEXAGON, {(1.0,): 0}),
+                 lambda: hstar_halfopen_parallelepiped(square, [1.0]),
+                 lambda: hstar_halfopen_parallelepiped(square, [True])):
+        with pytest.raises(LatticeMathError, match="an index must be an integer"):
+            call()
+
+
 def test_box_table_requires_complete_domain():
     with pytest.raises(LatticeMathError):
         BoxValuationTable(SKEW, {(): 1})
@@ -151,13 +175,24 @@ def test_halfopen_cube_consistency():
                 hstar_halfopen_cube(d, j), (d, j)
 
 
+def _parallelepiped(vectors, mode="standard"):
+    return ZonotopeSpec(VectorConfiguration(vectors), mode)
+
+
 def test_hstar_halfopen_parallelepiped_examples():
-    square = [(1, 0), (0, 1)]
+    square = _parallelepiped([(1, 0), (0, 1)])
     assert hstar_halfopen_parallelepiped(square).h == (1, 1, 0)
     assert hstar_halfopen_parallelepiped(square, (1, 2)).h == (0, 1, 1)
-    assert hstar_halfopen_parallelepiped([(4, 0), (0, 1)]).h == (1, 7, 0)
-    with pytest.raises(DependentSetError):
-        hstar_halfopen_parallelepiped([(1, 0), (2, 0)])
+    assert hstar_halfopen_parallelepiped(_parallelepiped([(4, 0), (0, 1)])).h == (1, 7, 0)
+    point = ZonotopeSpec(VectorConfiguration([], 0))
+    assert hstar_halfopen_parallelepiped(point).h == (1,)
+    for mode in MODES:
+        with pytest.raises(DependentSetError):
+            hstar_halfopen_parallelepiped(_parallelepiped([(1, 0), (2, 0)], mode))
+        square = _parallelepiped([(1, 0), (0, 1)], mode)
+        for removed in ((3,), (0,), (1, 1)):
+            with pytest.raises(LatticeMathError, match="index set"):
+                hstar_halfopen_parallelepiped(square, removed)
 
 
 def test_hstar_zonotope_examples():
@@ -177,8 +212,19 @@ def test_hstar_totally_unimodular():
     doubled = ZonotopeSpec(VectorConfiguration([(1, 0), (0, 1), (1, 0)]))
     assert hstar_totally_unimodular(doubled) == hstar_zonotope(doubled) == \
         hstar_via_oracle(doubled)
-    with pytest.raises(LatticeMathError):
-        hstar_totally_unimodular(ZonotopeSpec(SKEW))
+    assert hstar_totally_unimodular(ZonotopeSpec(HEXAGON, "typeB")).h == (1, 16, 7)
+    for mode in MODES:
+        with pytest.raises(LatticeMathError):
+            hstar_totally_unimodular(ZonotopeSpec(SKEW, mode))
+
+
+def _graphical(rng, vertices):
+    """The edges e_i - e_j of a seeded subgraph of K_vertices, in Z^vertices:
+    totally unimodular, and of rank below the dimension."""
+    edges = [e for e in combinations(range(vertices), 2) if rng.random() < 0.6]
+    return VectorConfiguration(
+        [tuple(1 if k == i else -1 if k == j else 0 for k in range(vertices))
+         for i, j in edges], vertices)
 
 
 def test_hstar_totally_unimodular_matches_general_formula():
@@ -191,13 +237,20 @@ def test_hstar_totally_unimodular_matches_general_formula():
             [tuple(rng.randint(-1, 1) for _ in range(d)) for _ in range(n)], d)
         if config.full_rank != d:
             continue
-        z = ZonotopeSpec(config)
         try:
-            tu = hstar_totally_unimodular(z)
+            hstar_totally_unimodular(ZonotopeSpec(config))
         except LatticeMathError:
             continue
-        assert tu == hstar_zonotope(z)
+        for mode in MODES:
+            z = ZonotopeSpec(config, mode)
+            assert hstar_totally_unimodular(z) == hstar(z), (config, mode)
         checked += 1
+    # Graphical configurations are totally unimodular at every rank.
+    for draw in range(40):
+        config = _graphical(rng, draw % 5 + 2)
+        for mode in MODES:
+            z = ZonotopeSpec(config, mode)
+            assert hstar_totally_unimodular(z) == hstar(z), (config, mode)
 
 
 def _lifted_of_rank(rng, d, rank, m_max):
@@ -230,7 +283,7 @@ def test_hstar_below_full_rank():
     # every basis has minor gcd 1, and agree with the oracle wherever its box
     # guard admits the body.
     rng = random.Random(151)
-    admitted = unimodular = 0
+    admitted, unimodular = 0, dict.fromkeys(MODES, 0)
     for d in range(2, 6):
         for rank in range(d):
             for mode in MODES:
@@ -239,19 +292,18 @@ def test_hstar_below_full_rank():
                     h = hstar(z)
                     assert h == hstar_from_ehrhart(ehrhart(z), rank), (z.config, mode)
                     assert is_real_rooted(h.poly()), (z.config, mode, h)
-                    if mode == "standard":
-                        try:
-                            assert hstar_totally_unimodular(z) == h, z.config
-                            unimodular += 1
-                        except LatticeMathError:
-                            pass
+                    try:
+                        assert hstar_totally_unimodular(z) == h, (z.config, mode)
+                        unimodular[mode] += 1
+                    except LatticeMathError:
+                        pass
                     try:
                         oracle = hstar_via_oracle(z)
                     except EnumerationLimitError:
                         continue
                     assert oracle == h, (z.config, mode)
                     admitted += 1
-    assert admitted >= 300 and unimodular >= 50, (admitted, unimodular)
+    assert admitted >= 300 and min(unimodular.values()) >= 50, (admitted, unimodular)
 
 
 def test_hstar_is_invariant_under_unimodular_embedding():
@@ -365,9 +417,11 @@ def test_library_keeps_no_configuration_alive():
 
 
 def test_hstar_type_b_parallelepiped_examples():
-    assert hstar_type_b_parallelepiped([(1,)]).h == (1, 1)
-    assert hstar_type_b_parallelepiped([(1, 0), (0, 1)]).h == (1, 6, 1)
-    assert hstar_type_b_parallelepiped([(1,)], (1,)).h == (0, 2)
+    segment = _parallelepiped([(1,)], "typeB")
+    assert hstar_halfopen_parallelepiped(segment).h == (1, 1)
+    assert hstar_halfopen_parallelepiped(_parallelepiped([(1, 0), (0, 1)], "typeB")).h == \
+        (1, 6, 1)
+    assert hstar_halfopen_parallelepiped(segment, (1,)).h == (0, 2)
 
 
 def test_hstar_type_b_zonotope_examples():
@@ -515,8 +569,10 @@ def test_halfopen_parallelepiped_hstar_matches_oracle():
         counts = [_count_halfopen_parallelepiped(vectors, removed, n)
                   for n in range(d + 2)]
         ehr = interpolate_ehrhart(counts, d)
-        assert hstar_halfopen_parallelepiped(vectors, removed) == \
-            hstar_from_ehrhart(ehr, d), (vectors, removed)
+        # The typeB body is a lattice translate of the doubled one: E at 2n.
+        for mode, counting in (("standard", ehr), ("typeB", ehr.scale_argument(2))):
+            assert hstar_halfopen_parallelepiped(ZonotopeSpec(config, mode), removed) == \
+                hstar_from_ehrhart(counting, d), (vectors, removed, mode)
         cases += 1
 
 
