@@ -9,7 +9,8 @@ Input documents are JSON files of the form
 with mode optional (default "standard") and box_table optional; its keys are
 JSON-encoded 1-based index lists and its values integers or "p/q" strings.
 Supplied entries override the default lattice-count table entry by entry;
-a set named twice, in any order of its indices, is bad input.
+a set named twice, in any order of its indices, is bad input, and so is
+a key repeated in any object of the document.
 An optional "dim", required for an empty generator list, must be a
 nonnegative integer equal to the length of every generator; the echo of the
 input in each result keeps it.
@@ -75,12 +76,23 @@ def _parse_rational(raw):
                     "(floats are rejected to keep arithmetic exact)")
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict, refusing a key it repeats: json.load alone
+    keeps the last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise _CliError(f"a JSON object names the key {key!r} twice")
+        doc[key] = value
+    return doc
+
+
 def _load_input(path):
     """The document's ZonotopeSpec, its box table (None without one) and the
     echo of its input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:

@@ -24,12 +24,16 @@ once, and a dependent prefix is dropped with all its extensions.
 
 Zero generators are dropped, and each row is scaled by -1 if need be so that
 its last nonzero coefficient is positive.  Counting sweeps the integer
-bounding box along its last coordinate: for each head (x_1, ..., x_{d-1}),
-every row with an x_d term bounds x_d by an exact ceiling or floor division,
-so a whole line costs one pass over the rows.  The innermost head coordinate
-x_{d-1} steps by one, so each row's u . head is carried along it by adding
-u_{d-1}; rows without an x_d term bound x_{d-1} instead, once per run of
-x_{d-1}.  Every row satisfies lo + hi = u . sum_i v_i (0 in typeB mode), and
+bounding box along its widest axis.  Compiling orders the axes by the width
+of the body's box, narrowest first and ties in input order, names them
+x_1, ..., x_d in that order, and splits the rows once into lines (with an
+x_d term) and slabs (without), each flipped again to end in a positive
+coefficient in this order.  For each head (x_1, ..., x_{d-1}), every line
+bounds x_d by an exact ceiling or floor division, so a whole line costs one
+pass over the rows at any length, and only the d-2 narrowest axes are
+looped over in Python.  The innermost head coordinate x_{d-1} steps by one,
+so each row's u . head is carried along it by adding u_{d-1}; slabs bound
+x_{d-1} instead, once per run of x_{d-1}.  Every row satisfies lo + hi = u . sum_i v_i (0 in typeB mode), and
 the bounding box is centred on the same point, so the point reflection
 p -> (box lo + box hi) - p maps each dilate and its box onto themselves.
 It maps the head with row-major index i among the N heads of the box to the
@@ -102,6 +106,18 @@ class _Membership:
         self.rank = r
         self.box = _unit_box(z)
         self.rows = tuple(sorted(rows))
+        # The sweep order: axes by unit-box width, narrowest first (ties in
+        # input order), so the widest is the line axis.  Each row is split
+        # once in it, into _sweep's (coefficients of x_1..x_{d-2}, e, c, lo,
+        # hi), and flipped to end in a positive coefficient, as _sweep needs.
+        self.order = sorted(range(d), key=lambda i: self.box[i][1] - self.box[i][0])
+        self.lines, self.slabs = [], []
+        for u, lo, hi in self.rows:
+            u = [u[i] for i in self.order]
+            if next(x for x in reversed(u) if x) < 0:
+                u, lo, hi = [-x for x in u], -hi, -lo
+            (self.lines if u[-1] else self.slabs).append(
+                (u[:d - 2], u[d - 2] if d > 1 else 0, u[-1], lo, hi))
 
     def bounds(self, n: int, strict: bool = False) -> list:
         """(u, low, high) for each row low <= u . p <= high of the n-th dilate.
@@ -121,8 +137,10 @@ class _Membership:
         """Integer points of the n-th dilate (its relative interior if strict)
         inside box, a box centred on it.
 
-        The point reflection about the centre maps the head with row-major
-        index i among the N heads (x_1, ..., x_{d-1}) of box to the head
+        The lines run along the widest axis; the heads (x_1, ..., x_{d-1})
+        are the other axes, narrowest first, the order the rows were split
+        and flipped in.  The point reflection about the centre maps the head
+        with row-major index i among the N heads of box to the head
         with index N-1-i, so the lines of the first floor(N/2) heads are
         swept in one pass and counted twice, and the middle head's line, if
         N is odd, once.  Strict bounds move both ends of a row by one, so
@@ -136,12 +154,10 @@ class _Membership:
                     f"the bounding box {list(box)}; the half sweep needs central symmetry")
         if all(lo == hi for lo, hi in box):
             return int(self.test(n, [lo for lo, _ in box], strict))
-        d = self.dim
-        # (coefficients of x_1..x_{d-2}, of x_{d-1}, of x_d, low, high)
-        rows = [(u[:d - 2], u[d - 2] if d > 1 else 0, u[-1], low, high)
-                for u, low, high in self.bounds(n, strict)]
-        lines = [row for row in rows if row[2]]
-        slabs = [row for row in rows if not row[2]]
+        s = int(strict)
+        lines, slabs = ([(p, e, c, n * lo + s, n * hi - s) if lo < hi else (p, e, c, lo, hi)
+                         for p, e, c, lo, hi in rows] for rows in (self.lines, self.slabs))
+        box = [box[i] for i in self.order]
         *outer, (start, stop) = box[:-1] or [(0, 0)]
         width = stop - start + 1
         heads = width
@@ -177,7 +193,8 @@ def _facet_normals(gens, columns, start: int, depth: int, normals: list) -> None
 def _sweep(lines, slabs, runs, last) -> int:
     """Weighted integer points of the rows over runs of lines along x_d.
 
-    Rows are (coefficients of x_1..x_{d-2}, e, c, lo, hi) for
+    Coordinates are in the sweep order, so x_d is the widest axis and last
+    its range.  Rows are (coefficients of x_1..x_{d-2}, e, c, lo, hi) for
     lo <= u . p <= hi, where e and c are the coefficients of x_{d-1} and
     x_d; c > 0 in lines, c = 0 and e >= 0 in slabs.  Each run
     (prefix, start, stop, weight) is the heads (prefix, x_{d-1}) with

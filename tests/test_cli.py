@@ -378,16 +378,21 @@ def test_float_table_rejected(tmp_path):
 
 
 def test_box_table_naming_a_set_twice_exits_1(tmp_path, capsys):
-    # Whichever spelling comes last, the document is refused, not read as it.
+    # Whichever spelling comes last, the document is refused, not read as it;
+    # so is one key written twice, which json.load alone reads last-wins.
     from zonoehrhart import cli
-    for table in ({"[1,2]": 3, "[2,1]": 5}, {"[2,1]": 5, "[1,2]": 3},
-                  {"[1,2]": 3, "[1, 2]": 5}):
-        path = write_doc(tmp_path, {**HEXAGON_DOC, "box_table": table})
-        assert cli.main(["hstar", path]) == 1
+    for table, named in (('{"[1,2]": 3, "[2,1]": 5}', "(1, 2) twice"),
+                         ('{"[2,1]": 5, "[1,2]": 3}', "(1, 2) twice"),
+                         ('{"[1,2]": 3, "[1, 2]": 5}', "(1, 2) twice"),
+                         ('{"[1,2]": 3, "[1,2]": 5}', "'[1,2]' twice")):
+        path = tmp_path / "input.json"
+        path.write_text('{"generators": [[1, 0], [0, 1], [1, 1]], "box_table": %s}' % table,
+                        encoding="utf-8")
+        assert cli.main(["hstar", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         err = json.loads(captured.err)
-        assert err["code"] == "bad-input" and "(1, 2) twice" in err["error"], err
+        assert err["code"] == "bad-input" and named in err["error"], err
 
 
 def test_bad_json_exits_1(tmp_path):

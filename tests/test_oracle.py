@@ -209,6 +209,38 @@ def test_counts_invariant_under_generator_permutation():
         z1, z2 = ZonotopeSpec(config), ZonotopeSpec(VectorConfiguration(shuffled, 2))
         for n in range(3):
             assert count_lattice_points(z1, n) == count_lattice_points(z2, n)
+    # Permuting the coordinates moves no count either, though the sweep
+    # follows the box: its lines run along the widest axis, its heads come
+    # narrowest first, and each row is flipped in that order to end in a
+    # positive coefficient.  Every draw, as drawn and with its coordinates
+    # shuffled, must give the formula's closed counts E(n), interior counts
+    # (-1)^r E(-n) and h*, for d = 2..4, full rank and one below, both modes.
+    # Draws whose widest axis is not last, and rows that end in a negative
+    # coefficient in the sweep order, must both occur.
+    rng = random.Random(149)
+    widest_inside = negative_last = 0
+    for draw in range(24):
+        d = draw % 3 + 2
+        rank = d - draw // 3 % 2
+        config = _small_of_rank(rng, d, rank, rank + 2)
+        axes = list(range(d))
+        rng.shuffle(axes)
+        shuffled = VectorConfiguration([tuple(v[i] for i in axes) for v in config.vectors], d)
+        for mode in ("standard", "typeB"):
+            e = ehrhart(ZonotopeSpec(config, mode))
+            for z in (ZonotopeSpec(config, mode), ZonotopeSpec(shuffled, mode)):
+                widths = [hi - lo for lo, hi in bounding_box(z, 1)]
+                order = sorted(range(d), key=widths.__getitem__)
+                widest_inside += order[-1] != d - 1
+                member = zonoehrhart.oracle._Membership(z)
+                negative_last += any(next(u[i] for i in reversed(order) if u[i]) < 0
+                                     for u, _, _ in member.rows)
+                for n in (1, 2):
+                    assert count_lattice_points(z, n) == e(n), (z.config, mode, n)
+                    assert (count_interior_lattice_points(z, n)
+                            == (-1) ** rank * e(-n)), (z.config, mode, n)
+                assert hstar_via_oracle(z) == hstar(ZonotopeSpec(config, mode))
+    assert widest_inside >= 8 and negative_last >= 8, (widest_inside, negative_last)
 
 
 def test_counts_invariant_under_generator_negation():
@@ -455,6 +487,30 @@ def test_half_sweep_rejects_an_off_centre_row(monkeypatch):
         count_lattice_points(HEXAGON, 2)
     with pytest.raises(InternalDisagreementError):
         hstar_via_oracle(ZonotopeSpec(HEXAGON.config, "typeB"))
+
+
+def test_the_widest_axis_is_the_line_axis(monkeypatch):
+    # The sweep's lines run along the widest axis of the box, wherever it
+    # stands in the input: a line costs one pass over the rows at any
+    # length, while the heads are stepped in Python over the other axes.
+    sweep = zonoehrhart.oracle._sweep
+    lasts = []
+    monkeypatch.setattr(zonoehrhart.oracle, "_sweep", lambda lines, slabs, runs, last:
+                        lasts.append(last) or sweep(lines, slabs, runs, last))
+    for vectors in ([(3, 0, 0), (1, 1, 0), (0, 0, 1), (1, 0, 1)],
+                    [(2, 0, 0, 1), (1, 1, 0, 0), (1, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0)]):
+        for mode in ("standard", "typeB"):
+            z = ZonotopeSpec(VectorConfiguration(vectors), mode)
+            for n in (1, 2):
+                (lo, hi), *rest = bounding_box(z, n)
+                assert all(hi - lo > b - a for a, b in rest)
+                lasts.clear()
+                count_lattice_points(z, n)
+                assert lasts == [(lo, hi)], (vectors, mode, n)
+                lasts.clear()
+                count_interior_lattice_points(z, n)
+                assert lasts == [(lo + 1, hi - 1)], (vectors, mode, n)
+            assert hstar_via_oracle(z) == hstar(z)
 
 
 def test_oracle_matches_formula_at_d4():
