@@ -39,7 +39,9 @@ p -> (box lo + box hi) - p maps each dilate and its box onto themselves.
 It maps the head with row-major index i among the N heads of the box to the
 head with index N-1-i, so one pass sweeps the first floor(N/2) heads and
 counts each of their lines twice, and the middle head's line, when N is
-odd, once.  A box of one point is tested directly.
+odd, once.  A box of one point is swept like any other.  Every count
+checks that each row is centred on its box, and h* checks every box it
+will sweep against MAX_BOX_POINTS before the first sweep.
 
 The relative interior of the n-th dilate is where every inequality row holds
 strictly: every hyperplane spanned by generators supports two opposite
@@ -62,6 +64,7 @@ elimination: the fold and the counts run over the integers.
 from __future__ import annotations
 
 from itertools import islice, product, repeat
+from math import prod
 from operator import floordiv, mul, sub
 from typing import Sequence
 
@@ -102,7 +105,6 @@ class _Membership:
                 # The sums of the negative and of the positive u . v_i.
                 total = sum(dots)
                 rows.append((u, (total - spread) // 2, (total + spread) // 2))
-        self.dim = d
         self.rank = r
         self.box = _unit_box(z)
         self.rows = tuple(sorted(rows))
@@ -119,50 +121,51 @@ class _Membership:
             (self.lines if u[-1] else self.slabs).append(
                 (u[:d - 2], u[d - 2] if d > 1 else 0, u[-1], lo, hi))
 
-    def bounds(self, n: int, strict: bool = False) -> list:
-        """(u, low, high) for each row low <= u . p <= high of the n-th dilate.
-
-        Strict bounds describe the relative interior: each inequality row
-        moves in by one on both sides, and the equality rows stay.
-        """
-        s = int(strict)
-        return [(u, n * lo + s, n * hi - s) if lo < hi else (u, lo, hi)
-                for u, lo, hi in self.rows]
-
     def test(self, n: int, point: Sequence[int], strict: bool = False) -> bool:
+        """Whether the point satisfies every row of the n-th dilate, or of
+        its relative interior if strict."""
         return all(low <= sum(map(mul, u, point)) <= high
-                   for u, low, high in self.bounds(n, strict))
+                   for u, lo, hi in self.rows for low, high in [_dilate(n, lo, hi, strict)])
 
-    def count(self, n: int, box: Sequence[tuple[int, int]], strict: bool = False) -> int:
-        """Integer points of the n-th dilate (its relative interior if strict)
-        inside box, a box centred on it.
+    def box_at(self, n: int, strict: bool = False) -> list[tuple[int, int]]:
+        """Integer bounding box of the n-th dilate, or of its relative
+        interior if strict, refused above MAX_BOX_POINTS."""
+        box = [_dilate(n, lo, hi, strict) for lo, hi in self.box]
+        size = prod(hi - lo + 1 for lo, hi in box)
+        if size > MAX_BOX_POINTS:
+            raise EnumerationLimitError(
+                f"bounding box holds {size} integer points, above the "
+                f"{MAX_BOX_POINTS} enumeration guard")
+        return box
+
+    def count(self, n: int, strict: bool = False) -> int:
+        """Integer points of the n-th dilate, or of its relative interior if
+        strict, swept over its bounding box (`box_at`).
 
         The lines run along the widest axis; the heads (x_1, ..., x_{d-1})
         are the other axes, narrowest first, the order the rows were split
         and flipped in.  The point reflection about the centre maps the head
-        with row-major index i among the N heads of box to the head
+        with row-major index i among the N heads of the box to the head
         with index N-1-i, so the lines of the first floor(N/2) heads are
         swept in one pass and counted twice, and the middle head's line, if
         N is odd, once.  Strict bounds move both ends of a row by one, so
-        they stay centred.
+        they stay centred.  A box of one point is swept like any other.
         """
+        box = self.box_at(n, strict)
         centre = [lo + hi for lo, hi in box]
         for u, lo, hi in self.rows:
             if n * (lo + hi) != sum(map(mul, u, centre)):
                 raise InternalDisagreementError(
                     f"row {lo} <= {u} . p <= {hi} of dilate {n} is not centred on "
-                    f"the bounding box {list(box)}; the half sweep needs central symmetry")
-        if all(lo == hi for lo, hi in box):
-            return int(self.test(n, [lo for lo, _ in box], strict))
-        s = int(strict)
-        lines, slabs = ([(p, e, c, n * lo + s, n * hi - s) if lo < hi else (p, e, c, lo, hi)
-                         for p, e, c, lo, hi in rows] for rows in (self.lines, self.slabs))
+                    f"the bounding box {box}; the half sweep needs central symmetry")
+        if not box:
+            return 1
+        lines, slabs = ([(p, e, c, *_dilate(n, lo, hi, strict)) for p, e, c, lo, hi in rows]
+                        for rows in (self.lines, self.slabs))
         box = [box[i] for i in self.order]
         *outer, (start, stop) = box[:-1] or [(0, 0)]
         width = stop - start + 1
-        heads = width
-        for lo, hi in outer:
-            heads *= hi - lo + 1
+        heads = width * prod(hi - lo + 1 for lo, hi in outer)
         half, odd = divmod(heads, 2)
         # A strict box can be empty along x_{d-1}; then half is 0 as well.
         full, part = divmod(half, width or 1)
@@ -174,6 +177,13 @@ class _Membership:
             if odd:
                 runs.append((prefix, middle, middle, 1))
         return _sweep(lines, slabs, runs, box[-1])
+
+
+def _dilate(n: int, lo: int, hi: int, strict: bool) -> tuple[int, int]:
+    """The range lo..hi of the body, a coordinate's or a row's, at the n-th
+    dilate; for the relative interior moved in by one on both sides, unless
+    it is a single value, as an equality row's 0..0 is."""
+    return (n * lo + strict, n * hi - strict) if lo < hi else (n * lo, n * hi)
 
 
 def _facet_normals(gens, columns, start: int, depth: int, normals: list) -> None:
@@ -263,13 +273,13 @@ def _unit_box(z: ZonotopeSpec) -> list[tuple[int, int]]:
 def bounding_box(z: ZonotopeSpec, n: int) -> list[tuple[int, int]]:
     """Componentwise integer bounds from the sign decomposition of the generators."""
     _integers("dilate", (n,), 0)
-    return [(n * lo, n * hi) for lo, hi in _unit_box(z)]
+    return [_dilate(n, lo, hi, False) for lo, hi in _unit_box(z)]
 
 
 def count_lattice_points(z: ZonotopeSpec, n: int) -> int:
     """|nZ cap Z^d| by sweeping the integer bounding box line by line."""
     _integers("dilate", (n,), 0)
-    return _count(_Membership(z), n)
+    return _Membership(z).count(n)
 
 
 def count_interior_lattice_points(z: ZonotopeSpec, n: int) -> int:
@@ -280,22 +290,7 @@ def count_interior_lattice_points(z: ZonotopeSpec, n: int) -> int:
     holds strictly, and the sweep counts it the same way.
     """
     _integers("dilate of an interior count", (n,), 1)
-    return _count(_Membership(z), n, strict=True)
-
-
-def _count(member: _Membership, n: int, strict: bool = False) -> int:
-    # A point of the relative interior lies strictly inside every coordinate
-    # range that is not a single value, so strict counts sweep a smaller box.
-    s = int(strict)
-    box = [(n * lo + s, n * hi - s) if lo < hi else (n * lo, n * hi) for lo, hi in member.box]
-    size = 1
-    for lo, hi in box:
-        size *= hi - lo + 1
-    if size > MAX_BOX_POINTS:
-        raise EnumerationLimitError(
-            f"bounding box holds {size} integer points, above the "
-            f"{MAX_BOX_POINTS} enumeration guard")
-    return member.count(n, box, strict)
+    return _Membership(z).count(n, strict=True)
 
 
 def interpolate_ehrhart(counts: Sequence[int], r: int) -> Poly:
@@ -341,10 +336,11 @@ def _hstar(member: _Membership) -> HStarVector:
     """
     r = member.rank
     below, above = (r + 1) // 2, (r + 2) // 2
-    # The closed count at the largest dilate has the largest box, so the
-    # box guard fires before any interior count is spent.
-    closed = [_count(member, n) for n in range(above + 1)]
-    interior = [0] + [_count(member, k, strict=True) for k in range(1, below + 1)]
+    dilates = [(n, False) for n in range(above + 1)] + [(k, True) for k in range(1, below + 1)]
+    for n, strict in dilates:  # every box meets the guard before the first sweep
+        member.box_at(n, strict)
+    counts = [member.count(n, strict) for n, strict in dilates]
+    closed, interior = counts[:above + 1], [0] + counts[above + 1:]
     bottom, top = _hstar_numerator(closed, r), _hstar_numerator(interior, r)
     if bottom[above] != top[below]:
         raise InternalDisagreementError(

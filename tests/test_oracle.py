@@ -116,6 +116,23 @@ def test_resource_guard():
         count_lattice_points(huge, 1)
 
 
+def test_every_box_meets_the_guard_before_the_first_sweep(monkeypatch):
+    # At d = 5 the first box over the guard is the closed count's at dilate
+    # 3 (dilate 2 in typeB mode), after boxes under it; h* checks every box
+    # it will sweep before it sweeps any.
+    def refuse(*args):
+        raise AssertionError("swept before the box guard")
+
+    monkeypatch.setattr(zonoehrhart.oracle, "_sweep", refuse)
+    config = VectorConfiguration([(2, 2, -2, -2, 2), (-2, 0, -1, -3, -1), (0, -2, -2, -1, -3),
+                                  (-1, -1, 3, 1, 1), (-3, 1, 2, 2, -1), (-3, -1, -1, 3, -1)])
+    for mode in ("standard", "typeB"):
+        z = ZonotopeSpec(config, mode)
+        for call in (hstar_via_oracle, ehrhart_via_oracle):
+            with pytest.raises(EnumerationLimitError, match="enumeration guard"):
+                call(z)
+
+
 def test_bounding_box_sign_decomposition():
     box = bounding_box(SKEW, 2)
     assert box == [(0, 4), (-2, 2)]
@@ -449,11 +466,12 @@ def test_sweep_matches_pointwise_membership():
     # The half sweep, for d = 0..4: of the N heads (x_1, ..., x_{d-1}) of
     # the box, in row-major order, it sweeps the first floor(N/2) twice and
     # the middle one, if N is odd, once.  With c = box lo + box hi, the
-    # depth is the number of leading even c_k among the head coordinates:
-    # the half ends after a whole run of x_{d-1} below depth d-2, part way
-    # along one at depth d-2, and at the middle head, the centre, at depth
-    # d-1.  Each depth is drawn twice, in both modes where the centre line
-    # is swept (typeB boxes are centred on 0).
+    # depth is the number of leading even c_k among the head coordinates,
+    # read in sweep order (axes by the width of the body's box, narrowest
+    # first, ties in input order): the half ends after a whole run of
+    # x_{d-1} below depth d-2, part way along one at depth d-2, and at the
+    # middle head, the centre, at depth d-1.  Each depth is drawn twice, in
+    # both modes where the centre line is swept (typeB boxes are centred on 0).
     rng = random.Random(97)
     for d in range(5):
         heads = max(d - 1, 0)
@@ -464,7 +482,10 @@ def test_sweep_matches_pointwise_membership():
                     config = _random_of_rank(rng, d, rng.randint(max(d - 2, 0), d), 4)
                     z = ZonotopeSpec(config, mode)
                     n = rng.randint(1, 3)
-                    centre = [lo + hi for lo, hi in bounding_box(z, n)][:heads]
+                    widths = [hi - lo for lo, hi in bounding_box(z, 1)]
+                    order = sorted(range(d), key=widths.__getitem__)
+                    box = bounding_box(z, n)
+                    centre = [sum(box[i]) for i in order][:heads]
                     leading_even = next((k for k, c in enumerate(centre) if c % 2), heads)
                     if leading_even == depth and _box_points(z, n) <= 1500:
                         break
@@ -575,13 +596,14 @@ def _counted_dilates(rank):
 def test_a_count_off_the_polynomial_raises(monkeypatch):
     # One count moved by 1, closed or interior, at any counted dilate: the
     # two ends of h* then disagree on their shared entry, for d = 1..4.
-    count = zonoehrhart.oracle._count
+    count = zonoehrhart.oracle._Membership.count
     rng = random.Random(137)
     for d in range(1, 5):
         for mode in ("standard", "typeB"):
             z = ZonotopeSpec(_small_of_rank(rng, d, d, d + 1), mode)
             counted = []
-            monkeypatch.setattr(zonoehrhart.oracle, "_count", lambda member, n, strict=False:
+            monkeypatch.setattr(zonoehrhart.oracle._Membership, "count",
+                                lambda member, n, strict=False:
                                 counted.append((n, strict)) or count(member, n, strict))
             hstar_via_oracle(z)
             assert counted == _counted_dilates(d)
@@ -589,11 +611,11 @@ def test_a_count_off_the_polynomial_raises(monkeypatch):
                 def off_by_one(member, n, strict=False, target=target):
                     return count(member, n, strict) + ((n, strict) == target)
 
-                monkeypatch.setattr(zonoehrhart.oracle, "_count", off_by_one)
+                monkeypatch.setattr(zonoehrhart.oracle._Membership, "count", off_by_one)
                 for call in (hstar_via_oracle, ehrhart_via_oracle):
                     with pytest.raises(InternalDisagreementError, match="polynomial of degree"):
                         call(z)
-                monkeypatch.setattr(zonoehrhart.oracle, "_count", count)
+                monkeypatch.setattr(zonoehrhart.oracle._Membership, "count", count)
             assert hstar_via_oracle(z) == hstar(z), (z.config, mode)
 
 
@@ -601,9 +623,9 @@ def test_rank_zero_bodies(monkeypatch):
     # A body of rank 0 is a point.  The oracle counts closed dilates 0 and 1
     # only; h* = (1) keeps its one entry, and h*_1 = E(1) - E(0) = 0 is the
     # entry both ends share, so it guards the degree.
-    count = zonoehrhart.oracle._count
+    count = zonoehrhart.oracle._Membership.count
     counted = []
-    monkeypatch.setattr(zonoehrhart.oracle, "_count", lambda member, n, strict=False:
+    monkeypatch.setattr(zonoehrhart.oracle._Membership, "count", lambda member, n, strict=False:
                         counted.append((n, strict)) or count(member, n, strict))
     loops = VectorConfiguration([(0, 0), (0, 0)])
     for config in (VectorConfiguration([], dim=0), VectorConfiguration([], dim=3), loops):
@@ -617,7 +639,7 @@ def test_rank_zero_bodies(monkeypatch):
     assert hstar_via_oracle(ZonotopeSpec(VectorConfiguration([], dim=0))).h == (1,)
     point = hstar_via_oracle(ZonotopeSpec(loops))
     assert (point.h, point.d) == ((1,), 0)
-    monkeypatch.setattr(zonoehrhart.oracle, "_count",
+    monkeypatch.setattr(zonoehrhart.oracle._Membership, "count",
                         lambda m, n, strict=False: count(m, n, strict) + (n == 1))
     with pytest.raises(InternalDisagreementError, match=r"h\*_1 is 1 .* degree 0"):
         ehrhart_via_oracle(ZonotopeSpec(loops))
