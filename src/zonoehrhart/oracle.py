@@ -33,15 +33,18 @@ bounds x_d by an exact ceiling or floor division, so a whole line costs one
 pass over the rows at any length, and only the d-2 narrowest axes are
 looped over in Python.  The innermost head coordinate x_{d-1} steps by one,
 so each row's u . head is carried along it by adding u_{d-1}; slabs bound
-x_{d-1} instead, once per run of x_{d-1}.  Every row satisfies lo + hi = u . sum_i v_i (0 in typeB mode), and
-the bounding box is centred on the same point, so the point reflection
+x_{d-1} instead, once per run of x_{d-1}.  Every row satisfies
+lo + hi = u . sum_i v_i (0 in typeB mode), and the bounding box is centred
+on the same point, so the point reflection
 p -> (box lo + box hi) - p maps each dilate and its box onto themselves.
 It maps the head with row-major index i among the N heads of the box to the
 head with index N-1-i, so one pass sweeps the first floor(N/2) heads and
 counts each of their lines twice, and the middle head's line, when N is
 odd, once.  A box of one point is swept like any other.  Every count
-checks that each row is centred on its box, and h* checks every box it
-will sweep against MAX_BOX_POINTS before the first sweep.
+checks each line and slab it sweeps to be centred on its box as it
+dilates it, and h* checks every box it will sweep against MAX_BOX_POINTS
+before the first sweep.  The rows are exact, so the lines keep x_d in the
+box; the box clips a line only where a count has one line row.
 
 The relative interior of the n-th dilate is where every inequality row holds
 strictly: every hyperplane spanned by generators supports two opposite
@@ -51,9 +54,10 @@ the bounding box shrunk by one on each side.
 
 h* of the rank-r body comes from both ends, in integers: its bottom entries
 from closed counts, as the numerator of the Ehrhart series, and its top
-entries from interior counts, by Ehrhart-Macdonald reciprocity.  So the
-largest dilate counted is ceil((r+1)/2), not r+1, and the entry both ends
-reach guards the degree.  Each end is the binomial sum that
+entries from interior counts, by Ehrhart-Macdonald reciprocity.  The
+closed counts start at dilate 1, as E(0) = 1 for every body (0Z = {0}).
+So the largest dilate counted is ceil((r+1)/2), not r+1, and the entry
+both ends reach guards the degree.  Each end is the binomial sum that
 hstar_from_ehrhart takes (`polycore._hstar_numerator`); interpolate_ehrhart
 reads given counts 0..r through it too, as the counting polynomial of their
 h*.  hstar_via_oracle returns that h*, and ehrhart_via_oracle its counting
@@ -148,22 +152,28 @@ class _Membership:
         with row-major index i among the N heads of the box to the head
         with index N-1-i, so the lines of the first floor(N/2) heads are
         swept in one pass and counted twice, and the middle head's line, if
-        N is odd, once.  Strict bounds move both ends of a row by one, so
-        they stay centred.  A box of one point is swept like any other.
+        N is odd, once.  Each line and slab is checked to be centred on the
+        box as it is dilated; strict bounds move both ends of a row by one,
+        so they stay centred.  A box of one point, such as dilate 0, is
+        swept like any other.
         """
         box = self.box_at(n, strict)
-        centre = [lo + hi for lo, hi in box]
-        for u, lo, hi in self.rows:
-            if n * (lo + hi) != sum(map(mul, u, centre)):
-                raise InternalDisagreementError(
-                    f"row {lo} <= {u} . p <= {hi} of dilate {n} is not centred on "
-                    f"the bounding box {box}; the half sweep needs central symmetry")
         if not box:
             return 1
-        lines, slabs = ([(p, e, c, *_dilate(n, lo, hi, strict)) for p, e, c, lo, hi in rows]
-                        for rows in (self.lines, self.slabs))
         box = [box[i] for i in self.order]
         *outer, (start, stop) = box[:-1] or [(0, 0)]
+        # Box lo + box hi along each axis in sweep order; 0 for x_{d-1} at d = 1.
+        *centre, centre_e, centre_c = [lo + hi for lo, hi in (*outer, (start, stop), box[-1])]
+        lines, slabs = [], []
+        for rows, swept in ((self.lines, lines), (self.slabs, slabs)):
+            for p, e, c, lo, hi in rows:
+                lo, hi = _dilate(n, lo, hi, strict)
+                if lo + hi != sum(map(mul, p, centre)) + e * centre_e + c * centre_c:
+                    raise InternalDisagreementError(
+                        f"row {lo} <= {(*p, e, c)} . p <= {hi} of dilate {n}, in sweep order, "
+                        f"is not centred on the bounding box {box}; the half sweep needs "
+                        f"central symmetry")
+                swept.append((p, e, c, lo, hi))
         width = stop - start + 1
         heads = width * prod(hi - lo + 1 for lo, hi in outer)
         half, odd = divmod(heads, 2)
@@ -173,7 +183,8 @@ class _Membership:
         runs = [(prefix, start, stop, 2) for prefix in islice(prefixes, full)]
         if part or odd:
             prefix, middle = next(prefixes), start + part
-            runs.append((prefix, start, middle - 1, 2))
+            if part:
+                runs.append((prefix, start, middle - 1, 2))
             if odd:
                 runs.append((prefix, middle, middle, 1))
         return _sweep(lines, slabs, runs, box[-1])
@@ -208,9 +219,12 @@ def _sweep(lines, slabs, runs, last) -> int:
     lo <= u . p <= hi, where e and c are the coefficients of x_{d-1} and
     x_d; c > 0 in lines, c = 0 and e >= 0 in slabs.  Each run
     (prefix, start, stop, weight) is the heads (prefix, x_{d-1}) with
-    start <= x_{d-1} <= stop, whose lines count weight times each.
+    start <= x_{d-1} <= stop, whose lines count weight times each.  The
+    rows are exact, so the lines keep x_d inside last; last bounds a line
+    only when there is one line row, as map(min) needs two iterables.
     """
     first, final = last
+    clip = len(lines) < 2
     total = 0
     for prefix, start, stop, weight in runs:
         # Slabs bound x_{d-1}, or hold or fail for the whole prefix.
@@ -228,8 +242,8 @@ def _sweep(lines, slabs, runs, last) -> int:
         # with s = u . head at t = 0, so it bounds x_d below by (a - e*t) // c
         # and above by (b - e*t) // c, where a = lo - s + c - 1 and b = hi - s.
         length = high - low + 1
-        bottoms = [repeat(first, length)]
-        tops = [repeat(final, length)]
+        bottoms = [repeat(first, length)] if clip else []
+        tops = [repeat(final, length)] if clip else []
         for p, e, c, lo, hi in lines:
             s = sum(map(mul, p, prefix)) + e * low
             a, b = lo - s + c - 1, hi - s
@@ -322,8 +336,8 @@ def ehrhart_via_oracle(z: ZonotopeSpec) -> Poly:
 
 
 def _hstar(member: _Membership) -> HStarVector:
-    """h*-vector of rank r from closed counts at dilates 0..ceil((r+1)/2) and
-    interior counts at dilates 1..floor((r+1)/2), in integers.
+    """h*-vector of rank r from E(0) = 1, closed counts at dilates
+    1..ceil((r+1)/2) and interior counts at 1..floor((r+1)/2), in integers.
 
     With E(n) the closed and I(n) the interior count of the n-th dilate,
     sum_n E(n) t^n = h*(t) / (1-t)^(r+1), and by Ehrhart-Macdonald
@@ -336,11 +350,11 @@ def _hstar(member: _Membership) -> HStarVector:
     """
     r = member.rank
     below, above = (r + 1) // 2, (r + 2) // 2
-    dilates = [(n, False) for n in range(above + 1)] + [(k, True) for k in range(1, below + 1)]
+    dilates = [(n, False) for n in range(1, above + 1)] + [(k, True) for k in range(1, below + 1)]
     for n, strict in dilates:  # every box meets the guard before the first sweep
         member.box_at(n, strict)
     counts = [member.count(n, strict) for n, strict in dilates]
-    closed, interior = counts[:above + 1], [0] + counts[above + 1:]
+    closed, interior = [1] + counts[:above], [0] + counts[above:]
     bottom, top = _hstar_numerator(closed, r), _hstar_numerator(interior, r)
     if bottom[above] != top[below]:
         raise InternalDisagreementError(

@@ -495,19 +495,45 @@ def test_sweep_matches_pointwise_membership():
 
 def test_half_sweep_rejects_an_off_centre_row(monkeypatch):
     # The half sweep counts each line for its mirror image too, which holds
-    # only while every row is centred on the bounding box.
+    # only while every row it sweeps, line or slab, is centred on the
+    # bounding box.
     compile_rows = zonoehrhart.oracle._Membership.__init__
+    assert zonoehrhart.oracle._Membership(HEXAGON).slabs
+    for kind in ("lines", "slabs"):
+        def off_centre(self, z, kind=kind):
+            compile_rows(self, z)
+            rows = getattr(self, kind)
+            p, e, c, lo, hi = rows[0]
+            rows[0] = (p, e, c, lo, hi + 1)
 
-    def off_centre(self, z):
-        compile_rows(self, z)
-        (u, lo, hi), *rest = self.rows
-        self.rows = ((u, lo, hi + 1), *rest)
+        monkeypatch.setattr(zonoehrhart.oracle._Membership, "__init__", off_centre)
+        with pytest.raises(InternalDisagreementError, match="not centred"):
+            count_lattice_points(HEXAGON, 2)
+        with pytest.raises(InternalDisagreementError, match="not centred"):
+            hstar_via_oracle(ZonotopeSpec(HEXAGON.config, "typeB"))
 
-    monkeypatch.setattr(zonoehrhart.oracle._Membership, "__init__", off_centre)
-    with pytest.raises(InternalDisagreementError):
-        count_lattice_points(HEXAGON, 2)
-    with pytest.raises(InternalDisagreementError):
-        hstar_via_oracle(ZonotopeSpec(HEXAGON.config, "typeB"))
+
+def test_every_swept_run_holds_a_head(monkeypatch):
+    # The half sweep takes whole runs of x_{d-1}, then part of one and the
+    # middle head when the number of heads is odd; a part of no heads is
+    # not a run.  Dilate 0, one head, has no part at every d >= 2.
+    sweep = zonoehrhart.oracle._sweep
+    runs = []
+    monkeypatch.setattr(zonoehrhart.oracle, "_sweep", lambda lines, slabs, swept, last:
+                        runs.extend(swept) or sweep(lines, slabs, swept, last))
+    rng = random.Random(163)
+    for d in range(2, 5):
+        for mode in ("standard", "typeB"):
+            for _ in range(4):
+                z = ZonotopeSpec(_small_of_rank(rng, d, rng.randint(0, d), d + 1), mode)
+                runs.clear()
+                count_lattice_points(z, 0)
+                hstar_via_oracle(z)
+                for n in (1, 2):
+                    count_lattice_points(z, n)
+                    count_interior_lattice_points(z, n)
+                assert runs and all(stop >= start for _, start, stop, _ in runs), (
+                    z.config, mode)
 
 
 def test_the_widest_axis_is_the_line_axis(monkeypatch):
@@ -571,10 +597,11 @@ def _small_of_rank(rng, d, rank, m_max):
 
 def test_reciprocity_path_equals_counting_path():
     # ehrhart_via_oracle reads h* of the rank r, not the ambient dimension
-    # d, from closed counts at dilates 0..ceil((r+1)/2) and interior counts
-    # at 1..floor((r+1)/2); the plain path interpolates closed counts at
-    # dilates 0..r+1.  Ten draws for each d = 0..4, rank 0..d and mode: 300,
-    # of which 120 have d - r odd, where (-1)^r and (-1)^d differ.
+    # d, from closed counts at dilates 1..ceil((r+1)/2), with E(0) = 1, and
+    # interior counts at 1..floor((r+1)/2); the plain path interpolates
+    # closed counts at dilates 0..r+1, so it sweeps dilate 0 too.  Ten
+    # draws for each d = 0..4, rank 0..d and mode: 300, of which 120 have
+    # d - r odd, where (-1)^r and (-1)^d differ.
     rng = random.Random(109)
     for d in range(5):
         for rank in range(d + 1):
@@ -589,7 +616,7 @@ def test_reciprocity_path_equals_counting_path():
 
 def _counted_dilates(rank):
     """(dilate, strict) of every count the oracle takes at the given rank."""
-    return ([(n, False) for n in range((rank + 2) // 2 + 1)]
+    return ([(n, False) for n in range(1, (rank + 2) // 2 + 1)]
             + [(k, True) for k in range(1, (rank + 1) // 2 + 1)])
 
 
@@ -620,9 +647,10 @@ def test_a_count_off_the_polynomial_raises(monkeypatch):
 
 
 def test_rank_zero_bodies(monkeypatch):
-    # A body of rank 0 is a point.  The oracle counts closed dilates 0 and 1
-    # only; h* = (1) keeps its one entry, and h*_1 = E(1) - E(0) = 0 is the
-    # entry both ends share, so it guards the degree.
+    # A body of rank 0 is a point.  The oracle counts closed dilate 1 only,
+    # as E(0) = 1 for every body; h* = (1) keeps its one entry, and
+    # h*_1 = E(1) - E(0) = 0 is the entry both ends share, so it guards the
+    # degree.
     count = zonoehrhart.oracle._Membership.count
     counted = []
     monkeypatch.setattr(zonoehrhart.oracle._Membership, "count", lambda member, n, strict=False:
@@ -634,7 +662,7 @@ def test_rank_zero_bodies(monkeypatch):
             z = ZonotopeSpec(config, mode)
             h = zonoehrhart.oracle._hstar(zonoehrhart.oracle._Membership(z))
             assert (h.h, h.d) == ((1,), 0)
-            assert counted == [(0, False), (1, False)]
+            assert counted == [(1, False)]
             assert ehrhart_via_oracle(z) == Poly((1,))
     assert hstar_via_oracle(ZonotopeSpec(VectorConfiguration([], dim=0))).h == (1,)
     point = hstar_via_oracle(ZonotopeSpec(loops))
