@@ -56,9 +56,8 @@ def _jsonable(value):
         return [_jsonable(c) for c in value.h]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, frozenset, set)):
-        items = sorted(value) if isinstance(value, (set, frozenset)) else value
-        return [_jsonable(v) for v in items]
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -130,9 +129,7 @@ def _load_input(path):
                 raise _CliError(f"box table names the set {s!r} twice")
             overrides[s] = _parse_rational(raw)
         # The lattice counts fill only the sets the document leaves out.
-        counts = {s: config._box_counts[s] for s in config.independent_sets()
-                  if s not in overrides}
-        table = zonotope.BoxValuationTable(config, {**counts, **overrides})
+        table = zonotope.default_box_table(config).override(overrides)
     echo = {"generators": [list(v) for v in config.vectors]}
     if dim is not None:
         echo["dim"] = dim
@@ -170,22 +167,22 @@ def _cmd_ehrhart(args):
 
 def _cmd_hstar(args):
     spec, table, echo = _load_input(args.input)
-    h = zonotope.hstar(spec, table)
+    # One double sum: h* is assembled from the histogram the diagnostics show.
+    c = zonotope._histogram(spec.config, table)
+    h = zonotope._assemble(c, spec.mode)
     doc = {"command": "hstar", "input": echo, "hstar": h, "degree": h.d}
     if args.diagnostics:
         config = spec.config
         if table is None:
             table = zonotope.default_box_table(config)
         bases = config.bases()
-        diag = {
+        doc["diagnostics"] = {
             "bases": [list(b) for b in bases],
             "internally_passive": [list(config.internally_passive(b)) for b in bases],
-            "box_table": {json.dumps(list(s), separators=(",", ":")): table.value(s)
+            "box_table": {json.dumps(list(s), separators=(",", ":")): table.values[s]
                           for s in config.independent_sets()},
+            "eulerian_multiplicities": c,
         }
-        if spec.mode == "standard":
-            diag["eulerian_multiplicities"] = list(zonotope.express_in_eulerian_basis(h))
-        doc["diagnostics"] = diag
     return doc
 
 

@@ -4,8 +4,10 @@ Indices are 1-based throughout, matching the convention that the ground set
 is [n] with the matroid order v_1 < ... < v_n given by the input order; every
 order-sensitive notion (lexicographic basis order, internally passive
 elements, minimal completing bases) reads that order, so another order is
-another input order.  Sets of elements are also kept as bit masks, element i
-at bit i.
+another input order.  Once the independent sets are enumerated, every layer
+keys a set by its bit mask, element i at bit i, and index tuples remain only
+at the public boundary.  The matroid also owns the double sum of the h*
+formula, whose histogram does not depend on the coefficient mode.
 
 Duplicate vectors are distinct parallel elements; zero vectors are loops and
 never independent.
@@ -20,10 +22,11 @@ from __future__ import annotations
 from functools import cached_property, reduce
 from math import comb
 from operator import and_
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import _linalg
-from .errors import DependentSetError, EnumerationLimitError, LatticeMathError, _integers
+from .errors import (DependentSetError, EnumerationLimitError, InternalDisagreementError,
+                     LatticeMathError, _integers)
 
 MAX_INDEPENDENT_SETS = 10**5
 
@@ -38,23 +41,62 @@ def _as_index_set(indices: Iterable[int], n: int) -> tuple:
 
 
 def _mask(indices: Iterable[int]) -> int:
-    return sum(1 << i for i in indices)
+    return sum(map((1).__lshift__, indices))
+
+
+def _bits(mask: int):
+    """The one-bit masks of the elements of a mask, lowest first."""
+    while mask:
+        yield mask & -mask
+        mask &= mask - 1
 
 
 def _subset_transform(f: dict, n: int, sign: int) -> dict:
-    """g(I) = sum over J subseteq I of sign^|I - J| f(J), for f on a family of
-    subsets of 1..n closed under taking subsets (here: independent sets).
-
-    One pass per element e adds sign * g(I - e) to g(I) for every I containing
-    e; I - e lacks e, so a pass never reads a value it has already changed.
-    """
+    """g(I) = sum over J subseteq I of sign^|I - J| f(J), for f keyed by the
+    masks of a family of subsets of 1..n closed under taking subsets.  One pass
+    per element e adds sign * g(I - e) to g(I) for every I containing e; I - e
+    lacks e, so a pass never reads a value it has already changed."""
     g = dict(f)
     for e in range(1, n + 1):
-        for s in g:
-            if e in s:
-                i = s.index(e)
-                g[s] += sign * g[s[:i] + s[i + 1:]]
+        bit = 1 << e
+        for m in g:
+            if m & bit:
+                g[m] += sign * g[m ^ bit]
     return g
+
+
+def _double_sum(sets: Iterable[int], values: Mapping[int, object], pieces: Mapping[int, int],
+                r: int) -> list:
+    """c[|I u P|] += b(I) for each piece (B, P) and each independent I inside B,
+    all as masks, in two orderings that must agree: basis-major walks the
+    submasks of each B, and set-major walks `sets`, the enumerated independent
+    sets, and finds the B containing I by ANDing per-element bitsets."""
+    basis_major, set_major = [0] * (r + 1), [0] * (r + 1)
+    for basis, passive in pieces.items():
+        basis_major[passive.bit_count()] += values[0]
+        sub = basis
+        while sub:
+            b = values[sub]
+            if b != 0:
+                basis_major[(passive | sub).bit_count()] += b
+            sub = sub - 1 & basis
+    containing = {}  # piece k is bit k of containing[1 << e] when its B holds e
+    for k, basis in enumerate(pieces):
+        for low in _bits(basis):
+            containing[low] = containing.get(low, 0) | 1 << k
+    passive_sets = list(pieces.values())
+    for s in sets:
+        b = values[s]
+        if b != 0:
+            inside = (1 << len(passive_sets)) - 1
+            for low in _bits(s):
+                inside &= containing[low]
+            for low in _bits(inside):
+                set_major[(passive_sets[low.bit_length() - 1] | s).bit_count()] += b
+    if basis_major != set_major:
+        raise InternalDisagreementError(
+            "basis-major and independent-set-major double sums disagree")
+    return basis_major
 
 
 class VectorConfiguration:
@@ -155,22 +197,20 @@ class VectorConfiguration:
 
     @cached_property
     def _minor_gcds(self) -> dict:
-        """minor_gcd of every independent set, folded down the prefix tree.
-
-        In lexicographic order each set's parent (the set less its largest
-        element) is the last shorter set seen before it, so `free[k]` holds
-        the free columns of the current k-element prefix.
-        """
-        gcds = {(): 1}
-        free = [_linalg.unit_columns(self.dim)]
-        for s in sorted(self._independent_sets):
-            if not s:
-                continue
+        """minor_gcd of every independent set by mask (the keys are the
+        independent sets), folded down the prefix tree.  In lexicographic order
+        each set's parent (the set less its largest element) is the last shorter
+        set seen before it, so `prefix[k]` is the current k-element prefix."""
+        gcds = {0: 1}
+        prefix = [(0, _linalg.unit_columns(self.dim))]
+        for s in sorted(self._independent_sets)[1:]:  # () comes first
             k = len(s)
-            step, cols = _linalg.fold(self.vectors[s[-1] - 1], free[k - 1])
-            gcds[s] = gcds[s[:-1]] * step
-            del free[k:]
-            free.append(cols)
+            parent, free = prefix[k - 1]
+            step, cols = _linalg.fold(self.vectors[s[-1] - 1], free)
+            mask = parent | 1 << s[-1]
+            gcds[mask] = gcds[parent] * step
+            del prefix[k:]
+            prefix.append((mask, cols))
         return gcds
 
     @cached_property
@@ -179,24 +219,31 @@ class VectorConfiguration:
         Moebius inversion of `_minor_gcds`, which count the half-open boxes."""
         return _subset_transform(self._minor_gcds, self.n, -1)
 
-    # -- order-sensitive structure ---------------------------------------------
-    #
-    # Once the independent sets are enumerated the matroid is a finite set
-    # system, so every exchange test below is a lookup of a bit mask.
+    def _box_table(self) -> dict:
+        """The box counts keyed by sorted index tuples, in lexicographic order."""
+        return {s: self._box_counts[_mask(s)] for s in sorted(self._independent_sets)}
 
-    @cached_property
-    def _independent_masks(self) -> frozenset:
-        return frozenset(map(_mask, self._independent_sets))
+    def _box_sums(self, table: Mapping[tuple, object] | None = None) -> list:
+        """Entry k sums the half-open box values phi(I) = sum_{J subseteq I} b(J)
+        of the k-element independent sets I; without a table, the minor gcds."""
+        phi = self._minor_gcds if table is None else \
+            _subset_transform({_mask(s): v for s, v in table.items()}, self.n, 1)
+        sums = [0] * (self.full_rank + 1)
+        for m, v in phi.items():
+            sums[m.bit_count()] += v
+        return sums
+
+    # -- order-sensitive structure: every exchange test is a mask lookup -------
 
     @cached_property
     def _passive_sets(self) -> dict:
-        """IP(B) as a mask for every basis B: the i in B with some smaller j
-        outside B such that B - i + j is independent."""
-        members = self._independent_masks
+        """IP(B) for every basis B, both as masks: the i in B with some smaller
+        j outside B such that B - i + j is independent."""
+        members = self._minor_gcds
         passive_sets = {}
         for b in self._bases:
             inside = _mask(b)
-            passive_sets[b] = _mask(
+            passive_sets[inside] = _mask(
                 i for i in b
                 if any(not inside >> j & 1 and (inside ^ 1 << i | 1 << j) in members
                        for j in range(1, i)))
@@ -206,7 +253,7 @@ class VectorConfiguration:
         """Elements of the basis exchangeable for a smaller outside element."""
         b = _as_index_set(basis, self.n)
         try:
-            passive = self._passive_sets[b]
+            passive = self._passive_sets[_mask(b)]
         except KeyError:
             raise DependentSetError(f"{b!r} is not a basis") from None
         return tuple(i for i in b if passive >> i & 1)
@@ -214,7 +261,7 @@ class VectorConfiguration:
     def min_basis_containing(self, indices: Iterable[int]) -> tuple:
         """Lexicographically least basis containing the independent set."""
         s = _as_index_set(indices, self.n)
-        members = self._independent_masks
+        members = self._minor_gcds
         chosen = _mask(s)
         if chosen not in members:
             raise DependentSetError(f"{s!r} is not independent")
@@ -226,3 +273,19 @@ class VectorConfiguration:
     def is_coloop_free(self) -> bool:
         """True iff no vector lies in every basis (removing any one keeps the rank)."""
         return not reduce(and_, map(_mask, self._bases))
+
+    # -- the double sum: h* is sum_j c_j R_j(r+1, t), and only the row R of the
+    # refined Eulerian family depends on the mode, so c is kept per configuration.
+
+    def _eulerian_histogram(self, table: Mapping[tuple, object] | None = None,
+                            passive: Iterable[int] | None = None) -> list:
+        """c[j] sums b(I) over the independent I and bases B containing I with
+        |I u IP(B)| = j, for the table keyed by sorted index tuples or the box
+        counts; with `passive`, over the one piece (ground set, passive)."""
+        values = self._box_counts if table is None else \
+            {_mask(s): v for s, v in table.items()}
+        pieces = self._passive_sets if passive is None else \
+            {_mask(range(1, self.n + 1)): _mask(passive)}
+        return _double_sum(self._minor_gcds, values, pieces, self.full_rank)
+
+    _histogram = cached_property(_eulerian_histogram)

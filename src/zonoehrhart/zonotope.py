@@ -4,10 +4,9 @@ A zonotope spec is a vector configuration plus a mode: "standard" means
 generator coefficients in [0, 1], "typeB" means coefficients in [-1, 1]
 (a lattice translate of the dilation by 2 of the standard body).  `ehrhart`,
 `hstar`, `hstar_totally_unimodular` and `hstar_halfopen_parallelepiped`
-read the mode from the spec and answer in both; the h* paths weight each
-half-open piece by the refined Eulerian family of the mode, A_j for
-standard and B_j for typeB.  The four `*_zonotope` wrappers accept one mode
-each.
+read the mode from the spec and answer in both: the matroid's double sum
+gives a mode-free histogram c, and h* = sum_j c_j R_j(r+1, t) takes the row
+R of the mode, A_j or B_j.  The four `*_zonotope` wrappers take one mode.
 
 All h* computations are parameterized over a box-valuation table holding the
 rational value b(I) assigned to the open box spanned by each independent set
@@ -22,12 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Mapping, Sequence
 
-from .errors import DependentSetError, InternalDisagreementError, LatticeMathError, _integers
+from .errors import DependentSetError, LatticeMathError, _integers
 from .eulerian import _a_row, _b_row, a_j_polynomial
-from .matroid import VectorConfiguration, _as_index_set, _mask, _subset_transform
+from .matroid import VectorConfiguration, _as_index_set
 from .polycore import (HStarVector, Poly, _as_hstar, _exact, ehrhart_from_hstar,
                        express_in_shifted_power_basis)
 
@@ -42,6 +40,8 @@ class ZonotopeSpec:
     mode: str = "standard"
 
     def __post_init__(self):
+        if not isinstance(self.config, VectorConfiguration):
+            raise LatticeMathError(f"config must be a VectorConfiguration, got {self.config!r}")
         if self.mode not in MODES:
             raise LatticeMathError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -93,24 +93,24 @@ def _by_sorted_key(values: Mapping[tuple, int | Fraction]) -> dict:
 
 
 def _table_value(key: tuple, v) -> int | Fraction:
-    if not isinstance(v, (int, Fraction)):
+    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
         raise LatticeMathError(f"box value of {key!r} must be an int or Fraction, "
                                f"got {type(v).__name__}")
     return _exact(v)
 
 
 def default_box_table(config: VectorConfiguration) -> BoxValuationTable:
-    """Box table of the lattice-point count: the configuration's own box counts."""
-    return BoxValuationTable(config, config._box_counts)
+    """Box table of the lattice-point count: its own box counts, which need no check."""
+    table = object.__new__(BoxValuationTable)
+    table.config, table.values = config, config._box_table()
+    return table
 
 
-def _resolve_table(config, table) -> Mapping[tuple, int | Fraction]:
-    """The table's values, or the configuration's box counts without a table."""
-    if table is None:
-        return config._box_counts
-    if table.config != config:
+def _resolve_table(config, table) -> Mapping[tuple, int | Fraction] | None:
+    """The table's values, or None for the configuration's own box counts."""
+    if table is not None and table.config != config:
         raise LatticeMathError("box table belongs to a different configuration")
-    return table.values
+    return None if table is None else table.values
 
 
 # ---------------------------------------------------------------------------
@@ -126,15 +126,7 @@ def ehrhart(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> Poly:
     polynomial at 2n, since the [-1,1]-coefficient body is a lattice translate
     of the doubled standard one.
     """
-    config = z.config
-    if table is None:
-        phi = config._minor_gcds  # the lattice-point count of box(I) is gcd(I)
-    else:
-        phi = _subset_transform(_resolve_table(config, table), config.n, 1)
-    coeffs = [0] * (config.full_rank + 1)
-    for s, v in phi.items():
-        coeffs[len(s)] += v
-    standard = Poly(coeffs)
+    standard = Poly(z.config._box_sums(_resolve_table(z.config, table)))
     return standard.scale_argument(2) if z.mode == "typeB" else standard
 
 
@@ -171,33 +163,19 @@ def _check_cube_args(d: int, j: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# h* of half-open parallelepipeds and zonotopes
-#
-# Every h* below is sum_j c_j R_j(r+1, t) over j = 1..r+1, at the rank r of
-# the generators, where the integer (or, for custom tables, rational)
-# histogram c is the matroid double sum and the row R is the refined Eulerian
-# family of the mode: A_j for standard, B_j for typeB.
+# h* of half-open parallelepipeds and zonotopes: sum_j c_j R_j(r+1, t) at the
+# rank r, with the matroid's histogram c (rational for custom tables)
 # ---------------------------------------------------------------------------
 
-def _eulerian_histogram(values, pieces, r: int) -> list:
-    """c[|K u P|] += b(K) for each piece (B, P) and each subset K of B.
-
-    B is a sorted tuple of indices, P the bit mask of the passive (removed)
-    directions and `values` maps sorted index tuples to b; entry i of the
-    result is the coordinate of A_{i+1}(r+1) (or B_{i+1}(r+1)).
-    """
-    c = [0] * (r + 1)
-    for basis, passive in pieces:
-        for k in range(len(basis) + 1):
-            for sub in combinations(basis, k):
-                b = values[sub]
-                if b != 0:
-                    c[(passive | _mask(sub)).bit_count()] += b
-    return c
+def _histogram(config: VectorConfiguration, table: BoxValuationTable | None) -> list:
+    """The double sum's histogram c; without a table, the configuration's own."""
+    values = _resolve_table(config, table)
+    return config._histogram if values is None else config._eulerian_histogram(values)
 
 
-def _assemble(c: Sequence, r: int, mode: str) -> HStarVector:
-    """h* = sum_j c_j R_j(r+1) with the refined family of the mode as row R."""
+def _assemble(c: Sequence, mode: str) -> HStarVector:
+    """h* = sum_j c_j R_j(r+1), r = len(c) - 1, with the mode's family as row R."""
+    r = len(c) - 1
     row = _b_row(r) if mode == "typeB" else _a_row(r + 1)
     h = [0] * (r + 1)
     for cj, poly in zip(c, row):
@@ -220,10 +198,8 @@ def hstar_halfopen_parallelepiped(z: ZonotopeSpec, removed: Sequence[int] = (),
     r = config.n
     if config.full_rank != r:
         raise DependentSetError("parallelepiped generators must be linearly independent")
-    values = _resolve_table(config, table)
-    passive = _mask(_as_index_set(removed, r))
-    c = _eulerian_histogram(values, [(tuple(range(1, r + 1)), passive)], r)
-    return _assemble(c, r, z.mode)
+    values, passive = _resolve_table(config, table), _as_index_set(removed, r)
+    return _assemble(config._eulerian_histogram(values, passive), z.mode)
 
 
 def hstar(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> HStarVector:
@@ -232,45 +208,10 @@ def hstar(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> HStarVecto
     Sum over independent I and bases B containing I of
     b(I) * R_{|I u IP(B)| + 1}(r+1, t), with R = A in standard mode and R = B
     in typeB mode; the box table refers to the original (undoubled)
-    generators.  The double sum is taken as a histogram over j in two
-    independent orderings, basis-major and independent-set-major, which are
-    asserted equal.
+    generators.  The matroid takes the double sum in two orderings, asserted
+    equal, and keeps the histogram of its own box counts for both modes.
     """
-    config = z.config
-    values = _resolve_table(config, table)
-    r = config.full_rank
-    ip = config._passive_sets  # IP(B) as a bit mask, for every basis B
-
-    # Basis-major: each basis contributes its half-open parallelepiped.
-    basis_major = _eulerian_histogram(values, ip.items(), r)
-
-    # Independent-set-major: the same double sum, reindexed.  Basis k is bit
-    # k of `containing[e]` when it contains e, so the bases containing I are
-    # the AND of the masks of I's elements.
-    containing = [0] * (config.n + 1)
-    passive_bits = list(ip.values())
-    for k, b in enumerate(ip):
-        for e in b:
-            containing[e] |= 1 << k
-    all_bases = (1 << len(ip)) - 1
-    set_major = [0] * (r + 1)
-    for s in config.independent_sets():
-        b_val = values[s]
-        if b_val == 0:
-            continue
-        mask, s_bits = all_bases, _mask(s)
-        for e in s:
-            mask &= containing[e]
-        while mask:
-            low = mask & -mask
-            passive = passive_bits[low.bit_length() - 1]
-            set_major[(passive | s_bits).bit_count()] += b_val  # |I u IP(B)|
-            mask ^= low
-
-    if basis_major != set_major:
-        raise InternalDisagreementError(
-            "basis-major and independent-set-major double sums disagree")
-    return _assemble(basis_major, r, z.mode)
+    return _assemble(_histogram(z.config, table), z.mode)
 
 
 def hstar_zonotope(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> HStarVector:
@@ -298,8 +239,7 @@ def hstar_totally_unimodular(z: ZonotopeSpec) -> HStarVector:
     table, so on such inputs it is a cross-check of `hstar`.
     """
     config = z.config
-    r = config.full_rank
-    c = [0] * (r + 1)
+    c = [0] * (config.full_rank + 1)
     for b in config.bases():
         # A basis's minor gcd is |det| in a lattice basis of the span's
         # integer points; r-subsets that are not bases have det 0.
@@ -308,8 +248,8 @@ def hstar_totally_unimodular(z: ZonotopeSpec) -> HStarVector:
             raise LatticeMathError(
                 f"maximal minor of absolute value {minor} outside {{0, +-1}}; "
                 "configuration is not unimodular")
-        c[config._passive_sets[b].bit_count()] += 1
-    return _assemble(c, r, z.mode)
+        c[len(config.internally_passive(b))] += 1
+    return _assemble(c, z.mode)
 
 
 # ---------------------------------------------------------------------------

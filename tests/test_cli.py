@@ -73,6 +73,51 @@ def test_hstar_with_diagnostics(tmp_path):
     assert diag["box_table"]["[]"] == 1
 
 
+def test_diagnostics_show_the_double_sums_histogram(tmp_path, capsys, monkeypatch):
+    # `eulerian_multiplicities` is the histogram c that h* is assembled from,
+    # read from one double sum per document: the coordinates of h* in the
+    # A_j(r+1) family in standard mode and in the B_j(r+1) family in typeB.
+    import random
+    from fractions import Fraction
+
+    from zonoehrhart import cli, matroid
+    from zonoehrhart.eulerian import b_l_polynomial_via_a
+    from zonoehrhart.polycore import HStarVector
+    from zonoehrhart.zonotope import express_in_eulerian_basis
+
+    calls = []
+    real_double_sum = matroid._double_sum
+    monkeypatch.setattr(matroid, "_double_sum",
+                        lambda *args: calls.append(1) or real_double_sum(*args))
+    rng = random.Random(22)
+    for case in range(16):
+        d = rng.randint(1, 4)
+        generators = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d + rng.randint(0, 2))]
+        doc = {"generators": generators, "dim": d, "mode": ("standard", "typeB")[case % 2]}
+        if case % 4 >= 2:  # a rational custom table on the sets of size <= 1
+            doc["box_table"] = {"[]": f"{rng.randint(1, 3)}/{rng.randint(1, 3)}"}
+            for i in range(1, len(generators) + 1):
+                if any(generators[i - 1]):
+                    doc["box_table"][f"[{i}]"] = str(rng.randint(-2, 4))
+        path = write_doc(tmp_path, doc, f"doc{case}.json")
+        calls.clear()
+        assert cli.main(["hstar", path, "--diagnostics"]) == 0
+        assert len(calls) == 1, doc
+        out = json.loads(capsys.readouterr().out)
+        h = HStarVector([Fraction(x) for x in out["hstar"]], out["degree"])
+        c = [Fraction(x) for x in out["diagnostics"]["eulerian_multiplicities"]]
+        r = h.d
+        assert len(c) == r + 1
+        if doc["mode"] == "standard":
+            assert c == list(express_in_eulerian_basis(h)), doc
+        else:
+            total = [0] * (r + 1)
+            for l, cj in enumerate(c):
+                for i, x in enumerate(b_l_polynomial_via_a(r, l).coeffs):
+                    total[i] += cj * x
+            assert total == list(h.h), doc
+
+
 def test_hstar_unit_cube_d3(tmp_path):
     path = write_doc(tmp_path, {"generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
     proc = run_cli("hstar", path)
@@ -119,8 +164,7 @@ def test_rank_deficient_documents(tmp_path, capsys, mode):
         assert (out["hstar"], out["degree"]) == (expected, rank), (generators, out)
         diag = out["diagnostics"]
         assert diag["bases"] and all(len(b) == rank for b in diag["bases"])
-        if mode == "standard":
-            assert len(diag["eulerian_multiplicities"]) == rank + 1
+        assert len(diag["eulerian_multiplicities"]) == rank + 1
         assert cli.main(["check", path]) == 0
         check = json.loads(capsys.readouterr().out)
         assert (check["hstar"], check["degree"]) == (expected, rank)
@@ -453,7 +497,7 @@ def test_method_both_never_disagrees(tmp_path):
 
 
 def test_ordering_disagreement_exits_3(tmp_path, monkeypatch, capsys):
-    from zonoehrhart import cli
+    from zonoehrhart import cli, matroid
     from zonoehrhart.errors import InternalDisagreementError
     from zonoehrhart.matroid import VectorConfiguration
     from zonoehrhart.zonotope import ZonotopeSpec, default_box_table, hstar_zonotope
@@ -461,12 +505,20 @@ def test_ordering_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     generators = [[2, 1], [0, 1], [1, 1]]
     config = VectorConfiguration(generators)
     table = default_box_table(config)  # built on the full domain
-    complete = config.independent_sets()
-    dropped = next(s for s in complete if s and table.value(s) != 0)
-    # Only the independent-set-major ordering reads independent_sets(); the
-    # basis-major one walks the subsets of bases(), so the two now disagree.
-    monkeypatch.setattr(VectorConfiguration, "independent_sets",
-                        lambda self: tuple(s for s in complete if s != dropped))
+    complete = {matroid._mask(s) for s in config.independent_sets()}
+    dropped = matroid._mask(next(s for s in config.independent_sets()
+                                 if s and table.value(s) != 0))
+    # Only the independent-set-major ordering walks the enumerated sets it is
+    # given; the basis-major one walks the submasks of the bases, so dropping
+    # one set from the first makes the two disagree.
+    real_double_sum = matroid._double_sum
+
+    def dropping_one_set(sets, values, pieces, r):
+        sets = list(sets)
+        assert set(sets) == complete
+        return real_double_sum([m for m in sets if m != dropped], values, pieces, r)
+
+    monkeypatch.setattr(matroid, "_double_sum", dropping_one_set)
     with pytest.raises(InternalDisagreementError):
         hstar_zonotope(ZonotopeSpec(config))
 

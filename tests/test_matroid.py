@@ -8,7 +8,7 @@ import pytest
 from integer_reference import det_bareiss, is_independent
 from zonoehrhart.errors import (DependentSetError, EnumerationLimitError,
                                 LatticeMathError)
-from zonoehrhart.matroid import VectorConfiguration
+from zonoehrhart.matroid import VectorConfiguration, _mask
 
 HEXAGON = VectorConfiguration([(1, 0), (0, 1), (1, 1)])
 
@@ -285,14 +285,15 @@ def test_minor_gcd_matches_bareiss_reference():
     above_one = 0
     for config in _gcd_test_configs(rng):
         independent = set(config.independent_sets())
-        assert set(config._minor_gcds) == independent
+        # The cached gcds are keyed by mask, and their keys are the independent sets.
+        assert set(config._minor_gcds) == set(map(_mask, independent))
         for k in range(min(config.n, config.dim + 1) + 1):
             for s in combinations(range(1, config.n + 1), k):
                 expected = _reference_minor_gcd(config, s)
                 if s in independent:
                     assert expected > 0, (config, s)
                     assert config.minor_gcd(s) == expected, (config, s)
-                    assert config._minor_gcds[s] == expected, (config, s)
+                    assert config._minor_gcds[_mask(s)] == expected, (config, s)
                     above_one += expected > 1
                 else:
                     assert expected == 0, (config, s)

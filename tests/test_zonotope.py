@@ -108,7 +108,7 @@ def test_box_table_rejects_inexact_values():
     sets = SKEW.independent_sets()
     table = BoxValuationTable(SKEW, {s: Fraction(4, 2) for s in sets})
     assert all(type(table.value(s)) is int for s in sets)
-    for bad in (0.5, 2.0, "1/2", Decimal(1), None):
+    for bad in (0.5, 2.0, "1/2", Decimal(1), None, True):
         with pytest.raises(LatticeMathError, match="int or Fraction"):
             BoxValuationTable(SKEW, {s: (bad if s == (1,) else 1) for s in sets})
         with pytest.raises(LatticeMathError, match="int or Fraction"):
@@ -414,6 +414,37 @@ def test_library_keeps_no_configuration_alive():
     del config
     gc.collect()
     assert ref() is None
+
+
+def test_one_double_sum_per_configuration_and_table(monkeypatch):
+    # The double sum does not depend on the mode: with the default table the
+    # configuration keeps its histogram, so the second mode only assembles.
+    # A custom table is summed again on every call.
+    from zonoehrhart import matroid
+    calls = []
+    real_double_sum = matroid._double_sum
+    monkeypatch.setattr(matroid, "_double_sum",
+                        lambda *args: calls.append(1) or real_double_sum(*args))
+    for vectors in (HEXAGON.vectors, SKEW.vectors, [(2, 1, 0), (0, 1, 1), (1, 1, -1), (1, 0, 3)]):
+        config = VectorConfiguration(vectors)  # nothing cached yet
+        calls.clear()
+        for mode in MODES:
+            z = ZonotopeSpec(config, mode)
+            assert hstar(z) == hstar_from_ehrhart(ehrhart(z), config.full_rank)
+        assert len(calls) == 1
+        table = default_box_table(config).override({(1,): Fraction(1, 3)})
+        calls.clear()
+        for mode in MODES + MODES:
+            hstar(ZonotopeSpec(config, mode), table)
+        assert len(calls) == 4
+
+
+def test_spec_takes_only_a_configuration():
+    for bad in ([(1, 0)], HEXAGON.vectors, None, "standard"):
+        with pytest.raises(LatticeMathError, match="config must be a VectorConfiguration"):
+            ZonotopeSpec(bad)
+        with pytest.raises(LatticeMathError, match="config must be a VectorConfiguration"):
+            ZonotopeSpec(bad, "typeB")
 
 
 def test_hstar_type_b_parallelepiped_examples():
