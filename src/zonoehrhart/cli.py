@@ -173,13 +173,12 @@ def _cmd_hstar(args):
     doc = {"command": "hstar", "input": echo, "hstar": h, "degree": h.d}
     if args.diagnostics:
         config = spec.config
-        if table is None:
-            table = zonotope.default_box_table(config)
+        values = (zonotope.default_box_table(config) if table is None else table).values
         bases = config.bases()
         doc["diagnostics"] = {
             "bases": [list(b) for b in bases],
             "internally_passive": [list(config.internally_passive(b)) for b in bases],
-            "box_table": {json.dumps(list(s), separators=(",", ":")): table.values[s]
+            "box_table": {json.dumps(list(s), separators=(",", ":")): values[s]
                           for s in config.independent_sets()},
             "eulerian_multiplicities": c,
         }

@@ -4,10 +4,10 @@ Indices are 1-based throughout, matching the convention that the ground set
 is [n] with the matroid order v_1 < ... < v_n given by the input order; every
 order-sensitive notion (lexicographic basis order, internally passive
 elements, minimal completing bases) reads that order, so another order is
-another input order.  Once the independent sets are enumerated, every layer
-keys a set by its bit mask, element i at bit i, and index tuples remain only
-at the public boundary.  The matroid also owns the double sum of the h*
-formula, whose histogram does not depend on the coefficient mode.
+another input order.  One walk enumerates the independent sets with their
+minor gcds, keyed by bit mask (element i at bit i): the one cached form of a
+set, and index tuples are built only at the public boundary.  The matroid also
+owns the double sum of the h* formula, whose histogram is the same in each mode.
 
 Duplicate vectors are distinct parallel elements; zero vectors are loops and
 never independent.
@@ -49,6 +49,11 @@ def _bits(mask: int):
     while mask:
         yield mask & -mask
         mask &= mask - 1
+
+
+def _indices(mask: int) -> tuple:
+    """The sorted index tuple of a mask."""
+    return tuple(low.bit_length() - 1 for low in _bits(mask))
 
 
 def _subset_transform(f: dict, n: int, sign: int) -> dict:
@@ -145,33 +150,11 @@ class VectorConfiguration:
 
     def independent_sets(self) -> tuple[tuple, ...]:
         """All independent index sets including (), in sorted order."""
-        return self._independent_sets
-
-    @cached_property
-    def _independent_sets(self) -> tuple[tuple, ...]:
-        r = self.full_rank
-        bound = sum(comb(self.n, k) for k in range(r + 1))
-        if bound > MAX_INDEPENDENT_SETS:
-            raise EnumerationLimitError(
-                f"up to {bound} independent sets (n={self.n}, rank={r}) exceed the "
-                f"{MAX_INDEPENDENT_SETS} enumeration guard")
-        found = [()]
-        def grow(prefix: tuple, start: int):
-            for i in range(start, self.n + 1):
-                cand = prefix + (i,)
-                if self.rank(cand) == len(cand):
-                    found.append(cand)
-                    grow(cand, i + 1)
-        grow((), 1)
-        return tuple(sorted(found, key=lambda s: (len(s), s)))
+        return tuple(map(_indices, sorted(self._minor_gcds, key=int.bit_count)))
 
     def bases(self) -> tuple[tuple, ...]:
         """Maximal independent sets in lexicographic order."""
-        return self._bases
-
-    @cached_property
-    def _bases(self) -> tuple[tuple, ...]:
-        return tuple(s for s in self._independent_sets if len(s) == self.full_rank)
+        return tuple(map(_indices, self._passive_sets))
 
     # -- minor gcd ------------------------------------------------------------
     #
@@ -197,20 +180,30 @@ class VectorConfiguration:
 
     @cached_property
     def _minor_gcds(self) -> dict:
-        """minor_gcd of every independent set by mask (the keys are the
-        independent sets), folded down the prefix tree.  In lexicographic order
-        each set's parent (the set less its largest element) is the last shorter
-        set seen before it, so `prefix[k]` is the current k-element prefix."""
+        """minor_gcd of every independent set by mask, in lexicographic order:
+        the enumeration itself.  A DFS extends each set by the elements after
+        its largest that `rank` accepts, folding each into the free columns
+        its parent left; that step, never 0 on an independent set, times the
+        parent's gcd is the child's."""
+        r = self.full_rank
+        bound = sum(comb(self.n, k) for k in range(r + 1))
+        if bound > MAX_INDEPENDENT_SETS:
+            raise EnumerationLimitError(
+                f"up to {bound} independent sets (n={self.n}, rank={r}) exceed the "
+                f"{MAX_INDEPENDENT_SETS} enumeration guard")
         gcds = {0: 1}
-        prefix = [(0, _linalg.unit_columns(self.dim))]
-        for s in sorted(self._independent_sets)[1:]:  # () comes first
-            k = len(s)
-            parent, free = prefix[k - 1]
-            step, cols = _linalg.fold(self.vectors[s[-1] - 1], free)
-            mask = parent | 1 << s[-1]
-            gcds[mask] = gcds[parent] * step
-            del prefix[k:]
-            prefix.append((mask, cols))
+        def grow(prefix: tuple, parent: int, free: list, start: int):
+            for i in range(start, self.n + 1):
+                cand = prefix + (i,)
+                if self.rank(cand) == len(cand):
+                    step, rest = _linalg.fold(self.vectors[i - 1], free)
+                    if step == 0:
+                        raise InternalDisagreementError(
+                            f"the rank test finds {cand!r} independent, but its fold step is 0")
+                    mask = parent | 1 << i
+                    gcds[mask] = gcds[parent] * step
+                    grow(cand, mask, rest, i + 1)
+        grow((), 0, _linalg.unit_columns(self.dim), 1)
         return gcds
 
     @cached_property
@@ -219,15 +212,11 @@ class VectorConfiguration:
         Moebius inversion of `_minor_gcds`, which count the half-open boxes."""
         return _subset_transform(self._minor_gcds, self.n, -1)
 
-    def _box_table(self) -> dict:
-        """The box counts keyed by sorted index tuples, in lexicographic order."""
-        return {s: self._box_counts[_mask(s)] for s in sorted(self._independent_sets)}
-
-    def _box_sums(self, table: Mapping[tuple, object] | None = None) -> list:
+    def _box_sums(self, table: Mapping[int, object] | None = None) -> list:
         """Entry k sums the half-open box values phi(I) = sum_{J subseteq I} b(J)
-        of the k-element independent sets I; without a table, the minor gcds."""
-        phi = self._minor_gcds if table is None else \
-            _subset_transform({_mask(s): v for s, v in table.items()}, self.n, 1)
+        of the k-element independent sets I, for a table keyed by mask;
+        without one, the minor gcds."""
+        phi = self._minor_gcds if table is None else _subset_transform(table, self.n, 1)
         sums = [0] * (self.full_rank + 1)
         for m, v in phi.items():
             sums[m.bit_count()] += v
@@ -237,26 +226,22 @@ class VectorConfiguration:
 
     @cached_property
     def _passive_sets(self) -> dict:
-        """IP(B) for every basis B, both as masks: the i in B with some smaller
-        j outside B such that B - i + j is independent."""
-        members = self._minor_gcds
-        passive_sets = {}
-        for b in self._bases:
-            inside = _mask(b)
-            passive_sets[inside] = _mask(
-                i for i in b
-                if any(not inside >> j & 1 and (inside ^ 1 << i | 1 << j) in members
-                       for j in range(1, i)))
-        return passive_sets
+        """IP(B) for every basis B, both as masks, in lexicographic order (the
+        keys are the bases): the i in B with some smaller j outside B such that
+        B - i + j is independent."""
+        members, r = self._minor_gcds, self.full_rank
+        return {inside: sum(low for low in _bits(inside)
+                            if any(not inside >> j & 1 and (inside ^ low | 1 << j) in members
+                                   for j in range(1, low.bit_length() - 1)))
+                for inside in members if inside.bit_count() == r}
 
     def internally_passive(self, basis: Iterable[int]) -> tuple:
         """Elements of the basis exchangeable for a smaller outside element."""
         b = _as_index_set(basis, self.n)
-        try:
-            passive = self._passive_sets[_mask(b)]
-        except KeyError:
-            raise DependentSetError(f"{b!r} is not a basis") from None
-        return tuple(i for i in b if passive >> i & 1)
+        passive = self._passive_sets.get(_mask(b))
+        if passive is None:
+            raise DependentSetError(f"{b!r} is not a basis")
+        return _indices(passive)
 
     def min_basis_containing(self, indices: Iterable[int]) -> tuple:
         """Lexicographically least basis containing the independent set."""
@@ -268,22 +253,21 @@ class VectorConfiguration:
         for j in range(1, self.n + 1):
             if chosen | 1 << j in members:
                 chosen |= 1 << j
-        return tuple(j for j in range(1, self.n + 1) if chosen >> j & 1)
+        return _indices(chosen)
 
     def is_coloop_free(self) -> bool:
         """True iff no vector lies in every basis (removing any one keeps the rank)."""
-        return not reduce(and_, map(_mask, self._bases))
+        return not reduce(and_, self._passive_sets)
 
     # -- the double sum: h* is sum_j c_j R_j(r+1, t), and only the row R of the
     # refined Eulerian family depends on the mode, so c is kept per configuration.
 
-    def _eulerian_histogram(self, table: Mapping[tuple, object] | None = None,
+    def _eulerian_histogram(self, table: Mapping[int, object] | None = None,
                             passive: Iterable[int] | None = None) -> list:
         """c[j] sums b(I) over the independent I and bases B containing I with
-        |I u IP(B)| = j, for the table keyed by sorted index tuples or the box
-        counts; with `passive`, over the one piece (ground set, passive)."""
-        values = self._box_counts if table is None else \
-            {_mask(s): v for s, v in table.items()}
+        |I u IP(B)| = j, for a table keyed by mask or the box counts; with
+        `passive`, over the one piece (ground set, passive)."""
+        values = self._box_counts if table is None else table
         pieces = self._passive_sets if passive is None else \
             {_mask(range(1, self.n + 1)): _mask(passive)}
         return _double_sum(self._minor_gcds, values, pieces, self.full_rank)

@@ -9,12 +9,12 @@ gives a mode-free histogram c, and h* = sum_j c_j R_j(r+1, t) takes the row
 R of the mode, A_j or B_j.  The four `*_zonotope` wrappers take one mode.
 
 All h* computations are parameterized over a box-valuation table holding the
-rational value b(I) assigned to the open box spanned by each independent set
-I; the default table encodes lattice-point counting.  Every h* path works at
-the rank r of the configuration and returns h* of degree r: a rank-r lattice
-zonotope is unimodularly equivalent to a full-dimensional one in Z^r, and
-that map keeps the independent sets, the bases, IP(B) and the minor gcds,
-which count each half-open box in its own span.
+rational value b(I) of the open box of each independent set I, by set mask;
+the default table is the lattice-point count, and `override` checks only its
+updates.  Every h* path works at the rank r and returns h* of degree r: a
+rank-r lattice zonotope is unimodularly equivalent to a full-dimensional one
+in Z^r, and that map keeps the independent sets, the bases, IP(B) and the
+minor gcds, which count each half-open box in its own span.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 from .errors import DependentSetError, LatticeMathError, _integers
 from .eulerian import _a_row, _b_row, a_j_polynomial
-from .matroid import VectorConfiguration, _as_index_set
+from .matroid import VectorConfiguration, _as_index_set, _indices, _mask
 from .polycore import (HStarVector, Poly, _as_hstar, _exact, ehrhart_from_hstar,
                        express_in_shifted_power_basis)
 
@@ -51,66 +51,82 @@ class ZonotopeSpec:
 
 
 class BoxValuationTable:
-    """Map from independent index sets to the valuation of their open box."""
+    """Map from independent index sets to the valuation of their open box,
+    kept by the set's bit mask (element i at bit i) and checked once."""
 
     def __init__(self, config: VectorConfiguration, values: Mapping[tuple, int | Fraction]):
-        self.config = config
-        domain = set(config.independent_sets())
-        table = {}
-        for key, v in _by_sorted_key(values).items():
-            if key not in domain:
-                raise DependentSetError(f"{key!r} is not an independent set of the configuration")
-            table[key] = _table_value(key, v)
-        for s in domain:
-            if s not in table:
-                raise LatticeMathError(f"box table is missing the independent set {s!r}")
-        self.values = table
+        self.config, self._values = config, _checked(config, values, {})
+        if len(self._values) < len(config._minor_gcds):
+            missing = next(m for m in config._minor_gcds if m not in self._values)
+            raise LatticeMathError(
+                f"box table is missing the independent set {_indices(missing)!r}")
+
+    @classmethod
+    def _trusted(cls, config: VectorConfiguration, values: dict) -> "BoxValuationTable":
+        """A table of values already checked, keyed by mask."""
+        table = object.__new__(cls)
+        table.config, table._values = config, values
+        return table
+
+    @property
+    def values(self) -> dict:
+        """The table keyed by sorted index tuples, built anew on each read."""
+        return {_indices(m): v for m, v in self._values.items()}
 
     def value(self, indices: Sequence[int]) -> int | Fraction:
-        key = _sorted_key(indices)
-        try:
-            return self.values[key]
-        except KeyError:
+        key, mask = _key_mask(indices, self.config.n)
+        if mask not in self._values:
             raise DependentSetError(f"{key!r} is not an independent set of the configuration")
+        return self._values[mask]
 
     def override(self, updates: Mapping[tuple, int | Fraction]) -> "BoxValuationTable":
-        return BoxValuationTable(self.config, {**self.values, **_by_sorted_key(updates)})
+        """The table with the updates in place; only the updates are checked."""
+        return self._trusted(self.config, _checked(self.config, updates, self._values))
 
 
-def _sorted_key(indices: Sequence[int]) -> tuple:
-    return tuple(sorted(_integers("an index", indices)))
+def _key_mask(indices: Sequence[int], n: int) -> tuple:
+    """(the sorted index tuple, its mask), or the tuple twice if it leaves 1..n
+    or repeats an index: `_mask` reads (1, 1) as (2,), a mask with fewer bits."""
+    key = tuple(sorted(_integers("an index", indices)))
+    mask = _mask(key) if not key or 0 < key[0] and key[-1] <= n else 0
+    return key, mask if mask.bit_count() == len(key) else key
 
 
-def _by_sorted_key(values: Mapping[tuple, int | Fraction]) -> dict:
-    """The entries keyed by their sorted index tuples; a set named twice raises."""
-    keyed = {}
-    for indices, v in values.items():
-        key = _sorted_key(indices)
-        if key in keyed:
+def _checked(config: VectorConfiguration, entries: Mapping[tuple, int | Fraction],
+             base: dict) -> dict:
+    """`base` with the entries, keyed by mask, each checked once.  A non-integer
+    index or a set named twice raises first, then the first dependent set or
+    inexact value in table order, where an entry replacing one of `base` sits."""
+    members, n = config._minor_gcds, config.n
+    table, seen, faults = dict(base), set(), {}
+    for indices, v in entries.items():
+        key, mask = _key_mask(indices, n)
+        if mask in seen:
             raise LatticeMathError(f"box table names the set {key!r} twice")
-        keyed[key] = v
-    return keyed
-
-
-def _table_value(key: tuple, v) -> int | Fraction:
-    if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-        raise LatticeMathError(f"box value of {key!r} must be an int or Fraction, "
-                               f"got {type(v).__name__}")
-    return _exact(v)
+        seen.add(mask)
+        if mask not in members:
+            faults[mask] = DependentSetError(
+                f"{key!r} is not an independent set of the configuration")
+        elif isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+            faults[mask] = LatticeMathError(
+                f"box value of {key!r} must be an int or Fraction, got {type(v).__name__}")
+        else:
+            table[mask] = _exact(v)
+    if faults:
+        raise next((faults[m] for m in base if m in faults), next(iter(faults.values())))
+    return table
 
 
 def default_box_table(config: VectorConfiguration) -> BoxValuationTable:
     """Box table of the lattice-point count: its own box counts, which need no check."""
-    table = object.__new__(BoxValuationTable)
-    table.config, table.values = config, config._box_table()
-    return table
+    return BoxValuationTable._trusted(config, config._box_counts)
 
 
-def _resolve_table(config, table) -> Mapping[tuple, int | Fraction] | None:
-    """The table's values, or None for the configuration's own box counts."""
+def _resolve_table(config, table) -> Mapping[int, int | Fraction] | None:
+    """The table's values by mask, or None for the configuration's own box counts."""
     if table is not None and table.config != config:
         raise LatticeMathError("box table belongs to a different configuration")
-    return None if table is None else table.values
+    return None if table is None else table._values
 
 
 # ---------------------------------------------------------------------------

@@ -413,6 +413,16 @@ def test_box_table_override(tmp_path):
     assert out["hstar"] == [1, "3/2", "1/2"]
 
 
+def test_box_table_keys_outside_the_sets_exit_1(tmp_path):
+    for key, named in (("[1,1]", "(1, 1)"), ("[-1]", "(-1,)")):
+        path = write_doc(tmp_path, {**HEXAGON_DOC, "box_table": {key: 1}})
+        proc = run_cli("hstar", path)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert json.loads(proc.stderr) == {
+            "error": f"{named} is not an independent set of the configuration",
+            "code": "math-precondition"}
+
+
 def test_float_table_rejected(tmp_path):
     doc = {"generators": [[1, 0], [0, 1]], "box_table": {"[1,2]": 0.5}}
     path = write_doc(tmp_path, doc)
@@ -525,3 +535,31 @@ def test_ordering_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     path = write_doc(tmp_path, {"generators": generators})
     assert cli.main(["hstar", path]) == 3
     assert json.loads(capsys.readouterr().err)["code"] == "disagreement"
+
+
+def test_rank_and_fold_disagreement_exits_3(tmp_path, monkeypatch, capsys):
+    # Enumeration folds every set the rank test accepts; a zero step on one
+    # of them means the two independence tests disagree.
+    from zonoehrhart import _linalg, cli
+    from zonoehrhart.errors import InternalDisagreementError
+    from zonoehrhart.matroid import VectorConfiguration
+
+    generators = [[1, 0, 0, 2], [0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 1, 0], [2, 0, 1, 1]]
+    real_fold, zeroed = _linalg.fold, []
+
+    def zero_on_one_basis(v, columns):
+        step, rest = real_fold(v, columns)
+        if len(columns) == 1 and not zeroed:  # the last element of a basis at d = 4
+            zeroed.append(v)
+            return 0, columns
+        return step, rest
+
+    monkeypatch.setattr(_linalg, "fold", zero_on_one_basis)
+    with pytest.raises(InternalDisagreementError, match="fold step is 0"):
+        VectorConfiguration(generators).independent_sets()
+    assert zeroed
+    zeroed.clear()
+    path = write_doc(tmp_path, {"generators": generators})
+    assert cli.main(["matroid", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err)["code"] == "disagreement"

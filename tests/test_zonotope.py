@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import weakref
 from decimal import Decimal
 from fractions import Fraction
@@ -114,6 +115,10 @@ def test_box_table_rejects_inexact_values():
         with pytest.raises(LatticeMathError, match="int or Fraction"):
             table.override({(1, 2): bad})
     assert table.override({(1, 2): Fraction(1, 2)}).value((1, 2)) == Fraction(1, 2)
+    # Of an update's bad entries, one replacing a table entry is named before
+    # a set the configuration lacks, whatever their order in the update.
+    with pytest.raises(LatticeMathError, match=r"box value of \(1, 2\) must be"):
+        table.override({(3,): 1, (1, 2): 0.5})
 
 
 def test_box_table_names_each_set_once():
@@ -122,6 +127,9 @@ def test_box_table_names_each_set_once():
         BoxValuationTable(HEXAGON, {**table.values, (2, 1): 5})
     with pytest.raises(LatticeMathError, match=r"names the set \(1, 2\) twice"):
         table.override({(1, 2): 3, (2, 1): 5})
+    # A set named twice is named before an earlier dependent set or bad value.
+    with pytest.raises(LatticeMathError, match=r"names the set \(1, 2\) twice"):
+        BoxValuationTable(HEXAGON, {(2, 3, 1): 1, (1,): 0.5, **table.values, (2, 1): 5})
     # One update, in any spelling, replaces the entry.
     for key in ((1, 2), (2, 1)):
         assert table.override({key: 5}).value((1, 2)) == 5
@@ -146,6 +154,25 @@ def test_box_table_requires_complete_domain():
         BoxValuationTable(SKEW, {(): 1})
     with pytest.raises(DependentSetError):
         default_box_table(SKEW).value((3,))
+    # Of several missing sets, the first in lexicographic order is named.
+    with pytest.raises(LatticeMathError, match=r"missing the independent set \(1,\)$"):
+        BoxValuationTable(HEXAGON, {(): 1})
+    entries = default_box_table(HEXAGON).values
+    del entries[(2, 3)], entries[(1, 3)]
+    with pytest.raises(LatticeMathError, match=r"missing the independent set \(1, 3\)$"):
+        BoxValuationTable(HEXAGON, entries)
+
+
+def test_box_table_keys_no_mask_stands_for():
+    # Bit masks would read a repeated index as another element, (1, 1) as (2,),
+    # and 1 << -1 raises: each of these keys names no set of the configuration.
+    table = default_box_table(HEXAGON)
+    for key in ((1, 1), (0,), (-1,), (HEXAGON.n + 1,)):
+        message = rf"^{re.escape(repr(key))} is not an independent set of the configuration$"
+        for call in (lambda: BoxValuationTable(HEXAGON, {**table.values, key: 1}),
+                     lambda: table.override({key: 1}), lambda: table.value(key)):
+            with pytest.raises(DependentSetError, match=message):
+                call()
 
 
 def test_ehrhart_zonotope_examples():
