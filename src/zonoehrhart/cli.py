@@ -18,15 +18,18 @@ input in each result keeps it.
 Results go to stdout as JSON with a stable key order; errors go to stderr as
 JSON with a machine-readable "code".  Exit codes: 0 ok, 1 mathematical
 precondition, 2 resource guard, 3 internal disagreement.  Integers beyond
-2^53 in magnitude are serialized as decimal strings.
+2^53 in magnitude are serialized as decimal strings.  `main` may be called
+repeatedly in one process; its argument parser is built on the first call.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import eulerian, oracle, polycore, zonotope
 from .errors import EnumerationLimitError, InternalDisagreementError, LatticeMathError
@@ -34,6 +37,7 @@ from .matroid import VectorConfiguration
 from .polycore import HStarVector, Poly
 
 _BIG = 2**53
+_quote = json.encoder.encode_basestring_ascii  # json.dumps' spelling of a string
 
 
 class _CliError(Exception):
@@ -43,29 +47,43 @@ class _CliError(Exception):
         self.exit_code = exit_code
 
 
-def _jsonable(value):
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value) if abs(value) > _BIG else value
-    if isinstance(value, Fraction):
-        return _jsonable(int(value)) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    if isinstance(value, Poly):
-        return [_jsonable(c) for c in value.coeffs]
-    if isinstance(value, HStarVector):
-        return [_jsonable(c) for c in value.h]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+def _dumps(value, newline="\n") -> str:
+    """The value as `json.dumps(..., indent=2)` lays it out, in one pass that
+    also applies the CLI's rule: integers beyond 2^53 in magnitude become
+    decimal strings, Fractions their integer or a "p/q" string, and a Poly or
+    HStarVector its coefficient list.  `newline` carries the current indent."""
+    kind = type(value)
+    if kind is int:
+        return str(value) if -_BIG <= value <= _BIG else f'"{value}"'
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in value]) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join([
+            _quote(k) + ": " + _dumps(v, inner) for k, v in value.items()]) + newline + "}"
+    if kind is str:
+        return _quote(value)
+    if value is None or kind is bool:
+        return json.dumps(value)
+    if kind is Fraction:
+        return _dumps(value.numerator) if value.denominator == 1 else f'"{value}"'
+    if kind is Poly:
+        return _dumps(value.coeffs, newline)
+    if kind is HStarVector:
+        return _dumps(value.h, newline)
+    raise TypeError(f"cannot serialize {kind.__name__}")
 
 
 def _parse_rational(raw):
     if isinstance(raw, bool):
         raise _CliError("booleans are not valid table values")
     if isinstance(raw, int):
-        return Fraction(raw)
+        return raw
     if isinstance(raw, str):
         try:
             return Fraction(raw)
@@ -84,6 +102,24 @@ def _unique_keys(pairs):
             raise _CliError(f"a JSON object names the key {key!r} twice")
         doc[key] = value
     return doc
+
+
+_SPELLED = re.compile(r"\[(?:[1-9][0-9]*(?:,[1-9][0-9]*)*)?\]")
+
+
+def _index_set(key):
+    """The sorted indices a box_table key lists.  A key spelled as the CLI
+    spells sets, such as "[1,2]", is split directly; any other is read as JSON."""
+    if _SPELLED.fullmatch(key):
+        return tuple(sorted(map(int, key[1:-1].split(",")))) if len(key) > 2 else ()
+    try:
+        indices = json.loads(key)
+    except json.JSONDecodeError:
+        raise _CliError(f"box_table key {key!r} is not a JSON index list")
+    if (not isinstance(indices, list)
+            or any(not isinstance(i, int) or isinstance(i, bool) for i in indices)):
+        raise _CliError(f"box_table key {key!r} is not a list of integers")
+    return tuple(sorted(indices))
 
 
 def _load_input(path):
@@ -117,20 +153,13 @@ def _load_input(path):
             raise _CliError("'box_table' must be an object keyed by index lists")
         overrides = {}
         for key, raw in raw_table.items():
-            try:
-                indices = json.loads(key)
-            except json.JSONDecodeError:
-                raise _CliError(f"box_table key {key!r} is not a JSON index list")
-            if (not isinstance(indices, list)
-                    or any(not isinstance(i, int) or isinstance(i, bool) for i in indices)):
-                raise _CliError(f"box_table key {key!r} is not a list of integers")
-            s = tuple(sorted(indices))
+            s = _index_set(key)
             if s in overrides:
                 raise _CliError(f"box table names the set {s!r} twice")
             overrides[s] = _parse_rational(raw)
         # The lattice counts fill only the sets the document leaves out.
         table = zonotope.default_box_table(config).override(overrides)
-    echo = {"generators": [list(v) for v in config.vectors]}
+    echo = {"generators": config.vectors}
     if dim is not None:
         echo["dim"] = dim
     echo["mode"] = mode
@@ -176,9 +205,10 @@ def _cmd_hstar(args):
         values = (zonotope.default_box_table(config) if table is None else table).values
         bases = config.bases()
         doc["diagnostics"] = {
-            "bases": [list(b) for b in bases],
-            "internally_passive": [list(config.internally_passive(b)) for b in bases],
-            "box_table": {json.dumps(list(s), separators=(",", ":")): values[s]
+            "bases": bases,
+            "internally_passive": [config.internally_passive(b) for b in bases],
+            # Each key as json.dumps spells the list compactly, "[1,2]".
+            "box_table": {f"[{','.join(map(str, s))}]": values[s]
                           for s in config.independent_sets()},
             "eulerian_multiplicities": c,
         }
@@ -244,10 +274,10 @@ def _check_property(name, h, coords):
         return {"value": polycore.is_palindromic(h)}
     if name == "reflexive":
         return {"value": zonotope.coordinates_symmetric(coords),
-                "shifted_power_coordinates": list(coords)}
+                "shifted_power_coordinates": coords}
     if name == "cone":
         return {"value": zonotope.coordinates_in_cone(coords),
-                "eulerian_coordinates": list(coords)}
+                "eulerian_coordinates": coords}
     raise AssertionError(name)
 
 
@@ -296,9 +326,9 @@ def _cmd_matroid(args):
         "n": config.n,
         "dim": config.dim,
         "rank": config.full_rank,
-        "independent_sets": [list(s) for s in config.independent_sets()],
-        "bases": [list(b) for b in bases],
-        "internally_passive": [list(config.internally_passive(b)) for b in bases],
+        "independent_sets": config.independent_sets(),
+        "bases": bases,
+        "internally_passive": [config.internally_passive(b) for b in bases],
         "coloop_free": config.is_coloop_free(),
     }
 
@@ -312,7 +342,10 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message, code="bad-input")
 
 
-def _build_parser():
+@cache
+def _parser():
+    """The argument parser, built on the first call and shared by every later
+    one: parsing leaves it as it was."""
     parser = _Parser(prog="zonoehrhart",
                      description="Exact Ehrhart/h* computations for lattice zonotopes")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -353,9 +386,8 @@ def _emit_error(message, code, exit_code):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         doc = args.fn(args)
     except _CliError as exc:
         return _emit_error(exc, exc.code, exc.exit_code)
@@ -365,7 +397,7 @@ def main(argv=None) -> int:
         return _emit_error(exc, "resource-limit", 2)
     except InternalDisagreementError as exc:
         return _emit_error(exc, "disagreement", 3)
-    sys.stdout.write(json.dumps(_jsonable(doc), indent=2) + "\n")
+    sys.stdout.write(_dumps(doc) + "\n")
     return 0
 
 

@@ -192,19 +192,23 @@ class VectorConfiguration:
                 f"up to {bound} independent sets (n={self.n}, rank={r}) exceed the "
                 f"{MAX_INDEPENDENT_SETS} enumeration guard")
         gcds = {0: 1}
-        def grow(prefix: tuple, parent: int, free: list, start: int):
-            for i in range(start, self.n + 1):
-                cand = prefix + (i,)
-                if self.rank(cand) == len(cand):
-                    step, rest = _linalg.fold(self.vectors[i - 1], free)
-                    if step == 0:
-                        raise InternalDisagreementError(
-                            f"the rank test finds {cand!r} independent, but its fold step is 0")
-                    mask = parent | 1 << i
-                    gcds[mask] = gcds[parent] * step
-                    grow(cand, mask, rest, i + 1)
-        grow((), 0, _linalg.unit_columns(self.dim), 1)
+        self._grow(gcds, (), 0, _linalg.unit_columns(self.dim))
         return gcds
+
+    def _grow(self, gcds: dict, prefix: tuple, parent: int, free: list):
+        """Enter every independent extension of `prefix` (mask `parent`, whose
+        fold left the columns `free`) by elements after its largest.  A method,
+        not a closure, so the walk leaves no reference cycle through `self`."""
+        for i in range(prefix[-1] + 1 if prefix else 1, self.n + 1):
+            cand = prefix + (i,)
+            if self.rank(cand) == len(cand):
+                step, rest = _linalg.fold(self.vectors[i - 1], free)
+                if step == 0:
+                    raise InternalDisagreementError(
+                        f"the rank test finds {cand!r} independent, but its fold step is 0")
+                mask = parent | 1 << i
+                gcds[mask] = gcds[parent] * step
+                self._grow(gcds, cand, mask, rest)
 
     @cached_property
     def _box_counts(self) -> dict:

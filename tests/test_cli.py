@@ -464,10 +464,120 @@ def test_output_round_trips(tmp_path):
 
 
 def test_big_integers_serialize_as_strings():
-    from zonoehrhart.cli import _jsonable
-    assert _jsonable(2**53) == 2**53
-    assert _jsonable(2**53 + 1) == str(2**53 + 1)
-    assert _jsonable(-(2**60)) == str(-(2**60))
+    # `_dumps` writes json.dumps(indent=2)'s layout of the value with every
+    # integer beyond 2^53 in magnitude, and every non-integral Fraction, as a
+    # string; booleans and integers up to 2^53 stay as they are, at any depth.
+    from fractions import Fraction
+
+    from zonoehrhart.cli import _dumps
+    from zonoehrhart.polycore import HStarVector, Poly
+
+    big = 2**60
+    for value, plain in (
+            (2**53, 2**53), (-(2**53), -(2**53)),
+            (2**53 + 1, str(2**53 + 1)), (-(2**60), str(-(2**60))),
+            (True, True), (False, False), (None, None), ("p/q", "p/q"),
+            (Fraction(big), str(big)), (Fraction(big, 3), f"{big}/3"),
+            (Fraction(-6, 3), -2), (Fraction(1, 2), "1/2"),
+            ([], []), ({}, {}), ((1, (2,)), [1, [2]]),
+            ([1, [2**53, [-(2**53) - 1, True]], {"a": [False, Fraction(big)]}],
+             [1, [2**53, [str(-(2**53) - 1), True]], {"a": [False, str(big)]}]),
+            ({"x": {"y": [big, Fraction(5, big)], "z": {}}, "w": "\u00e9\n"},
+             {"x": {"y": [str(big), f"5/{big}"], "z": {}}, "w": "\u00e9\n"}),
+            (Poly([1, big]), [1, str(big)]),
+            (HStarVector([1, Fraction(1, 2), 0], 2), [1, "1/2", 0])):
+        assert _dumps(value) == json.dumps(plain, indent=2), value
+    with pytest.raises(TypeError, match="float"):
+        _dumps([1, 0.5])
+
+
+# CLI calls pinned byte for byte: exit code, stdout and stderr.  A dict
+# stands for the stdout json.dumps(dict, indent=2) + "\n", the CLI's layout;
+# the `check` output is spelled out in full.
+PINNED_DOCS = {
+    "hex.json": HEXAGON_DOC,
+    "hexB.json": {**HEXAGON_DOC, "mode": "typeB"},
+    "table.json": {"generators": [[1, 1], [1, -1]],
+                   "box_table": {"[1,2]": "1/2", "[1]": 9007199254740993}},
+    "segment.json": {"generators": [[1, -2], [0, 0], [-2, 4]]},
+    "outside.json": {**HEXAGON_DOC, "box_table": {"[1,1]": 1}},
+    "huge.json": {"generators": [[4000, 0], [0, 4000]]},
+}
+HEXAGON_DIAGNOSTICS = {
+    "bases": [[1, 2], [1, 3], [2, 3]], "internally_passive": [[], [3], [2, 3]],
+    "box_table": {"[]": 1, "[1]": 0, "[2]": 0, "[3]": 0, "[1,2]": 0, "[1,3]": 0, "[2,3]": 0},
+    "eulerian_multiplicities": [1, 1, 1]}
+PINNED = [
+    (["hstar", "hex.json", "--diagnostics"], 0,
+     {"command": "hstar", "input": {"generators": [[1, 0], [0, 1], [1, 1]], "mode": "standard"},
+      "hstar": [1, 4, 1], "degree": 2, "diagnostics": HEXAGON_DIAGNOSTICS}, ""),
+    (["hstar", "hexB.json", "--diagnostics"], 0,
+     {"command": "hstar", "input": {"generators": [[1, 0], [0, 1], [1, 1]], "mode": "typeB"},
+      "hstar": [1, 16, 7], "degree": 2, "diagnostics": HEXAGON_DIAGNOSTICS}, ""),
+    (["hstar", "table.json", "--diagnostics"], 0,
+     {"command": "hstar",
+      "input": {"generators": [[1, 1], [1, -1]], "mode": "standard",
+                "box_table": {"[1,2]": "1/2", "[1]": "9007199254740993"}},
+      "hstar": [1, "36028797018963975/2", "1/2"], "degree": 2,
+      "diagnostics": {"bases": [[1, 2]], "internally_passive": [[]],
+                      "box_table": {"[]": 1, "[1]": "9007199254740993", "[2]": 0, "[1,2]": "1/2"},
+                      "eulerian_multiplicities": [1, "9007199254740993", "1/2"]}}, ""),
+    (["check", "--hvector", "9007199254740993,1", "--degree", "1", "--properties", "unimodal"], 0,
+     '{\n  "command": "check",\n  "source": "literal",\n  "hstar": [\n    "9007199254740993",\n'
+     '    1\n  ],\n  "degree": 1,\n  "results": {\n    "unimodal": {\n      "value": true,\n'
+     '      "peaks": [\n        0\n      ]\n    }\n  }\n}\n', ""),
+    (["matroid", "segment.json"], 0,
+     {"command": "matroid", "input": {"generators": [[1, -2], [0, 0], [-2, 4]], "mode": "standard"},
+      "n": 3, "dim": 2, "rank": 1, "independent_sets": [[], [1], [3]], "bases": [[1], [3]],
+      "internally_passive": [[], [3]], "coloop_free": True}, ""),
+    (["eulerian", "--family", "A", "--d", "3", "--index", "2", "--method", "enumerate"], 0,
+     {"command": "eulerian", "family": "A", "d": 3, "index": 2, "method": "enumerate",
+      "coefficients": [0, 2]}, ""),
+    (["hstar", "outside.json"], 1, None,
+     '{"error": "(1, 1) is not an independent set of the configuration", '
+     '"code": "math-precondition"}\n'),
+    (["ehrhart", "huge.json", "--method", "oracle"], 2, None,
+     '{"error": "bounding box holds 16008001 integer points, above the 10000000 '
+     'enumeration guard", "code": "resource-limit"}\n'),
+]
+
+
+def test_output_bytes_are_pinned(tmp_path, monkeypatch, capsys):
+    from zonoehrhart import cli
+
+    monkeypatch.chdir(tmp_path)
+    for name, doc in PINNED_DOCS.items():
+        write_doc(tmp_path, doc, name)
+    for argv, code, out, err in PINNED:
+        assert cli.main(argv) == code, argv
+        captured = capsys.readouterr()
+        if out is None:
+            out = ""
+        elif not isinstance(out, str):
+            out = json.dumps(out, indent=2) + "\n"
+        assert (captured.out, captured.err) == (out, err), argv
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch, capsys):
+    # `main` builds its parser on the first call and reuses it; no call may
+    # leave a trace in it.  Alternate commands and flags, with a refused flag
+    # in between, and match each call against a fresh process.
+    from zonoehrhart import cli
+
+    monkeypatch.chdir(tmp_path)
+    for name, doc in PINNED_DOCS.items():
+        write_doc(tmp_path, doc, name)
+    calls = (["hstar", "hex.json", "--diagnostics"], ["hstar", "hex.json"],
+             ["hstar", "hex.json", "--bogus"],
+             ["check", "hex.json", "--properties", "unimodal"], ["check", "hex.json"],
+             ["ehrhart", "table.json", "--method", "both"], ["ehrhart", "table.json"],
+             ["hstar", "hexB.json", "--diagnostics"])
+    for argv in calls:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        proc = run_cli(*argv)
+        assert (code, captured.out, captured.err) == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert cli._parser.cache_info().currsize == 1
 
 
 def test_method_both_never_disagrees(tmp_path):
