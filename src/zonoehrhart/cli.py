@@ -17,9 +17,13 @@ input in each result keeps it.
 
 Results go to stdout as JSON with a stable key order; errors go to stderr as
 JSON with a machine-readable "code".  Exit codes: 0 ok, 1 mathematical
-precondition, 2 resource guard, 3 internal disagreement.  Integers beyond
-2^53 in magnitude are serialized as decimal strings.  `main` may be called
-repeatedly in one process; its argument parser is built on the first call.
+precondition or malformed input, 2 resource guard (a result integer too
+long for Python's int-to-str conversion among them), 3 internal
+disagreement.  Integers beyond 2^53 in magnitude are serialized as decimal
+strings.  `main` may be called repeatedly in one process; its argument
+parser is built on the first call, and a document whose generators and
+dimension equal the previous document's reuses the configuration that one
+built, with its enumeration.  At most one configuration is kept.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from . import eulerian, oracle, polycore, zonotope
 from .errors import EnumerationLimitError, InternalDisagreementError, LatticeMathError
@@ -110,16 +114,26 @@ _SPELLED = re.compile(r"\[(?:[1-9][0-9]*(?:,[1-9][0-9]*)*)?\]")
 def _index_set(key):
     """The sorted indices a box_table key lists.  A key spelled as the CLI
     spells sets, such as "[1,2]", is split directly; any other is read as JSON."""
-    if _SPELLED.fullmatch(key):
-        return tuple(sorted(map(int, key[1:-1].split(",")))) if len(key) > 2 else ()
     try:
+        if _SPELLED.fullmatch(key):
+            return tuple(sorted(map(int, key[1:-1].split(",")))) if len(key) > 2 else ()
         indices = json.loads(key)
     except json.JSONDecodeError:
         raise _CliError(f"box_table key {key!r} is not a JSON index list")
+    except ValueError as exc:  # an index past the int-string conversion limit
+        raise _CliError(f"box_table key {key!r} cannot be read: {exc}")
     if (not isinstance(indices, list)
             or any(not isinstance(i, int) or isinstance(i, bool) for i in indices)):
         raise _CliError(f"box_table key {key!r} is not a list of integers")
     return tuple(sorted(indices))
+
+
+@lru_cache(maxsize=1)
+def _reused(config):
+    """The configuration, or the equal one the previous document built, with
+    every layer it has cached: the matroid reads only the generators and dim.
+    One slot, so a later document on other generators lets it go."""
+    return config
 
 
 def _load_input(path):
@@ -132,6 +146,8 @@ def _load_input(path):
         raise _CliError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise _CliError(f"invalid JSON in {path}: {exc}")
+    except ValueError as exc:  # an integer past the int-string conversion limit, or not UTF-8
+        raise _CliError(f"cannot read {path}: {exc}")
     if not isinstance(doc, dict) or "generators" not in doc:
         raise _CliError("input document must be an object with a 'generators' key")
     generators = doc["generators"]
@@ -142,7 +158,7 @@ def _load_input(path):
         raise _CliError("'generators' must be a list of integer vectors")
     mode, dim = doc.get("mode", "standard"), doc.get("dim")
     try:
-        spec = zonotope.ZonotopeSpec(VectorConfiguration(generators, dim), mode)
+        spec = zonotope.ZonotopeSpec(_reused(VectorConfiguration(generators, dim)), mode)
     except LatticeMathError as exc:
         raise _CliError(str(exc)) from None
     config = spec.config
@@ -397,7 +413,11 @@ def main(argv=None) -> int:
         return _emit_error(exc, "resource-limit", 2)
     except InternalDisagreementError as exc:
         return _emit_error(exc, "disagreement", 3)
-    sys.stdout.write(_dumps(doc) + "\n")
+    try:
+        out = _dumps(doc)
+    except ValueError as exc:  # a result integer past the int-string conversion limit
+        return _emit_error(f"the result cannot be written: {exc}", "resource-limit", 2)
+    sys.stdout.write(out + "\n")
     return 0
 
 

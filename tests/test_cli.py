@@ -89,6 +89,7 @@ def test_diagnostics_show_the_double_sums_histogram(tmp_path, capsys, monkeypatc
     real_double_sum = matroid._double_sum
     monkeypatch.setattr(matroid, "_double_sum",
                         lambda *args: calls.append(1) or real_double_sum(*args))
+    cli._reused.cache_clear()  # no configuration with a histogram already summed
     rng = random.Random(22)
     for case in range(16):
         d = rng.randint(1, 4)
@@ -450,11 +451,13 @@ def test_box_table_naming_a_set_twice_exits_1(tmp_path, capsys):
 
 
 def test_bad_json_exits_1(tmp_path):
+    # Broken JSON, and a document that is not UTF-8.
     path = tmp_path / "broken.json"
-    path.write_text("{not json", encoding="utf-8")
-    proc = run_cli("ehrhart", str(path))
-    assert proc.returncode == 1
-    assert json.loads(proc.stderr)["code"] == "bad-input"
+    for body in (b"{not json", '{"generators": [[1]], "mode": "\u00e9"}'.encode("latin-1")):
+        path.write_bytes(body)
+        proc = run_cli("ehrhart", str(path))
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr)["code"] == "bad-input"
 
 
 def test_output_round_trips(tmp_path):
@@ -580,6 +583,118 @@ def test_one_parser_serves_every_call(tmp_path, monkeypatch, capsys):
     assert cli._parser.cache_info().currsize == 1
 
 
+def test_reused_configuration_leaks_nothing_between_documents(tmp_path, monkeypatch, capsys):
+    # Documents on one set of generators share a configuration, and nothing
+    # else: no table, two tables, no table again; both modes; with and
+    # without "dim", whose echo keeps or omits it; and a table naming a
+    # dependent set in the middle.  Every call matches the same call made
+    # with an empty slot.
+    from zonoehrhart import cli
+
+    monkeypatch.chdir(tmp_path)
+    generators = [[2, 1], [0, 1], [1, 1], [1, -1]]
+    docs = {
+        "plain.json": {"generators": generators},
+        "t1.json": {"generators": generators, "box_table": {"[1,2]": 3, "[4]": "1/2"}},
+        "t2.json": {"generators": generators, "mode": "typeB",
+                    "box_table": {"[1,2]": -1, "[]": 2}},
+        "dependent.json": {"generators": generators, "box_table": {"[1,2,3]": 1}},
+        "dim.json": {"generators": generators, "dim": 2, "mode": "typeB"},
+        "plainB.json": {"generators": generators, "mode": "typeB"},
+    }
+    for name, doc in docs.items():
+        write_doc(tmp_path, doc, name)
+    calls = [["hstar", "plain.json", "--diagnostics"], ["check", "t1.json"],
+             ["hstar", "t1.json", "--diagnostics"], ["matroid", "t2.json"],
+             ["hstar", "t2.json", "--diagnostics"], ["hstar", "dependent.json"],
+             ["check", "dependent.json"], ["ehrhart", "dim.json", "--method", "both"],
+             ["hstar", "dim.json", "--diagnostics"], ["matroid", "dim.json"],
+             ["hstar", "plainB.json", "--diagnostics"], ["ehrhart", "t1.json"],
+             ["hstar", "plain.json", "--diagnostics"], ["check", "plain.json"]]
+    cli._reused.cache_clear()
+    in_sequence = []
+    for argv in calls:
+        code = cli.main(argv)
+        in_sequence.append((code, *capsys.readouterr()))
+    assert cli._reused.cache_info().hits == len(calls) - 1
+    for argv, seen in zip(calls, in_sequence):
+        cli._reused.cache_clear()
+        code = cli.main(argv)
+        assert (code, *capsys.readouterr()) == seen, argv
+    codes = [code for code, _, _ in in_sequence]
+    assert codes == [0] * 5 + [1, 1] + [0] * 7
+    echoes = {argv[1]: json.loads(out)["input"] for argv, (_, out, _) in zip(calls, in_sequence)
+              if out}
+    assert echoes["dim.json"]["dim"] == 2 and "dim" not in echoes["plainB.json"]
+    assert "box_table" not in echoes["plain.json"]
+
+
+def test_reuse_keeps_at_most_one_configuration(tmp_path, capsys):
+    # The slot holds one configuration: a document on other generators lets
+    # the previous one go, without the cyclic collector.  A configuration
+    # over the enumeration guard is refused on every call, not only the first.
+    import gc
+    import random
+    import weakref
+
+    from zonoehrhart import cli
+    from zonoehrhart.matroid import VectorConfiguration
+
+    first = [[2, 1, 0], [0, 1, 1], [1, 1, -1], [1, 0, 3]]
+    path_a = write_doc(tmp_path, {"generators": first}, "a.json")
+    path_b = write_doc(tmp_path, {"generators": HEXAGON_DOC["generators"]}, "b.json")
+    gc.disable()
+    try:
+        assert cli.main(["hstar", path_a, "--diagnostics"]) == 0
+        config = cli._reused(VectorConfiguration(first))
+        assert "_minor_gcds" in vars(config)  # the one the call enumerated
+        ref = weakref.ref(config)
+        del config
+        assert ref() is not None
+        assert cli.main(["matroid", path_b]) == 0
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert cli._reused.cache_info().currsize == 1
+    capsys.readouterr()
+
+    rng = random.Random(12)
+    doc = {"generators": [[rng.randint(-2, 2) for _ in range(12)] for _ in range(60)]}
+    path = write_doc(tmp_path, doc, "over.json")
+    for _ in range(2):
+        assert cli.main(["hstar", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["code"] == "resource-limit"
+
+
+def test_integers_past_the_conversion_limit_are_json_errors(tmp_path, capsys):
+    # Python refuses to convert an int of more digits than its limit to or
+    # from a string.  An input integer that long is bad input (exit 1), in a
+    # generator, a box-table key or a box-table value; a result integer that
+    # long cannot be written and hits a resource guard (exit 2).
+    from zonoehrhart import cli
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int-string conversion limit")
+    digits = "1" * (limit + 700)
+    nines = "9" * limit  # within the limit; two of them sum past it
+    for text, exit_code, code in (
+            ('{"generators": [[%s]]}' % digits, 1, "bad-input"),
+            ('{"generators": [[1]], "box_table": {"[%s]": 1}}' % digits, 1, "bad-input"),
+            ('{"generators": [[1]], "box_table": {"[ %s]": 1}}' % digits, 1, "bad-input"),
+            ('{"generators": [[1]], "box_table": {"[1]": %s}}' % digits, 1, "bad-input"),
+            ('{"generators": [[1, 0], [0, 1], [1, 1]], "box_table": {"[1,2]": %s, "[1,3]": %s}}'
+             % (nines, nines), 2, "resource-limit")):
+        path = tmp_path / "long.json"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["hstar", str(path)]) == exit_code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["code"] == code
+
+
 def test_method_both_never_disagrees(tmp_path):
     import random
 
@@ -642,6 +757,7 @@ def test_ordering_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     with pytest.raises(InternalDisagreementError):
         hstar_zonotope(ZonotopeSpec(config))
 
+    cli._reused.cache_clear()  # no configuration with a histogram already summed
     path = write_doc(tmp_path, {"generators": generators})
     assert cli.main(["hstar", path]) == 3
     assert json.loads(capsys.readouterr().err)["code"] == "disagreement"
@@ -669,6 +785,7 @@ def test_rank_and_fold_disagreement_exits_3(tmp_path, monkeypatch, capsys):
         VectorConfiguration(generators).independent_sets()
     assert zeroed
     zeroed.clear()
+    cli._reused.cache_clear()  # no configuration already enumerated
     path = write_doc(tmp_path, {"generators": generators})
     assert cli.main(["matroid", path]) == 3
     captured = capsys.readouterr()
