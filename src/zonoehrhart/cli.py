@@ -219,13 +219,12 @@ def _cmd_hstar(args):
     if args.diagnostics:
         config = spec.config
         values = (zonotope.default_box_table(config) if table is None else table).values
-        bases = config.bases()
+        bases, passive, _ = zip(*config._pieces())
         doc["diagnostics"] = {
             "bases": bases,
-            "internally_passive": [config.internally_passive(b) for b in bases],
-            # Each key as json.dumps spells the list compactly, "[1,2]".
-            "box_table": {f"[{','.join(map(str, s))}]": values[s]
-                          for s in config.independent_sets()},
+            "internally_passive": passive,
+            # Keys as json.dumps spells a list compactly, "[1,2]", in independent_sets() order.
+            "box_table": {f"[{','.join(map(str, s))}]": v for s, v in values.items()},
             "eulerian_multiplicities": c,
         }
     return doc
@@ -335,7 +334,7 @@ def _cmd_eulerian(args):
 def _cmd_matroid(args):
     spec, _, echo = _load_input(args.input)
     config = spec.config
-    bases = config.bases()
+    bases, passive, _ = zip(*config._pieces())
     return {
         "command": "matroid",
         "input": echo,
@@ -344,7 +343,7 @@ def _cmd_matroid(args):
         "rank": config.full_rank,
         "independent_sets": config.independent_sets(),
         "bases": bases,
-        "internally_passive": [config.internally_passive(b) for b in bases],
+        "internally_passive": passive,
         "coloop_free": config.is_coloop_free(),
     }
 

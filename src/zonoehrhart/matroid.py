@@ -239,6 +239,11 @@ class VectorConfiguration:
                                    for j in range(1, low.bit_length() - 1)))
                 for inside in members if inside.bit_count() == r}
 
+    def _pieces(self):
+        """(B, IP(B), gcd(B)) per basis B, lexicographically, as index tuples, unchecked."""
+        gcds = self._minor_gcds
+        return ((_indices(b), _indices(p), gcds[b]) for b, p in self._passive_sets.items())
+
     def internally_passive(self, basis: Iterable[int]) -> tuple:
         """Elements of the basis exchangeable for a smaller outside element."""
         b = _as_index_set(basis, self.n)

@@ -70,8 +70,9 @@ class BoxValuationTable:
 
     @property
     def values(self) -> dict:
-        """The table keyed by sorted index tuples, built anew on each read."""
-        return {_indices(m): v for m, v in self._values.items()}
+        """The table by sorted index tuple in `independent_sets()` order, built on each read."""
+        return {_indices(m): self._values[m]
+                for m in sorted(self.config._minor_gcds, key=int.bit_count)}
 
     def value(self, indices: Sequence[int]) -> int | Fraction:
         key, mask = _key_mask(indices, self.config.n)
@@ -251,20 +252,18 @@ def hstar_totally_unimodular(z: ZonotopeSpec) -> HStarVector:
 
     Every box count but b(()) = 1 is then 0, so the double sum reduces to
     sum over bases of R_{|IP(B)| + 1}(r+1, t), with R = A in standard mode and
-    R = B in typeB mode: the paper's unimodular corollary.  It reads no box
-    table, so on such inputs it is a cross-check of `hstar`.
+    R = B in typeB mode: the paper's unimodular corollary.  It shares `hstar`'s
+    enumeration, the minor gcds its walk folded and IP(B), but reads no box
+    counts and takes no double sum: on such inputs it cross-checks those two.
     """
-    config = z.config
-    c = [0] * (config.full_rank + 1)
-    for b in config.bases():
-        # A basis's minor gcd is |det| in a lattice basis of the span's
-        # integer points; r-subsets that are not bases have det 0.
-        minor = config.minor_gcd(b)
+    c = [0] * (z.config.full_rank + 1)
+    # gcd(B) is |det B| in a lattice basis of the span; an r-subset that is no basis has det 0.
+    for _, passive, minor in z.config._pieces():
         if minor != 1:
             raise LatticeMathError(
                 f"maximal minor of absolute value {minor} outside {{0, +-1}}; "
                 "configuration is not unimodular")
-        c[len(config.internally_passive(b))] += 1
+        c[len(passive)] += 1
     return _assemble(c, z.mode)
 
 

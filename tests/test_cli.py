@@ -790,3 +790,177 @@ def test_rank_and_fold_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     assert cli.main(["matroid", path]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and json.loads(captured.err)["code"] == "disagreement"
+
+
+def _seeded_documents():
+    """(name, document) pairs on d = 0..4: plain draws, a loop, a repeated
+    generator, a rank-deficient draw and an empty list with "dim"; each with
+    no table, a partial integer table and a rational one, in either mode."""
+    import random
+
+    from zonoehrhart.matroid import VectorConfiguration
+
+    rng = random.Random(2611)
+    for d in range(5):
+        for shape in ("plain", "loop", "repeat", "deficient", "empty"):
+            n = rng.randint(max(d - 1, 1), d + 2)
+            generators = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(n)]
+            if shape == "loop":
+                generators.insert(rng.randint(0, n), [0] * d)
+            elif shape == "repeat":
+                generators.insert(rng.randint(0, n), list(rng.choice(generators)))
+            elif shape == "deficient":
+                for v in generators:
+                    v[-1:] = [0] * min(d, 1)
+            elif shape == "empty":
+                generators = []
+            sets = VectorConfiguration(generators, d).independent_sets()
+            for table in ("none", "integer", "rational"):
+                doc = {"generators": generators, "mode": rng.choice(("standard", "typeB"))}
+                if shape == "empty" or rng.random() < 0.3:
+                    doc["dim"] = d
+                if table != "none":
+                    chosen = rng.sample(sets, rng.randint(1, len(sets)))
+                    doc["box_table"] = {
+                        json.dumps(list(s), separators=(",", ":")):
+                            rng.randint(-3, 5) if table == "integer"
+                            else f"{rng.randint(-3, 5)}/{rng.randint(1, 4)}"
+                        for s in chosen}
+                yield f"d{d}-{shape}-{table}.json", doc
+
+
+def _unimodular_draws():
+    """Seeded configurations for `hstar_totally_unimodular`: the hexagon and
+    {-1, 0, 1} draws at d = 0..4, some of them not unimodular."""
+    import random
+
+    rng = random.Random(2612)
+    yield [[1, 0], [0, 1], [1, 1]], 2
+    for d in range(5):
+        for _ in range(4):
+            n = rng.randint(max(d - 1, 0), d + 2)
+            yield [[rng.randint(-1, 1) for _ in range(d)] for _ in range(n)], d
+
+
+def _output_records(tmp_path, capsys):
+    """One line per call: the CLI's (exit code, stdout, stderr) on every seeded
+    document through `matroid`, `hstar` and `hstar --diagnostics`, then
+    `hstar_totally_unimodular`'s value or error in both modes."""
+    from zonoehrhart import cli
+    from zonoehrhart.matroid import VectorConfiguration
+    from zonoehrhart.zonotope import MODES, ZonotopeSpec, hstar_totally_unimodular
+
+    cli._reused.cache_clear()
+    records = []
+    for name, doc in _seeded_documents():
+        write_doc(tmp_path, doc, name)
+        for argv in (["matroid", name], ["hstar", name], ["hstar", name, "--diagnostics"]):
+            code = cli.main(argv)
+            out, err = (s.replace(str(tmp_path), "<tmp>") for s in capsys.readouterr())
+            records.append(json.dumps([argv, code, out, err]))
+    for generators, d in _unimodular_draws():
+        for mode in MODES:
+            try:
+                h = hstar_totally_unimodular(ZonotopeSpec(VectorConfiguration(generators, d), mode))
+                result = [h.d, [str(x) for x in h.h]]
+            except Exception as exc:
+                result = [type(exc).__name__, str(exc)]
+            records.append(json.dumps([generators, d, mode, result]))
+    return records
+
+
+# The sha256 of the records, and the first four hex digits of each record's
+# own sha256, which locate the first record that moved.  A change that moves
+# an output on purpose updates both and says which records moved and why.
+OUTPUT_DIGEST = "1e33454dfc5a730db5f1b076cab5e6b254548afd87f016db4087b06a6749fd55"
+RECORD_DIGESTS = """
+b1d9 e24e 0278 6557 6905 3ec9 ed99 1c8b c87c 4642 be6b 0d5a f90e 71d0 0211 9f1a a8bf
+8994 51d1 8417 e78d 7d01 6cd7 3897 8e9d 0889 fc8c 70db 8738 8b56 6aa4 c66b 559d 9781
+ee7a 0aaa b103 6f8d a96d 3bb0 d22c 151b 4020 ac75 dc4a 85e1 3a36 7a77 04cd ff52 795a
+170f 79ae 7794 8631 725d ea3a 8393 1ee0 7d00 8cc0 f05a 2af1 e959 8a81 1d21 791d baad
+2925 505d 088b cf6b b3a6 74af a06b 3a3f 6b6e 4324 84a7 e69f 96b8 48ae 2544 44b6 a1ef
+18e0 4a71 b7dc cc4c 8843 db51 49ae c1b5 91d1 6602 8835 7bc7 9f8f 09ed d851 292d 6742
+eb15 da7d e51e f332 3bd1 09c2 90f0 0f45 e7c1 7203 3539 1aff 335a 54bd 4e54 fa27 250a
+1708 8fd5 cae4 f1db 712c 44b0 b2b6 4c74 7800 7e82 e6d7 206c 1145 f525 8c68 a4f3 4671
+7738 61e7 b35b 6a39 18a1 2b7a 0c1c 20e3 8a59 2e6d 1ff0 f1de 253c 44f3 c7e5 ed7c 3d71
+4302 85bd d180 f358 cb8b 032a d4b9 ebad f383 f15c 944e 34b5 bea5 628a d4c8 42b2 5547
+d784 5e4b 07f2 7afe f80a b14b 3904 136b a376 c772 dbe4 1c82 a0dc 6eb9 7aa2 4a05 8fa6
+43d7 ab30 4824 17e1 9680 7268 27a5 f91a b9f9 3972 ae32 948e b247 2d48 3761 1369 9e5c
+3515 5e17 191d cb56 8a92 3751 d39e 00c9 8c21 4d65 947e bfea a8d7 1dd0 526d d40a e8bc
+abdb a4c1 b4f6 19c1 5e73 d616 e697 af3c bfa9 c18f 3f07 df99 e697 af3c 64f5 8000 7b02
+572f 593c ea8a 354d f6d9 7107 6a17 d876 93fe 61f1 70f0 780b 1ca8 bac0 209f 44cb f542
+68b0 6899 be2b 2126 428d 491a 66bf 2483 386a 12e4 305c c712
+"""
+
+
+def test_outputs_match_their_digest(tmp_path, monkeypatch, capsys):
+    # Every output of `matroid`, `hstar`, `hstar --diagnostics` and
+    # hstar_totally_unimodular on the seeded inputs is pinned byte for byte.
+    import hashlib
+
+    monkeypatch.chdir(tmp_path)
+    records = _output_records(tmp_path, capsys)
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    if digest != OUTPUT_DIGEST:
+        short = [hashlib.sha256(r.encode()).hexdigest()[:4] for r in records]
+        pinned = RECORD_DIGESTS.split()
+        first = next((i for i, (a, b) in enumerate(zip(short, pinned)) if a != b),
+                     min(len(short), len(pinned)))
+        shown = records[first][:600] if first < len(records) else "(no record)"
+        pytest.fail(f"{len(records)} records (pinned {len(pinned)}); the first that "
+                    f"differs is record {first}: {shown}")
+
+
+def test_bases_are_read_from_the_cached_layers(tmp_path, monkeypatch, capsys):
+    # `matroid`, `hstar --diagnostics` and hstar_totally_unimodular read each
+    # basis, its IP(B) and its minor gcd from the layers enumeration cached:
+    # with the checked per-basis calls refused, every result is unchanged.
+    import random
+
+    from zonoehrhart import cli
+    from zonoehrhart.errors import LatticeMathError
+    from zonoehrhart.matroid import VectorConfiguration
+    from zonoehrhart.zonotope import MODES, ZonotopeSpec, hstar_totally_unimodular
+
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(26)
+    draws = {}
+    while len(draws) < 2:  # a unimodular {-1, 0, 1} draw of rank 3 and one that is not
+        generators = [[rng.randint(-1, 1) for _ in range(3)] for _ in range(5)]
+        config = VectorConfiguration(generators)
+        if config.full_rank == 3:
+            try:
+                hstar_totally_unimodular(ZonotopeSpec(config))
+                draws.setdefault("unimodular", generators)
+            except LatticeMathError:
+                draws.setdefault("other", generators)
+    generators = [[2, 1], [0, 1], [1, 1], [1, -1], [0, 0], [0, 1]]
+    write_doc(tmp_path, {"generators": generators}, "plain.json")
+    write_doc(tmp_path, {"generators": generators, "mode": "typeB",
+                         "box_table": {"[1,2]": 3, "[4]": "1/2", "[]": 2}}, "table.json")
+
+    def results():
+        cli._reused.cache_clear()
+        seen = []
+        for vectors in (HEXAGON_DOC["generators"], draws["unimodular"], draws["other"]):
+            for mode in MODES:
+                z = ZonotopeSpec(VectorConfiguration(vectors), mode)
+                try:
+                    seen.append(hstar_totally_unimodular(z))
+                except LatticeMathError as exc:
+                    seen.append(str(exc))
+        for argv in (["matroid", "plain.json"], ["hstar", "plain.json", "--diagnostics"],
+                     ["hstar", "table.json", "--diagnostics"], ["matroid", "table.json"]):
+            seen.append((cli.main(argv), *capsys.readouterr()))
+        return seen
+
+    expected = results()
+    assert "configuration is not unimodular" in expected[5]
+    assert [code for code, _, _ in expected[6:]] == [0] * 4
+
+    def refuse(*args):
+        raise AssertionError("a checked per-basis call after enumeration")
+
+    monkeypatch.setattr(VectorConfiguration, "internally_passive", refuse)
+    monkeypatch.setattr(VectorConfiguration, "minor_gcd", refuse)
+    assert results() == expected
