@@ -38,10 +38,11 @@ def unit_columns(d: int) -> list:
 def fold(v, columns: list) -> tuple:
     """Fold the vector v into the free columns of a unimodular transform.
 
-    Returns (g, rest): g >= 0 is the gcd of the products v.u over the free
-    columns u, and rest are the free columns left once unimodular column
-    steps have gathered g into one column, which becomes used.  g == 0 means
-    v lies in the span of the rows already folded in, and rest is columns.
+    Returns (g, rest, pivot): g >= 0 is the gcd of the products v.u over the
+    free columns u, pivot is the column that unimodular column steps have
+    gathered g into, which becomes used (v.pivot = +-g), and rest are the
+    free columns left.  g == 0 means v lies in the span of the rows already
+    folded in; then pivot is None and rest is columns.
     """
     rest = []
     g = 0
@@ -59,7 +60,7 @@ def fold(v, columns: list) -> tuple:
             rest.append(tuple(p * s - q * t for s, t in zip(pivot, u)))
             pivot = tuple(x * s + y * t for s, t in zip(pivot, u))
             g = h
-    return abs(g), rest
+    return abs(g), rest, pivot
 
 
 def rank(rows):

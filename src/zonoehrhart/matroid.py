@@ -172,7 +172,7 @@ class VectorConfiguration:
         s = _as_index_set(indices, self.n)
         g, free = 1, _linalg.unit_columns(self.dim)
         for i in s:
-            step, free = _linalg.fold(self.vectors[i - 1], free)
+            step, free, _ = _linalg.fold(self.vectors[i - 1], free)
             if step == 0:
                 raise DependentSetError(f"{s!r} is not independent")
             g *= step
@@ -202,7 +202,7 @@ class VectorConfiguration:
         for i in range(prefix[-1] + 1 if prefix else 1, self.n + 1):
             cand = prefix + (i,)
             if self.rank(cand) == len(cand):
-                step, rest = _linalg.fold(self.vectors[i - 1], free)
+                step, rest, _ = _linalg.fold(self.vectors[i - 1], free)
                 if step == 0:
                     raise InternalDisagreementError(
                         f"the rank test finds {cand!r} independent, but its fold step is 0")

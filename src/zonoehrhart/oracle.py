@@ -1,73 +1,68 @@
 """Formula-independent ground truth by exact lattice-point counting.
 
 The n-th dilate of Z = sum_i [0,1] v_i (sum_i [-1,1] v_i in typeB mode) is
-described exactly by integer rows n*lo <= u . p <= n*hi, built directly from
-the generators:
+counted in its own lattice, where it is full-dimensional, and described
+exactly there by integer rows n*lo <= u . p <= n*hi, built directly from the
+generators by one integer column fold (`_linalg.fold`):
 
-* Facets.  Inside the span of the generators, every facet of Z is parallel
-  to r-1 linearly independent generators, where r is the rank.  Its primitive
-  normal u spans the integer vectors orthogonal to those generators and to
-  the orthogonal complement of the span.  The extent of Z along u is
-  [sum_i min(0, u.v_i), sum_i max(0, u.v_i)], or [-s, s] with
-  s = sum_i |u.v_i| in typeB mode.
-* Equalities.  Each vector w of a lattice basis of the complement gives the
-  row 0 <= w . p <= 0, which confines the points to the span.
-
-One integer column fold (`_linalg.fold`) gives all of it.  Folding the
-generators into the unit columns counts the rank r and leaves a lattice
-basis of the complement.  Folding that basis into fresh unit columns leaves
-r columns, a lattice basis of the span; folding r-1 generators into those
-leaves one column, the primitive normal, unless a step is zero, when the
-generators are dependent and give no facet.  The (r-1)-subsets are folded
-down their prefix tree, so a prefix shared by several subsets is folded
-once, and a dependent prefix is dropped with all its extensions.
+* Lattice.  Folding the generators into the unit columns of Z^d counts the
+  rank r and leaves r used columns, the pivots, and d-r free ones, a lattice
+  basis of the orthogonal complement of the span; [used | free] is
+  unimodular.  So p -> (p . u over the used columns) maps the integer points
+  of the span one to one onto Z^r, and below full rank every generator is
+  replaced by its image, once unimodular steps have narrowed the body
+  along the used columns (`_narrow`).  At full rank nothing is mapped.
+* Facets.  Every facet of the body in Z^r is parallel to r-1 linearly
+  independent generators, and its primitive normal u spans the integer
+  vectors orthogonal to them: folding them into the unit columns of Z^r
+  leaves one column, u, unless a step is zero, when they are dependent and
+  give no facet.  The extent of Z along u is [sum_i min(0, u.v_i),
+  sum_i max(0, u.v_i)], or [-s, s] with s = sum_i |u.v_i| in typeB mode.
+  The (r-1)-subsets are folded down their prefix tree, so a prefix shared
+  by several subsets is folded once, and a dependent prefix is dropped with
+  all its extensions.
 
 Zero generators are dropped, and each row is scaled by -1 if need be so that
-its last nonzero coefficient is positive.  Counting sweeps the integer
-bounding box along its widest axis.  Compiling orders the axes by the width
-of the body's box, narrowest first and ties in input order, names them
-x_1, ..., x_d in that order, and splits the rows once into lines (with an
-x_d term) and slabs (without), each flipped again to end in a positive
-coefficient in this order.  For each head (x_1, ..., x_{d-1}), every line
-bounds x_d by an exact ceiling or floor division, so a whole line costs one
-pass over the rows at any length, and only the d-2 narrowest axes are
-looped over in Python.  The innermost head coordinate x_{d-1} steps by one,
-so each row's u . head is carried along it by adding u_{d-1}; slabs bound
-x_{d-1} instead, once per run of x_{d-1}.  Every row satisfies
-lo + hi = u . sum_i v_i (0 in typeB mode), and the bounding box is centred
-on the same point, so the point reflection
-p -> (box lo + box hi) - p maps each dilate and its box onto themselves.
-It maps the head with row-major index i among the N heads of the box to the
-head with index N-1-i, so one pass sweeps the first floor(N/2) heads and
-counts each of their lines twice, and the middle head's line, when N is
-odd, once.  A box of one point is swept like any other.  Every count
-checks each line and slab it sweeps to be centred on its box as it
-dilates it, and h* checks every box it will sweep against MAX_BOX_POINTS
+its last nonzero coefficient is positive.  From here on d is r, the
+dimension counted in.  Counting sweeps the integer bounding box along its
+widest axis.  Compiling orders the axes by the width of the body's box,
+narrowest first and ties in input order, names them x_1, ..., x_d in that
+order, and splits the rows once into lines (with an x_d term) and slabs
+(without), each flipped again to end in a positive coefficient in this
+order.  For each head (x_1, ..., x_{d-1}), every line bounds x_d by an exact
+ceiling or floor division, so a whole line costs one pass over the rows at
+any length, and only the d-2 narrowest axes are looped over in Python.  The
+innermost head coordinate x_{d-1} steps by one, so each row's u . head is
+carried along it by adding u_{d-1}; slabs bound x_{d-1} instead, once per
+run of x_{d-1}.  Every row satisfies lo + hi = u . sum_i v_i (0 in typeB
+mode), and the bounding box is centred on the same point, so the point
+reflection p -> (box lo + box hi) - p maps each dilate and its box onto
+themselves.  It maps the head with row-major index i among the N heads of
+the box to the head with index N-1-i, so one pass sweeps the first
+floor(N/2) heads and counts each of their lines twice, and the middle head's
+line, when N is odd, once.  A box of one point is swept like any other.
+Every count checks each line and slab it sweeps to be centred on its box as
+it dilates it, and h* checks every box it will sweep against MAX_BOX_POINTS
 before the first sweep.  The rows are exact, so the lines keep x_d in the
 box; the box clips a line only where a count has one line row.
 
-The relative interior of the n-th dilate is where every inequality row holds
-strictly: every hyperplane spanned by generators supports two opposite
-facets of a zonotope, so the rows are exactly its facets.  Strict rows
+The relative interior of the n-th dilate is where every row holds strictly:
+every hyperplane spanned by generators supports two opposite facets of a
+zonotope, so the rows are exactly its facets.  Strict rows
 n*lo + 1 <= u . p <= n*hi - 1 stay centred and are swept the same way, over
 the bounding box shrunk by one on each side.
 
-h* of the rank-r body comes from both ends, in integers: its bottom entries
-from closed counts, as the numerator of the Ehrhart series, and its top
-entries from interior counts, by Ehrhart-Macdonald reciprocity.  The
-closed counts start at dilate 1, as E(0) = 1 for every body (0Z = {0}).
-So the largest dilate counted is ceil((r+1)/2), not r+1, and the entry
-both ends reach guards the degree.  Each end is the binomial sum that
-hstar_from_ehrhart takes (`polycore._hstar_numerator`); interpolate_ehrhart
-reads given counts 0..r through it too, as the counting polynomial of their
-h*.  hstar_via_oracle returns that h*, and ehrhart_via_oracle its counting
-polynomial.  No floating point is used anywhere, and no rational
+h* of the rank-r body comes from both ends, in integers (`_hstar`): closed
+counts at dilates 1..ceil((r+1)/2), as E(0) = 1 for every body, give its
+bottom entries, and interior counts its top ones, by Ehrhart-Macdonald
+reciprocity.  hstar_via_oracle returns that h*, and ehrhart_via_oracle its
+counting polynomial.  No floating point is used anywhere, and no rational
 elimination: the fold and the counts run over the integers.
 """
 
 from __future__ import annotations
 
-from itertools import islice, product, repeat
+from itertools import islice, permutations, product, repeat
 from math import prod
 from operator import floordiv, mul, sub
 from typing import Sequence
@@ -82,57 +77,56 @@ MAX_BOX_POINTS = 10**7
 
 
 class _Membership:
-    """Exact integer H-description of the dilates of one zonotope."""
+    """Exact integer H-description of the dilates of one zonotope, in Z^r."""
 
     def __init__(self, z: ZonotopeSpec):
-        d = z.dim
         type_b = z.mode == "typeB"
         gens = [v for v in z.config.vectors if any(v)]
-        r, complement = 0, _linalg.unit_columns(d)
+        self.used, self.free = [], _linalg.unit_columns(z.dim)
         for v in gens:
-            step, complement = _linalg.fold(v, complement)
-            r += step > 0
-        span = _linalg.unit_columns(d)
-        for w in complement:
-            _, span = _linalg.fold(w, span)
-        normals = list(complement)
+            _, self.free, pivot = _linalg.fold(v, self.free)
+            if pivot is not None:
+                self.used.append(pivot)
+        r = self.rank = len(self.used)
+        if self.free:
+            _narrow(self.used, gens)
+            gens = [self._coordinates(v) for v in gens]
+        normals = []
         if r:
-            _facet_normals(gens, span, 0, r - 1, normals)
-        rows = []
-        for u in {u if next(x for x in reversed(u) if x) > 0 else tuple(-x for x in u)
-                  for u in normals}:
-            dots = [sum(map(mul, u, v)) for v in gens]
-            spread = sum(map(abs, dots))
-            if type_b:
-                rows.append((u, -spread, spread))
-            else:
-                # The sums of the negative and of the positive u . v_i.
-                total = sum(dots)
-                rows.append((u, (total - spread) // 2, (total + spread) // 2))
-        self.rank = r
-        self.box = _unit_box(z)
-        self.rows = tuple(sorted(rows))
+            _facet_normals(gens, _linalg.unit_columns(r), 0, r - 1, normals)
+        self.rows = tuple(sorted(
+            (u, *_extent([sum(map(mul, u, v)) for v in gens], type_b))
+            for u in {u if next(x for x in reversed(u) if x) > 0 else tuple(-x for x in u)
+                      for u in normals}))
+        self.box = _unit_box(gens, r, type_b)
         # The sweep order: axes by unit-box width, narrowest first (ties in
         # input order), so the widest is the line axis.  Each row is split
         # once in it, into _sweep's (coefficients of x_1..x_{d-2}, e, c, lo,
         # hi), and flipped to end in a positive coefficient, as _sweep needs.
-        self.order = sorted(range(d), key=lambda i: self.box[i][1] - self.box[i][0])
+        self.order = sorted(range(r), key=lambda i: self.box[i][1] - self.box[i][0])
         self.lines, self.slabs = [], []
         for u, lo, hi in self.rows:
             u = [u[i] for i in self.order]
             if next(x for x in reversed(u) if x) < 0:
                 u, lo, hi = [-x for x in u], -hi, -lo
             (self.lines if u[-1] else self.slabs).append(
-                (u[:d - 2], u[d - 2] if d > 1 else 0, u[-1], lo, hi))
+                (u[:r - 2], u[r - 2] if r > 1 else 0, u[-1], lo, hi))
+
+    def _coordinates(self, p: Sequence[int]) -> Sequence[int]:
+        """The point p of the span in the lattice counted in: (p . u over the
+        used columns) below full rank, p itself at full rank."""
+        return tuple(sum(map(mul, p, u)) for u in self.used) if self.free else p
 
     def test(self, n: int, point: Sequence[int], strict: bool = False) -> bool:
-        """Whether the point satisfies every row of the n-th dilate, or of
-        its relative interior if strict."""
-        return all(low <= sum(map(mul, u, point)) <= high
-                   for u, lo, hi in self.rows for low, high in [_dilate(n, lo, hi, strict)])
+        """Whether the point lies on the span and satisfies every row of the
+        n-th dilate, or of its relative interior if strict."""
+        on_span = not any(sum(map(mul, f, point)) for f in self.free)
+        point = self._coordinates(point)
+        return on_span and all(low <= sum(map(mul, u, point)) <= high for u, lo, hi in self.rows
+                               for low, high in [_dilate(n, lo, hi, strict)])
 
     def box_at(self, n: int, strict: bool = False) -> list[tuple[int, int]]:
-        """Integer bounding box of the n-th dilate, or of its relative
+        """Integer bounding box of the n-th dilate in Z^r, or of its relative
         interior if strict, refused above MAX_BOX_POINTS."""
         box = [_dilate(n, lo, hi, strict) for lo, hi in self.box]
         size = prod(hi - lo + 1 for lo, hi in box)
@@ -144,19 +138,8 @@ class _Membership:
 
     def count(self, n: int, strict: bool = False) -> int:
         """Integer points of the n-th dilate, or of its relative interior if
-        strict, swept over its bounding box (`box_at`).
-
-        The lines run along the widest axis; the heads (x_1, ..., x_{d-1})
-        are the other axes, narrowest first, the order the rows were split
-        and flipped in.  The point reflection about the centre maps the head
-        with row-major index i among the N heads of the box to the head
-        with index N-1-i, so the lines of the first floor(N/2) heads are
-        swept in one pass and counted twice, and the middle head's line, if
-        N is odd, once.  Each line and slab is checked to be centred on the
-        box as it is dilated; strict bounds move both ends of a row by one,
-        so they stay centred.  A box of one point, such as dilate 0, is
-        swept like any other.
-        """
+        strict, by the half sweep of its bounding box (`box_at`) that the
+        module docstring describes; Z^0 holds one point and is not swept."""
         box = self.box_at(n, strict)
         if not box:
             return 1
@@ -192,9 +175,27 @@ class _Membership:
 
 def _dilate(n: int, lo: int, hi: int, strict: bool) -> tuple[int, int]:
     """The range lo..hi of the body, a coordinate's or a row's, at the n-th
-    dilate; for the relative interior moved in by one on both sides, unless
-    it is a single value, as an equality row's 0..0 is."""
-    return (n * lo + strict, n * hi - strict) if lo < hi else (n * lo, n * hi)
+    dilate; for the relative interior moved in by one on both sides."""
+    return n * lo + strict, n * hi - strict
+
+
+def _narrow(columns: list, gens: list) -> None:
+    """Step the used columns u_i -> u_i - t u_j, in place, while a step
+    narrows the body along u_i, sum_k |v_k . u_i|.  That width is convex and
+    piecewise linear in t, so the best t is the floor or ceiling of a
+    breakpoint.  The steps are unimodular, so the map stays one to one; at
+    rank 2 the columns end Gauss-reduced in the width, which keeps the box
+    no larger than the ambient one."""
+    narrowing = True
+    while narrowing:
+        narrowing = False
+        for i, j in permutations(range(len(columns)), 2):
+            a, b = ([sum(map(mul, v, u)) for v in gens] for u in (columns[i], columns[j]))
+            width = lambda t: sum(abs(x - t * y) for x, y in zip(a, b))
+            t = min((x // y + k for x, y in zip(a, b) if y for k in (0, 1)), key=width)
+            if width(t) < width(0):
+                columns[i] = tuple(x - t * y for x, y in zip(columns[i], columns[j]))
+                narrowing = True
 
 
 def _facet_normals(gens, columns, start: int, depth: int, normals: list) -> None:
@@ -206,7 +207,7 @@ def _facet_normals(gens, columns, start: int, depth: int, normals: list) -> None
         normals.append(columns[0])
         return
     for i in range(start, len(gens) - depth + 1):
-        step, rest = _linalg.fold(gens[i], columns)
+        step, rest, _ = _linalg.fold(gens[i], columns)
         if step:
             _facet_normals(gens, rest, i + 1, depth - 1, normals)
 
@@ -271,23 +272,25 @@ def contains_point(z: ZonotopeSpec, n: int, point: Sequence[int]) -> bool:
     return _Membership(z).test(n, p)
 
 
-def _unit_box(z: ZonotopeSpec) -> list[tuple[int, int]]:
-    """Componentwise integer bounds of the zonotope itself, the dilate 1,
-    from the sign decomposition of the generators."""
-    box = []
-    for column in (tuple(v[i] for v in z.config.vectors) for i in range(z.dim)):
-        if z.mode == "typeB":
-            spread = sum(map(abs, column))
-            box.append((-spread, spread))
-        else:
-            box.append((sum(x for x in column if x < 0), sum(x for x in column if x > 0)))
-    return box
+def _extent(dots: list[int], type_b: bool) -> tuple[int, int]:
+    """The range of sum_i c_i dots_i over c_i in [0, 1], or [-1, 1] in typeB
+    mode: the sums of the negative and of the positive dots, or -s..s with
+    s = sum_i |dots_i|."""
+    spread = sum(map(abs, dots))
+    return (-spread, spread) if type_b else ((sum(dots) - spread) // 2, (sum(dots) + spread) // 2)
+
+
+def _unit_box(gens, d: int, type_b: bool) -> list[tuple[int, int]]:
+    """Componentwise integer bounds of the zonotope of gens in Z^d itself,
+    the dilate 1."""
+    return [_extent([v[i] for v in gens], type_b) for i in range(d)]
 
 
 def bounding_box(z: ZonotopeSpec, n: int) -> list[tuple[int, int]]:
-    """Componentwise integer bounds from the sign decomposition of the generators."""
+    """Componentwise integer bounds in Z^d from the sign decomposition of the
+    generators: the ambient box, not the one a count sweeps below full rank."""
     _integers("dilate", (n,), 0)
-    return [_dilate(n, lo, hi, False) for lo, hi in _unit_box(z)]
+    return [(n * lo, n * hi) for lo, hi in _unit_box(z.config.vectors, z.dim, z.mode == "typeB")]
 
 
 def count_lattice_points(z: ZonotopeSpec, n: int) -> int:
@@ -297,12 +300,8 @@ def count_lattice_points(z: ZonotopeSpec, n: int) -> int:
 
 
 def count_interior_lattice_points(z: ZonotopeSpec, n: int) -> int:
-    """Integer points of the relative interior of nZ, for n >= 1.
-
-    Every hyperplane spanned by generators supports two opposite facets of a
-    zonotope, so the relative interior is exactly where every inequality row
-    holds strictly, and the sweep counts it the same way.
-    """
+    """Integer points of the relative interior of nZ, for n >= 1: where
+    every row holds strictly, as every row is a facet."""
     _integers("dilate of an interior count", (n,), 1)
     return _Membership(z).count(n, strict=True)
 

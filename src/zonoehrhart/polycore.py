@@ -111,8 +111,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
+        _integers("polynomial power", (n,), 0)
         result = Poly((1,))
         base = self
         while n:
@@ -260,7 +259,7 @@ def express_in_shifted_power_basis(p: Poly, d: int) -> tuple:
     sum_j c_j x^j = (1-x)^d p(x/(1-x)) = sum_k p_k x^k (1-x)^(d-k), and
     c_j = sum_{k<=j} (-1)^(j-k) C(d-k, j-k) p_k.
     """
-    _integers("basis degree", (d,))
+    _integers("basis degree", (d,), 0)
     if p.degree > d:
         raise LatticeMathError(f"degree {p.degree} exceeds basis degree {d}")
     return tuple(_exact(sum((-1) ** (j - k) * comb(d - k, j - k) * c

@@ -774,11 +774,11 @@ def test_rank_and_fold_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     real_fold, zeroed = _linalg.fold, []
 
     def zero_on_one_basis(v, columns):
-        step, rest = real_fold(v, columns)
+        step, rest, pivot = real_fold(v, columns)
         if len(columns) == 1 and not zeroed:  # the last element of a basis at d = 4
             zeroed.append(v)
-            return 0, columns
-        return step, rest
+            return 0, columns, None
+        return step, rest, pivot
 
     monkeypatch.setattr(_linalg, "fold", zero_on_one_basis)
     with pytest.raises(InternalDisagreementError, match="fold step is 0"):

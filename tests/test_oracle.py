@@ -2,14 +2,14 @@ import ast
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial, gcd
+from math import factorial, gcd, prod
 from pathlib import Path
 
 import pytest
 
 import zonoehrhart.oracle
 import zonoehrhart.polycore
-from integer_reference import cofactor_normal, det_bareiss, is_independent
+from integer_reference import cofactor_normal, det_bareiss
 from zonoehrhart.errors import (EnumerationLimitError, InternalDisagreementError,
                                 LatticeMathError)
 from zonoehrhart.matroid import VectorConfiguration
@@ -81,7 +81,7 @@ def test_interior_count_examples():
     assert [count_interior_lattice_points(square, n) for n in (1, 2)] == [1, 9]
     segment = ZonotopeSpec(VectorConfiguration([(2,)]), "typeB")
     assert [count_interior_lattice_points(segment, n) for n in (1, 2)] == [3, 7]
-    # Below full rank the count is of the relative interior: equality rows stay.
+    # Below full rank the count is of the relative interior, in the span's lattice.
     diagonal = ZonotopeSpec(VectorConfiguration([(1, 1)]))
     assert [count_interior_lattice_points(diagonal, n) for n in (1, 2, 3)] == [0, 1, 2]
     flat = ZonotopeSpec(VectorConfiguration([(1, 0, 0), (0, 1, 0), (1, 1, 0)]))
@@ -108,6 +108,65 @@ def test_counts_invariant_under_unimodular_embedding():
                 assert count_lattice_points(tilted, n) == count_lattice_points(flat, n)
                 assert (count_interior_lattice_points(tilted, n)
                         == count_interior_lattice_points(flat, n)), (config, mode, n)
+
+
+def _flat_draw(rng, d, rank):
+    """Seeded configuration of the given rank in Z^d: rank + 2 generators,
+    each a {-1, 0, 1}-combination of rank vectors with entries in [-2, 2]."""
+    while True:
+        basis = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rank)]
+        coeffs = [[rng.randint(-1, 1) for _ in basis] for _ in range(rank + 2)]
+        vectors = [tuple(sum(c * b[i] for c, b in zip(row, basis)) for i in range(d))
+                   for row in coeffs]
+        if VectorConfiguration(vectors, d).full_rank == rank:
+            return vectors
+
+
+def test_flat_bodies_are_counted_in_their_own_lattice():
+    # A body of rank r < d is counted in Z^r, so the guard reads the box of
+    # its span, not the ambient one.  The segment holds 61 points in an
+    # ambient dilate-1 box of 61^4, and the rank-2 body an ambient box of
+    # 19^6 points, both over MAX_BOX_POINTS.  With them, seeded draws of rank
+    # 1..3 in Z^4..Z^6, in both modes, the first three of each rank with a loop
+    # and a parallel pair.  At rank <= 2 the narrowed columns keep the box in
+    # Z^r within the ambient one.  The last body's typeB dilate-2 box holds
+    # 2401 x 1 x 2401 points in Z^3; through the unnarrowed fold pivots it
+    # would hold 4801 x 2401, over MAX_BOX_POINTS.
+    fixed = [[(60, 60, 60, 60)], [(8,) * 6, (1, -1, 1, -1, 1, -1), (9, 7, 9, 7, 9, 7)]]
+    for vectors in fixed:
+        assert _box_points(ZonotopeSpec(VectorConfiguration(vectors)), 1) > \
+            zonoehrhart.oracle.MAX_BOX_POINTS
+    rng = random.Random(211)
+    draws = []
+    for rank in (1, 2, 3):
+        for k in range(8):
+            vectors = _flat_draw(rng, rng.randint(4, 6), rank)
+            if k < 3:
+                vectors[1:1] = [(0,) * len(vectors[0]), tuple(-2 * x for x in vectors[0])]
+            draws.append(vectors)
+    for vectors in fixed + draws + [[(-450, 0, -300), (-150, 0, 300)]]:
+        config = VectorConfiguration(vectors)
+        d, r = config.dim, config.full_rank
+        # A unit vector off the span moves every point of the span off it.
+        off = next(e for e in (tuple(int(i == j) for j in range(d)) for i in range(d))
+                   if VectorConfiguration(vectors + [e]).full_rank > r)
+        for mode in ("standard", "typeB"):
+            z = ZonotopeSpec(config, mode)
+            if r <= 2:
+                box = zonoehrhart.oracle._Membership(z).box
+                assert prod(hi - lo + 1 for lo, hi in box) <= _box_points(z, 1), (vectors, mode)
+            e = ehrhart(z)
+            assert hstar_via_oracle(z) == hstar(z), (vectors, mode)
+            assert ehrhart_via_oracle(z) == e, (vectors, mode)
+            for n in (1, 2):
+                assert count_lattice_points(z, n) == e(n), (vectors, mode, n)
+                assert count_interior_lattice_points(z, n) == (-1) ** r * e(-n), (vectors, mode, n)
+                low = -n if mode == "typeB" else 0
+                for _ in range(3):
+                    coeffs = [rng.randint(low, n) for _ in vectors]
+                    p = tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(d))
+                    assert contains_point(z, n, p), (vectors, mode, n, p)
+                    assert not contains_point(z, n, tuple(map(sum, zip(p, off)))), (vectors, p)
 
 
 def test_resource_guard():
@@ -233,7 +292,8 @@ def test_counts_invariant_under_generator_permutation():
     # shuffled, must give the formula's closed counts E(n), interior counts
     # (-1)^r E(-n) and h*, for d = 2..4, full rank and one below, both modes.
     # Draws whose widest axis is not last, and rows that end in a negative
-    # coefficient in the sweep order, must both occur.
+    # coefficient in the sweep order, must both occur, in the coordinates
+    # the body is compiled in (Z^r below full rank).
     rng = random.Random(149)
     widest_inside = negative_last = 0
     for draw in range(24):
@@ -246,10 +306,9 @@ def test_counts_invariant_under_generator_permutation():
         for mode in ("standard", "typeB"):
             e = ehrhart(ZonotopeSpec(config, mode))
             for z in (ZonotopeSpec(config, mode), ZonotopeSpec(shuffled, mode)):
-                widths = [hi - lo for lo, hi in bounding_box(z, 1)]
-                order = sorted(range(d), key=widths.__getitem__)
-                widest_inside += order[-1] != d - 1
                 member = zonoehrhart.oracle._Membership(z)
+                order = member.order
+                widest_inside += order[-1] != len(order) - 1
                 negative_last += any(next(u[i] for i in reversed(order) if u[i]) < 0
                                      for u, _, _ in member.rows)
                 for n in (1, 2):
@@ -371,27 +430,13 @@ def test_membership_against_naive_elimination():
             assert contains_point(z, n, p) == _naive_member(z, n, p), (config, mode, n, p)
 
 
-def _cofactor_rows(config, type_b):
-    """The inequality rows lo < hi of the zonotope, each facet normal the
-    cofactor normal of r-1 independent generators together with a basis of
-    the complement of their span; the basis is itself made of cofactor
-    normals of a completion of the span by unit vectors."""
-    def extend(chosen, candidates):
-        for v in candidates:
-            if is_independent(chosen + [v]):
-                chosen = chosen + [v]
-        return chosen
-
-    d = config.dim
-    gens = [v for v in config.vectors if any(v)]
-    span = extend([], gens)
-    r = len(span)
-    completion = extend(span, [tuple(int(i == j) for j in range(d)) for i in range(d)])[r:]
-    complement = [cofactor_normal(span + completion[:k] + completion[k + 1:], d)
-                  for k in range(d - r)]
+def _cofactor_rows(vectors, d, type_b):
+    """The rows of the zonotope of vectors spanning R^d, each facet normal
+    the cofactor normal of d-1 independent generators."""
+    gens = [v for v in vectors if any(v)]
     rows = set()
-    for subset in combinations(gens, r - 1) if r else ():
-        u = cofactor_normal(list(subset) + complement, d)
+    for subset in combinations(gens, d - 1) if d else ():
+        u = cofactor_normal(list(subset), d)
         if any(u):
             dots = [sum(a * b for a, b in zip(u, v)) for v in gens]
             spread = sum(map(abs, dots))
@@ -401,10 +446,13 @@ def _cofactor_rows(config, type_b):
 
 
 def test_compiled_rows_are_the_cofactor_facets():
-    # Every inequality row is a facet, found exactly once: no redundant
-    # supporting row from a dependent subset.  The equality rows are d - r
-    # independent vectors orthogonal to every generator.  Every row ends in a
-    # positive entry, as the sweep needs.
+    # Below full rank the body is compiled in Z^r, through p -> (p . u over
+    # the used columns of the generators' fold): [used | free] is unimodular
+    # and the free columns are orthogonal to every generator, so the map is
+    # one to one from the span's integer points onto Z^r.  Every row is a
+    # facet of the mapped body, found exactly once: no redundant supporting
+    # row from a dependent subset.  No row and no box axis is a single value,
+    # and every row ends in a positive entry, as the sweep needs.
     rng = random.Random(131)
     for draw in range(150):
         d = draw % 5 + 1
@@ -417,13 +465,16 @@ def test_compiled_rows_are_the_cofactor_facets():
         config = VectorConfiguration(vectors, d)
         for mode in ("standard", "typeB"):
             member = zonoehrhart.oracle._Membership(ZonotopeSpec(config, mode))
-            assert member.rank == rank
-            assert [row for row in member.rows if row[1] < row[2]] == \
-                _cofactor_rows(config, mode == "typeB"), (config, mode)
-            equalities = [u for u, lo, hi in member.rows if lo == hi]
-            assert len(equalities) == d - rank and is_independent(equalities), config
-            assert all(sum(a * b for a, b in zip(w, v)) == 0
-                       for w in equalities for v in vectors), config
+            used, free = member.used, member.free
+            assert member.rank == len(used) == rank and len(free) == d - rank
+            assert abs(det_bareiss(used + free)) == 1, config
+            assert all(sum(a * b for a, b in zip(f, v)) == 0 for f in free for v in vectors)
+            mapped = ([tuple(sum(a * b for a, b in zip(v, u)) for u in used) for v in vectors]
+                      if free else vectors)
+            assert list(member.rows) == _cofactor_rows(mapped, rank, mode == "typeB"), (
+                config, mode)
+            assert all(lo < hi for _, lo, hi in member.rows), config
+            assert all(lo < hi for lo, hi in member.box), config
             assert all(next(x for x in reversed(u) if x) > 0 for u, _, _ in member.rows)
 
 
@@ -516,24 +567,29 @@ def test_half_sweep_rejects_an_off_centre_row(monkeypatch):
 def test_every_swept_run_holds_a_head(monkeypatch):
     # The half sweep takes whole runs of x_{d-1}, then part of one and the
     # middle head when the number of heads is odd; a part of no heads is
-    # not a run.  Dilate 0, one head, has no part at every d >= 2.
+    # not a run.  Dilate 0, one head, has no part at every d >= 2.  A body
+    # of rank 0 is compiled in Z^0: it sweeps nothing and counts one point.
     sweep = zonoehrhart.oracle._sweep
     runs = []
     monkeypatch.setattr(zonoehrhart.oracle, "_sweep", lambda lines, slabs, swept, last:
                         runs.extend(swept) or sweep(lines, slabs, swept, last))
     rng = random.Random(163)
+    points = 0
     for d in range(2, 5):
         for mode in ("standard", "typeB"):
             for _ in range(4):
                 z = ZonotopeSpec(_small_of_rank(rng, d, rng.randint(0, d), d + 1), mode)
                 runs.clear()
-                count_lattice_points(z, 0)
                 hstar_via_oracle(z)
-                for n in (1, 2):
-                    count_lattice_points(z, n)
-                    count_interior_lattice_points(z, n)
-                assert runs and all(stop >= start for _, start, stop, _ in runs), (
-                    z.config, mode)
+                counts = [count_lattice_points(z, n) for n in (0, 1, 2)]
+                counts += [count_interior_lattice_points(z, n) for n in (1, 2)]
+                if z.config.full_rank:
+                    assert runs and all(stop >= start for _, start, stop, _ in runs), (
+                        z.config, mode)
+                else:
+                    assert not runs and counts == [1] * 5, (z.config, mode)
+                    points += 1
+    assert points, "no draw of rank 0"
 
 
 def test_the_widest_axis_is_the_line_axis(monkeypatch):

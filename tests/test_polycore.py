@@ -26,6 +26,13 @@ def test_poly_normalization_and_arithmetic():
     assert p(4) == 5
     assert Poly((0, 0, 3)).derivative() == Poly((0, 6))
     assert sum([p, p], Poly()) == 2 * p
+    assert (p**0).coeffs == (1,)
+    with pytest.raises(LatticeMathError, match="polynomial power must be an integer, got 1.5"):
+        p**1.5
+    with pytest.raises(LatticeMathError, match="polynomial power must be at least 0, got -1"):
+        p**-1
+    with pytest.raises(LatticeMathError, match="polynomial power must be an integer, got True"):
+        p**True
 
 
 def test_poly_reversal_and_scaling():
@@ -71,6 +78,8 @@ def test_hstar_from_ehrhart_errors():
             hstar_from_ehrhart(Poly((1, 1)), degree)
     with pytest.raises(LatticeMathError, match="basis degree must be an integer"):
         express_in_shifted_power_basis(Poly((1, 1)), 2.0)
+    with pytest.raises(LatticeMathError, match="basis degree must be at least 0, got -1"):
+        express_in_shifted_power_basis(Poly(), -1)
 
 
 def test_ehrhart_from_hstar_examples():

@@ -578,6 +578,8 @@ def test_reflexive_examples():
     assert is_reflexive_by_ehrhart(Poly((1, 2, 2)), 2)
     assert not is_reflexive_by_ehrhart(Poly((1, 2, 1)), 2)
     assert is_reflexive_by_ehrhart(Poly((1, 3, 3)), 2)
+    with pytest.raises(LatticeMathError, match="basis degree must be at least 0, got -1"):
+        is_reflexive_by_ehrhart(Poly(), -1)
 
 
 def _count_halfopen_parallelepiped(vectors, removed, n):
