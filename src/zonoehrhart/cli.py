@@ -30,14 +30,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from functools import cache, lru_cache
 
 from . import eulerian, oracle, polycore, zonotope
 from .errors import EnumerationLimitError, InternalDisagreementError, LatticeMathError
-from .matroid import VectorConfiguration
+from .matroid import VectorConfiguration, _indices
 from .polycore import HStarVector, Poly
 
 _BIG = 2**53
@@ -59,17 +58,20 @@ def _dumps(value, newline="\n") -> str:
     kind = type(value)
     if kind is int:
         return str(value) if -_BIG <= value <= _BIG else f'"{value}"'
-    if kind is list or kind is tuple:
+    if kind is list or kind is tuple:  # an integer leaf is written in place, without a call
         if not value:
             return "[]"
         inner = newline + "  "
-        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in value]) + newline + "]"
+        return "[" + inner + ("," + inner).join([
+            str(v) if type(v) is int and -_BIG <= v <= _BIG else _dumps(v, inner)
+            for v in value]) + newline + "]"
     if kind is dict:
         if not value:
             return "{}"
         inner = newline + "  "
-        return "{" + inner + ("," + inner).join([
-            _quote(k) + ": " + _dumps(v, inner) for k, v in value.items()]) + newline + "}"
+        return "{" + inner + ("," + inner).join([_quote(k) + ": " + (
+            str(v) if type(v) is int and -_BIG <= v <= _BIG else _dumps(v, inner))
+            for k, v in value.items()]) + newline + "}"
     if kind is str:
         return _quote(value)
     if value is None or kind is bool:
@@ -86,8 +88,6 @@ def _dumps(value, newline="\n") -> str:
 def _parse_rational(raw):
     if isinstance(raw, bool):
         raise _CliError("booleans are not valid table values")
-    if isinstance(raw, int):
-        return raw
     if isinstance(raw, str):
         try:
             return Fraction(raw)
@@ -108,15 +108,19 @@ def _unique_keys(pairs):
     return doc
 
 
-_SPELLED = re.compile(r"\[(?:[1-9][0-9]*(?:,[1-9][0-9]*)*)?\]")
-
-
-def _index_set(key):
-    """The sorted indices a box_table key lists.  A key spelled as the CLI
-    spells sets, such as "[1,2]", is split directly; any other is read as JSON."""
+def _index_mask(key, spelled):
+    """The set a box_table key lists, keyed as `zonotope._key_mask` keys it: a key spelled
+    as the CLI spells sets, "[1,2]", read through `spelled` (str(i) -> i), any other as JSON."""
+    if key[:1] == "[" and key[-1:] == "]":
+        mask = 0
+        for part in key[1:-1].split(",") if len(key) > 2 else ():
+            i = spelled.get(part)
+            if i is None or mask >> i & 1:
+                break
+            mask |= 1 << i
+        else:
+            return mask
     try:
-        if _SPELLED.fullmatch(key):
-            return tuple(sorted(map(int, key[1:-1].split(",")))) if len(key) > 2 else ()
         indices = json.loads(key)
     except json.JSONDecodeError:
         raise _CliError(f"box_table key {key!r} is not a JSON index list")
@@ -125,7 +129,7 @@ def _index_set(key):
     if (not isinstance(indices, list)
             or any(not isinstance(i, int) or isinstance(i, bool) for i in indices)):
         raise _CliError(f"box_table key {key!r} is not a list of integers")
-    return tuple(sorted(indices))
+    return zonotope._key_mask(indices, len(spelled))
 
 
 @lru_cache(maxsize=1)
@@ -161,24 +165,20 @@ def _load_input(path):
         spec = zonotope.ZonotopeSpec(_reused(VectorConfiguration(generators, dim)), mode)
     except LatticeMathError as exc:
         raise _CliError(str(exc)) from None
-    config = spec.config
-    table = None
+    config, table = spec.config, None
     if "box_table" in doc:
         raw_table = doc["box_table"]
         if not isinstance(raw_table, dict):
             raise _CliError("'box_table' must be an object keyed by index lists")
-        overrides = {}
+        overrides, spelled = {}, {str(i): i for i in range(1, config.n + 1)}
         for key, raw in raw_table.items():
-            s = _index_set(key)
-            if s in overrides:
-                raise _CliError(f"box table names the set {s!r} twice")
-            overrides[s] = _parse_rational(raw)
-        # The lattice counts fill only the sets the document leaves out.
-        table = zonotope.default_box_table(config).override(overrides)
-    echo = {"generators": config.vectors}
-    if dim is not None:
-        echo["dim"] = dim
-    echo["mode"] = mode
+            mask = _index_mask(key, spelled)
+            if mask in overrides:
+                raise _CliError(f"box table names the set {zonotope._named(mask)!r} twice")
+            overrides[mask] = raw if type(raw) is int else _parse_rational(raw)
+        table = zonotope.BoxValuationTable._trusted(  # the counts fill the sets left out
+            config, zonotope._checked(config, overrides.items(), config._box_counts))
+    echo = {"generators": config.vectors, **({} if dim is None else {"dim": dim}), "mode": mode}
     if "box_table" in doc:
         echo["box_table"] = doc["box_table"]
     return spec, table, echo
@@ -217,14 +217,14 @@ def _cmd_hstar(args):
     h = zonotope._assemble(c, spec.mode)
     doc = {"command": "hstar", "input": echo, "hstar": h, "degree": h.d}
     if args.diagnostics:
-        config = spec.config
-        values = (zonotope.default_box_table(config) if table is None else table).values
-        bases, passive, _ = zip(*config._pieces())
+        values = spec.config._box_counts if table is None else table._values
+        bases, passive, _ = zip(*spec.config._pieces())
         doc["diagnostics"] = {
             "bases": bases,
             "internally_passive": passive,
             # Keys as json.dumps spells a list compactly, "[1,2]", in independent_sets() order.
-            "box_table": {f"[{','.join(map(str, s))}]": v for s, v in values.items()},
+            "box_table": {f"[{','.join(map(str, _indices(m)))}]": values[m]
+                          for m in sorted(spec.config._minor_gcds, key=int.bit_count)},
             "eulerian_multiplicities": c,
         }
     return doc

@@ -72,36 +72,46 @@ def _subset_transform(f: dict, n: int, sign: int) -> dict:
 
 def _double_sum(sets: Iterable[int], values: Mapping[int, object], pieces: Mapping[int, int],
                 r: int) -> list:
-    """c[|I u P|] += b(I) for each piece (B, P) and each independent I inside B,
-    all as masks, in two orderings that must agree: basis-major walks the
-    submasks of each B, and set-major walks `sets`, the enumerated independent
-    sets, and finds the B containing I by ANDing per-element bitsets."""
-    basis_major, set_major = [0] * (r + 1), [0] * (r + 1)
+    """c[|I u P|] += b(I) for each piece (B, P) and independent I inside B, as
+    masks, in two orderings that must agree: `_basis_major`, and a walk of the
+    enumerated `sets` that finds the B holding I by ANDing per-element bitsets."""
+    c, containing, passive_of = [0] * (r + 1), {}, {}  # piece k: bit k of containing
+    for k, (basis, passive) in enumerate(pieces.items()):
+        passive_of[1 << k] = passive
+        while basis:
+            low = basis & -basis
+            containing[low] = containing.get(low, 0) | 1 << k
+            basis ^= low
+    for s in sets:
+        b = values[s]
+        if b != 0:
+            inside, rest = (1 << len(pieces)) - 1, s
+            while rest:
+                low = rest & -rest
+                inside &= containing[low]
+                rest ^= low
+            while inside:
+                low = inside & -inside
+                c[(passive_of[low] | s).bit_count()] += b
+                inside ^= low
+    if c != _basis_major(values, pieces, r):
+        raise InternalDisagreementError(
+            "basis-major and independent-set-major double sums disagree")
+    return c
+
+
+def _basis_major(values: Mapping[int, object], pieces: Mapping[int, int], r: int) -> list:
+    """The double sum over the submasks of each basis."""
+    c = [0] * (r + 1)
     for basis, passive in pieces.items():
-        basis_major[passive.bit_count()] += values[0]
+        c[passive.bit_count()] += values[0]
         sub = basis
         while sub:
             b = values[sub]
             if b != 0:
-                basis_major[(passive | sub).bit_count()] += b
+                c[(passive | sub).bit_count()] += b
             sub = sub - 1 & basis
-    containing = {}  # piece k is bit k of containing[1 << e] when its B holds e
-    for k, basis in enumerate(pieces):
-        for low in _bits(basis):
-            containing[low] = containing.get(low, 0) | 1 << k
-    passive_sets = list(pieces.values())
-    for s in sets:
-        b = values[s]
-        if b != 0:
-            inside = (1 << len(passive_sets)) - 1
-            for low in _bits(s):
-                inside &= containing[low]
-            for low in _bits(inside):
-                set_major[(passive_sets[low.bit_length() - 1] | s).bit_count()] += b
-    if basis_major != set_major:
-        raise InternalDisagreementError(
-            "basis-major and independent-set-major double sums disagree")
-    return basis_major
+    return c
 
 
 class VectorConfiguration:

@@ -62,6 +62,7 @@ elimination: the fold and the counts run over the integers.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import islice, permutations, product, repeat
 from math import prod
 from operator import floordiv, mul, sub
@@ -180,12 +181,28 @@ def _dilate(n: int, lo: int, hi: int, strict: bool) -> tuple[int, int]:
 
 
 def _narrow(columns: list, gens: list) -> None:
-    """Step the used columns u_i -> u_i - t u_j, in place, while a step
-    narrows the body along u_i, sum_k |v_k . u_i|.  That width is convex and
-    piecewise linear in t, so the best t is the floor or ceiling of a
-    breakpoint.  The steps are unimodular, so the map stays one to one; at
-    rank 2 the columns end Gauss-reduced in the width, which keeps the box
-    no larger than the ambient one."""
+    """Reduce the used columns u_i in place by unimodular steps, which keep the map one
+    to one: exact LLL (delta 3/4) of the rows (v . u_i over the generators v), then steps
+    u_i -> u_i - t u_j, t a breakpoint's floor or ceiling, while they narrow the convex,
+    piecewise linear width sum_k |v_k . u_i|; at rank 2 the box ends within the ambient one."""
+    k = 1
+    while k < len(columns):
+        rows = [[sum(map(mul, v, u)) for v in gens] for u in columns]
+        norms, mu = [], []  # Gram-Schmidt from the integer Gram matrix of the rows
+        for row in rows:
+            mu.append([])
+            for prior, b, mu_j in zip(rows, norms, mu):
+                dot = sum(map(mul, row, prior)) - sum(map(mul, map(mul, mu[-1], mu_j), norms))
+                mu[-1].append(Fraction(dot, b))
+            norms.append(sum(map(mul, row, row)) - sum(map(mul, map(mul, mu[-1], mu[-1]), norms)))
+        for j in reversed(range(k)):  # size reduction, which keeps the norms
+            t = round(mu[k][j])
+            columns[k] = tuple(x - t * y for x, y in zip(columns[k], columns[j]))
+            mu[k][:j + 1] = [a - t * b for a, b in zip(mu[k], mu[j] + [1])]
+        swap = norms[k] < (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]  # Lovasz
+        if swap:
+            columns[k - 1], columns[k] = columns[k], columns[k - 1]
+        k = max(k - 1, 1) if swap else k + 1
     narrowing = True
     while narrowing:
         narrowing = False

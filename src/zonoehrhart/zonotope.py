@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DependentSetError, LatticeMathError, _integers
 from .eulerian import _a_row, _b_row, a_j_polynomial
@@ -55,7 +55,8 @@ class BoxValuationTable:
     kept by the set's bit mask (element i at bit i) and checked once."""
 
     def __init__(self, config: VectorConfiguration, values: Mapping[tuple, int | Fraction]):
-        self.config, self._values = config, _checked(config, values, {})
+        pairs = ((_key_mask(indices, config.n), v) for indices, v in values.items())
+        self.config, self._values = config, _checked(config, pairs, {})
         if len(self._values) < len(config._minor_gcds):
             missing = next(m for m in config._minor_gcds if m not in self._values)
             raise LatticeMathError(
@@ -75,42 +76,44 @@ class BoxValuationTable:
                 for m in sorted(self.config._minor_gcds, key=int.bit_count)}
 
     def value(self, indices: Sequence[int]) -> int | Fraction:
-        key, mask = _key_mask(indices, self.config.n)
+        mask = _key_mask(indices, self.config.n)
         if mask not in self._values:
-            raise DependentSetError(f"{key!r} is not an independent set of the configuration")
+            raise DependentSetError(
+                f"{_named(mask)!r} is not an independent set of the configuration")
         return self._values[mask]
 
     def override(self, updates: Mapping[tuple, int | Fraction]) -> "BoxValuationTable":
         """The table with the updates in place; only the updates are checked."""
-        return self._trusted(self.config, _checked(self.config, updates, self._values))
+        pairs = ((_key_mask(indices, self.config.n), v) for indices, v in updates.items())
+        return self._trusted(self.config, _checked(self.config, pairs, self._values))
 
 
-def _key_mask(indices: Sequence[int], n: int) -> tuple:
-    """(the sorted index tuple, its mask), or the tuple twice if it leaves 1..n
-    or repeats an index: `_mask` reads (1, 1) as (2,), a mask with fewer bits."""
+def _key_mask(indices: Sequence[int], n: int) -> int | tuple:
+    """The set's mask, or its sorted index tuple if it leaves 1..n or repeats
+    an index: `_mask` reads (1, 1) as (2,), a mask with fewer bits."""
     key = tuple(sorted(_integers("an index", indices)))
     mask = _mask(key) if not key or 0 < key[0] and key[-1] <= n else 0
-    return key, mask if mask.bit_count() == len(key) else key
+    return mask if mask.bit_count() == len(key) else key
 
 
-def _checked(config: VectorConfiguration, entries: Mapping[tuple, int | Fraction],
-             base: dict) -> dict:
-    """`base` with the entries, keyed by mask, each checked once.  A non-integer
-    index or a set named twice raises first, then the first dependent set or
-    inexact value in table order, where an entry replacing one of `base` sits."""
-    members, n = config._minor_gcds, config.n
-    table, seen, faults = dict(base), set(), {}
-    for indices, v in entries.items():
-        key, mask = _key_mask(indices, n)
+def _named(key: int | tuple) -> tuple:  # the sorted index tuple of a `_key_mask` key
+    return _indices(key) if type(key) is int else key
+
+
+def _checked(config: VectorConfiguration, entries: Iterable[tuple], base: dict) -> dict:
+    """`base` with the (`_key_mask` key, value) pairs, each checked once: a bad index or a set
+    named twice raises at once, then a dependent set or inexact value, updates of `base` first."""
+    members, table, seen, faults = config._minor_gcds, dict(base), set(), {}
+    for mask, v in entries:
         if mask in seen:
-            raise LatticeMathError(f"box table names the set {key!r} twice")
+            raise LatticeMathError(f"box table names the set {_named(mask)!r} twice")
         seen.add(mask)
         if mask not in members:
             faults[mask] = DependentSetError(
-                f"{key!r} is not an independent set of the configuration")
+                f"{_named(mask)!r} is not an independent set of the configuration")
         elif isinstance(v, bool) or not isinstance(v, (int, Fraction)):
             faults[mask] = LatticeMathError(
-                f"box value of {key!r} must be an int or Fraction, got {type(v).__name__}")
+                f"box value of {_named(mask)!r} must be an int or Fraction, got {type(v).__name__}")
         else:
             table[mask] = _exact(v)
     if faults:

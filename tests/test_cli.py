@@ -763,6 +763,41 @@ def test_ordering_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().err)["code"] == "disagreement"
 
 
+def test_basis_major_disagreement_exits_3(tmp_path, monkeypatch, capsys):
+    # The other ordering: the basis-major walk reads b(I) for every submask I
+    # of every basis.  One nonzero read coming back 0 skips that (B, I) pair,
+    # as if the walk had stepped over the submask, and the set-major sum,
+    # which walks the enumerated sets, then disagrees with it.
+    from zonoehrhart import cli, matroid
+    from zonoehrhart.errors import InternalDisagreementError
+    from zonoehrhart.matroid import VectorConfiguration
+    from zonoehrhart.zonotope import ZonotopeSpec, hstar_zonotope
+
+    generators = [[2, 1], [0, 1], [1, 1]]
+    real_basis_major, skipped = matroid._basis_major, []
+
+    class SkipOneSubmask(dict):
+        def __getitem__(self, mask):
+            b = dict.__getitem__(self, mask)
+            if mask and b != 0 and not skipped:
+                skipped.append(mask)
+                return 0
+            return b
+
+    monkeypatch.setattr(matroid, "_basis_major",
+                        lambda values, pieces, r: real_basis_major(SkipOneSubmask(values), pieces, r))
+    with pytest.raises(InternalDisagreementError, match="double sums disagree"):
+        hstar_zonotope(ZonotopeSpec(VectorConfiguration(generators)))
+    assert skipped
+    skipped.clear()
+    cli._reused.cache_clear()  # no configuration with a histogram already summed
+    path = write_doc(tmp_path, {"generators": generators})
+    assert cli.main(["hstar", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and json.loads(captured.err)["code"] == "disagreement"
+    assert skipped
+
+
 def test_rank_and_fold_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     # Enumeration folds every set the rank test accepts; a zero step on one
     # of them means the two independence tests disagree.
@@ -893,22 +928,130 @@ abdb a4c1 b4f6 19c1 5e73 d616 e697 af3c bfa9 c18f 3f07 df99 e697 af3c 64f5 8000 
 """
 
 
-def test_outputs_match_their_digest(tmp_path, monkeypatch, capsys):
-    # Every output of `matroid`, `hstar`, `hstar --diagnostics` and
-    # hstar_totally_unimodular on the seeded inputs is pinned byte for byte.
+def _match_digest(records, digest, record_digests):
+    """Fail, naming the first record that moved, unless the records hash to the digest."""
     import hashlib
 
-    monkeypatch.chdir(tmp_path)
-    records = _output_records(tmp_path, capsys)
-    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
-    if digest != OUTPUT_DIGEST:
+    if hashlib.sha256("\n".join(records).encode()).hexdigest() != digest:
         short = [hashlib.sha256(r.encode()).hexdigest()[:4] for r in records]
-        pinned = RECORD_DIGESTS.split()
+        pinned = record_digests.split()
         first = next((i for i, (a, b) in enumerate(zip(short, pinned)) if a != b),
                      min(len(short), len(pinned)))
         shown = records[first][:600] if first < len(records) else "(no record)"
         pytest.fail(f"{len(records)} records (pinned {len(pinned)}); the first that "
                     f"differs is record {first}: {shown}")
+
+
+def test_outputs_match_their_digest(tmp_path, monkeypatch, capsys):
+    # Every output of `matroid`, `hstar`, `hstar --diagnostics` and
+    # hstar_totally_unimodular on the seeded inputs is pinned byte for byte.
+    monkeypatch.chdir(tmp_path)
+    _match_digest(_output_records(tmp_path, capsys), OUTPUT_DIGEST, RECORD_DIGESTS)
+
+
+def _bad_table_documents():
+    """(name, document) pairs whose box table the CLI refuses, or, for "4/2",
+    reads as 2.  Each fault alone, among seeded good entries, on the hexagon,
+    a configuration with a parallel pair and seeded draws at d = 3 and 4; two
+    faults of different kinds in both orders, on the hexagon and the d = 4
+    draw; and a configuration over the enumeration guard, where a fault in
+    reading the table is named before the guard and a dependent set after it."""
+    import random
+    from itertools import combinations, permutations
+
+    from zonoehrhart.matroid import VectorConfiguration
+
+    rng = random.Random(2813)
+    configurations = [HEXAGON_DOC["generators"], [[1, 0], [0, 1], [2, 0], [1, 1]]]
+    configurations += [[[rng.randint(-2, 2) for _ in range(d)] for _ in range(d + 2)]
+                       for d in (3, 4)]
+    for c, generators in enumerate(configurations):
+        config = VectorConfiguration(generators)
+        n, sets = config.n, config.independent_sets()
+        dependent = next(s for k in range(2, n + 1) for s in combinations(range(1, n + 1), k)
+                         if s not in sets and s != (1, 2))
+        faults = {
+            "dependent": [(json.dumps(list(dependent), separators=(",", ":")), 1)],
+            "repeat": [("[1,1]", 1)], "negative": [("[-1]", 1)], "zero": [("[0]", 1)],
+            "past-n": [(f"[{n + 1}]", 1)], "not-a-list": [("1", 1)],
+            "not-json": [("[1", 1)], "fraction-index": [("[1.5]", 1)],
+            "bool-index": [("[true]", 1)], "twice": [("[2,1]", 5), ("[1,2]", 3)],
+            "twice-then-float": [("[1,2]", 3), ("[2,1]", 0.5)],
+            "spaced-twice": [("[1,1]", 3), ("[1, 1]", 5)],
+            "float": [("[1]", 0.5)], "zero-denominator": [("[2]", "1/0")],
+            "not-rational": [("[3]", "1/2/3")], "bool-value": [("[1]", True)],
+            "null-value": [("[2]", None)], "four-halves": [("[3]", "4/2")],
+        }
+        used = {(1,), (2,), (3,), (1, 2), dependent}
+        good = [s for s in sets if s not in used]
+        cases = [[kind] for kind in faults]
+        if c in (0, 3):
+            cases += [list(pair) for pair in permutations(
+                ("dependent", "repeat", "past-n", "not-a-list", "fraction-index", "twice",
+                 "float", "zero-denominator"), 2)]
+        for kinds in cases:
+            entries = [(json.dumps(list(s), separators=(",", ":")), rng.randint(-3, 5))
+                       for s in rng.sample(good, rng.randint(0, min(4, len(good))))]
+            for kind in kinds:
+                for entry in faults[kind]:
+                    entries.insert(rng.randint(0, len(entries)), entry)
+            assert len(dict(entries)) == len(entries)  # no key is written twice
+            yield f"c{c}-{'-'.join(kinds)}.json", {"generators": generators,
+                                                   "box_table": dict(entries)}
+    over = [[rng.randint(-2, 2) for _ in range(12)] for _ in range(60)]
+    for kind, table in (("float", {"[2]": 1, "[1]": 0.5}), ("repeat", {"[2]": 1, "[1,1]": 1}),
+                        ("twice", {"[2,1]": 5, "[1,2]": 3}), ("repeat-float", {"[1,1]": 1, "[1]": 0.5})):
+        yield f"over-{kind}.json", {"generators": over, "box_table": table}
+
+
+def _error_records(tmp_path, capsys):
+    """One line per `check` on every seeded document, then one per bad-table
+    document with its `hstar`, `check` and `matroid` calls."""
+    from zonoehrhart import cli
+
+    def call(argv):
+        code = cli.main(argv)
+        return [code, *(s.replace(str(tmp_path), "<tmp>") for s in capsys.readouterr())]
+
+    cli._reused.cache_clear()
+    records = []
+    for name, doc in _seeded_documents():
+        write_doc(tmp_path, doc, name)
+        records.append(json.dumps([name, call(["check", name])]))
+    for name, doc in _bad_table_documents():
+        write_doc(tmp_path, doc, name)
+        records.append(json.dumps([name, *(call([cmd, name]) for cmd in ("hstar", "check", "matroid"))]))
+    return records
+
+
+# Taken, as OUTPUT_DIGEST was, on the tree before the CLI read box-table keys
+# straight to masks: that change moves no error message, exit code or its order.
+ERROR_DIGEST = "0431c8c5e30bb8e08dcce006a3bbed9f8e552c584e80ad81411f27d48486ca33"
+ERROR_RECORD_DIGESTS = """
+2768 8d8f 9ed6 097f 7805 e62f a3b2 93bc f956 0826 7929 8a6c e198 f91f b50a 805f 35ee
+1f62 72eb 2974 5858 e48a 8377 c616 d5ad 7c96 3ab2 2f11 9cc2 827c fcfd b184 bb1f 9325
+0f19 52c0 83bb 05ec b2d5 a0c1 66f8 17ed 96ff fad2 2a48 af25 9bef a9c4 53a1 3699 7b24
+2640 c44c 1dea b927 6cd7 c486 218d 5765 db95 ffe3 ba98 835b fedb ff1b 490a a004 11fa
+b30c e015 1983 580f 9d8b 8c8d 9741 8412 aef0 7df0 c6e3 77cb da3a d6e9 cb30 7842 a27d
+b863 f088 5c13 0710 dfe4 d691 b9aa 2e8d e172 aebb b345 ed9f 48dd 2f8f e220 6060 ece4
+138a fc5a 2596 1372 eb62 60d0 c1f5 cc6d 579d a01f 643c 16e6 c751 d831 5e7a 8c75 b8f7
+949c 92c7 9627 a681 9116 38dd 8f19 8bf6 5c7f 7004 2b42 c0ff 09c2 8523 f8de 9b57 bde3
+4694 e9ef feb7 abe5 b09e be1d b439 7959 8932 1339 e48a 1067 8d4a 0384 c97b 0f81 b905
+1f24 92cf 7f73 16a4 81f8 ccbf b7bd 3801 0824 9dfa aaac d861 f71f 6a6e 5ec3 e2cc d70f
+965b 3a05 2465 3c76 1792 3c62 811a 08bb 4deb af4c de09 1d9c a511 7ed6 1a31 efd6 4a4c
+e3c4 67ac b2d0 f611 e94a 9a3b 7051 b058 797d 7281 e3fb ebc8 5b99 163b 020b 963c f9c8
+c56e 5495 392f 8c38 ce3c 208f c5a5 e6f4 017d b7f2 45bc f471 a7bc 9340 fd51 1290 7e31
+05f9 9a92 db66 8509 be56 9229 d3b2 f578 8548 b2d2 cc73 1e69 e314 e338 d883 31ae 4a09
+e7fe c87d a35a 98b4 3f10 98d5 89c0 25a6 6cf0 da30 cc0f 695c 97cf 9eef 33de af89 7f85
+162a 8fee aff2 3e6b ac60 f862 3580 6088
+"""
+
+
+def test_errors_match_their_digest(tmp_path, monkeypatch, capsys):
+    # `check` on every seeded document, and `hstar`, `check` and `matroid` on
+    # every bad-table document, pinned byte for byte: exit code, stdout and stderr.
+    monkeypatch.chdir(tmp_path)
+    _match_digest(_error_records(tmp_path, capsys), ERROR_DIGEST, ERROR_RECORD_DIGESTS)
 
 
 def test_bases_are_read_from_the_cached_layers(tmp_path, monkeypatch, capsys):

@@ -110,11 +110,12 @@ def test_counts_invariant_under_unimodular_embedding():
                         == count_interior_lattice_points(flat, n)), (config, mode, n)
 
 
-def _flat_draw(rng, d, rank):
+def _flat_draw(rng, d, rank, entries=2):
     """Seeded configuration of the given rank in Z^d: rank + 2 generators,
-    each a {-1, 0, 1}-combination of rank vectors with entries in [-2, 2]."""
+    each a {-1, 0, 1}-combination of rank vectors with entries in
+    [-entries, entries]."""
     while True:
-        basis = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rank)]
+        basis = [[rng.randint(-entries, entries) for _ in range(d)] for _ in range(rank)]
         coeffs = [[rng.randint(-1, 1) for _ in basis] for _ in range(rank + 2)]
         vectors = [tuple(sum(c * b[i] for c, b in zip(row, basis)) for i in range(d))
                    for row in coeffs]
@@ -167,6 +168,27 @@ def test_flat_bodies_are_counted_in_their_own_lattice():
                     p = tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(d))
                     assert contains_point(z, n, p), (vectors, mode, n, p)
                     assert not contains_point(z, n, tuple(map(sum, zip(p, off)))), (vectors, p)
+
+
+def test_flat_boxes_stay_within_the_ambient_box():
+    # Below full rank a body is swept in Z^r, and the guard reads that box.
+    # Pairwise steps alone can leave it larger than the ambient box at rank
+    # 3 and above (1413 times larger on the first draw), so the guard could
+    # refuse a body an ambient sweep would answer; the LLL step before them
+    # keeps it no larger on seeded draws of rank 3..5 in Z^4..Z^6 with
+    # entries up to 20, in both modes.
+    draws = [([(0, 17, 0, 0, 4, 0), (7, -20, 0, 0, 0, 0), (12, 32, 1, 0, 0, -5),
+               (-19, -12, -1, 0, 0, 5), (-12, 20, 13, 0, -4, 0), (2, -19, -3, 0, 0, -4),
+               (-5, 17, 13, 0, 0, 0)], "standard")]
+    rng = random.Random(2814)
+    for rank in (3, 4, 5):
+        for k in range(24):
+            draws.append((_flat_draw(rng, rng.randint(rank + 1, 6), rank, 20),
+                          ("standard", "typeB")[k % 2]))
+    for vectors, mode in draws:
+        z = ZonotopeSpec(VectorConfiguration(vectors), mode)
+        box = zonoehrhart.oracle._Membership(z).box
+        assert prod(hi - lo + 1 for lo, hi in box) <= _box_points(z, 1), (vectors, mode)
 
 
 def test_resource_guard():
