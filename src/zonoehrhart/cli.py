@@ -36,7 +36,7 @@ from functools import cache, lru_cache
 
 from . import eulerian, oracle, polycore, zonotope
 from .errors import EnumerationLimitError, InternalDisagreementError, LatticeMathError
-from .matroid import VectorConfiguration, _indices
+from .matroid import VectorConfiguration, _by_prefix
 from .polycore import HStarVector, Poly
 
 _BIG = 2**53
@@ -177,7 +177,7 @@ def _load_input(path):
                 raise _CliError(f"box table names the set {zonotope._named(mask)!r} twice")
             overrides[mask] = raw if type(raw) is int else _parse_rational(raw)
         table = zonotope.BoxValuationTable._trusted(  # the counts fill the sets left out
-            config, zonotope._checked(config, overrides.items(), config._box_counts))
+            config, zonotope._checked(config, overrides, None))
     echo = {"generators": config.vectors, **({} if dim is None else {"dim": dim}), "mode": mode}
     if "box_table" in doc:
         echo["box_table"] = doc["box_table"]
@@ -218,13 +218,15 @@ def _cmd_hstar(args):
     doc = {"command": "hstar", "input": echo, "hstar": h, "degree": h.d}
     if args.diagnostics:
         values = spec.config._box_counts if table is None else table._values
-        bases, passive, _ = zip(*spec.config._pieces())
+        bases, passive = zip(*spec.config._pieces(spec.config._index_tuples()))
+        # Keys as json.dumps spells a list compactly, "[1,2]", in independent_sets() order,
+        # each from its parent's ",1,2"-style spelling.
+        spelled = _by_prefix(spec.config._minor_gcds, "", lambda parent, i: f"{parent},{i}")
         doc["diagnostics"] = {
             "bases": bases,
             "internally_passive": passive,
-            # Keys as json.dumps spells a list compactly, "[1,2]", in independent_sets() order.
-            "box_table": {f"[{','.join(map(str, _indices(m)))}]": values[m]
-                          for m in sorted(spec.config._minor_gcds, key=int.bit_count)},
+            "box_table": {f"[{spelled[m][1:]}]": values[m]
+                          for m in sorted(spelled, key=int.bit_count)},
             "eulerian_multiplicities": c,
         }
     return doc
@@ -334,14 +336,15 @@ def _cmd_eulerian(args):
 def _cmd_matroid(args):
     spec, _, echo = _load_input(args.input)
     config = spec.config
-    bases, passive, _ = zip(*config._pieces())
+    tuples = config._index_tuples()
+    bases, passive = zip(*config._pieces(tuples))
     return {
         "command": "matroid",
         "input": echo,
         "n": config.n,
         "dim": config.dim,
         "rank": config.full_rank,
-        "independent_sets": config.independent_sets(),
+        "independent_sets": tuple(sorted(tuples.values(), key=len)),
         "bases": bases,
         "internally_passive": passive,
         "coloop_free": config.is_coloop_free(),

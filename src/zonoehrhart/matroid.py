@@ -6,8 +6,9 @@ order-sensitive notion (lexicographic basis order, internally passive
 elements, minimal completing bases) reads that order, so another order is
 another input order.  One walk enumerates the independent sets with their
 minor gcds, keyed by bit mask (element i at bit i): the one cached form of a
-set, and index tuples are built only at the public boundary.  The matroid also
-owns the double sum of the h* formula, whose histogram is the same in each mode.
+set, and index tuples are built only at the public boundary, each from its
+parent's.  The matroid also owns the double sum of the h* formula, whose
+histogram is the same in each mode.
 
 Duplicate vectors are distinct parallel elements; zero vectors are loops and
 never independent.
@@ -56,6 +57,18 @@ def _indices(mask: int) -> tuple:
     return tuple(low.bit_length() - 1 for low in _bits(mask))
 
 
+def _by_prefix(masks: Iterable[int], empty, extend) -> dict:
+    """{mask: value} for `masks` listed parents first, a mask's parent being
+    the mask less its highest bit: the empty set's value is `empty`, any
+    other's extend(its parent's value, its highest index)."""
+    out = {0: empty}
+    for m in masks:
+        if m:
+            i = m.bit_length() - 1
+            out[m] = extend(out[m ^ 1 << i], i)
+    return out
+
+
 def _subset_transform(f: dict, n: int, sign: int) -> dict:
     """g(I) = sum over J subseteq I of sign^|I - J| f(J), for f keyed by the
     masks of a family of subsets of 1..n closed under taking subsets.  One pass
@@ -70,30 +83,74 @@ def _subset_transform(f: dict, n: int, sign: int) -> dict:
     return g
 
 
-def _double_sum(sets: Iterable[int], values: Mapping[int, object], pieces: Mapping[int, int],
-                r: int) -> list:
-    """c[|I u P|] += b(I) for each piece (B, P) and independent I inside B, as
-    masks, in two orderings that must agree: `_basis_major`, and a walk of the
-    enumerated `sets` that finds the B holding I by ANDing per-element bitsets."""
-    c, containing, passive_of = [0] * (r + 1), {}, {}  # piece k: bit k of containing
+def _incidence(pieces: Mapping[int, int]) -> tuple:
+    """For pieces (B, P) as masks, piece k at bit k: a function giving the
+    bitset of the pieces whose B holds a set, by ANDing per-element bitsets,
+    and the P of each piece bit."""
+    containing, passive_of, everything = {}, {}, (1 << len(pieces)) - 1
     for k, (basis, passive) in enumerate(pieces.items()):
         passive_of[1 << k] = passive
         while basis:
             low = basis & -basis
             containing[low] = containing.get(low, 0) | 1 << k
             basis ^= low
+
+    def holding(s: int) -> int:
+        inside = everything
+        while s:
+            low = s & -s
+            inside &= containing[low]
+            s ^= low
+        return inside
+    return holding, passive_of
+
+
+def _walk(sets: Iterable[int], values: Mapping[int, object], pieces: Mapping[int, int],
+          r: int) -> list:
+    """The set-major ordering by a walk of the enumerated `sets` that skips
+    b(I) = 0 and visits each piece whose B holds I."""
+    c, (holding, passive_of) = [0] * (r + 1), _incidence(pieces)
     for s in sets:
         b = values[s]
         if b != 0:
-            inside, rest = (1 << len(pieces)) - 1, s
-            while rest:
-                low = rest & -rest
-                inside &= containing[low]
-                rest ^= low
+            inside = holding(s)
             while inside:
                 low = inside & -inside
                 c[(passive_of[low] | s).bit_count()] += b
                 inside ^= low
+    return c
+
+
+def _group(sets: Iterable[int], pieces: Mapping[int, int], r: int) -> tuple:
+    """The `sets` grouped by their table-free vector m_I[j] = #{B holding I :
+    |I u P| = j}, as (m, masks) pairs, from one visit of every (I, B) pair."""
+    groups, (holding, passive_of) = {}, _incidence(pieces)
+    for s in sets:
+        m, inside = [0] * (r + 1), holding(s)
+        while inside:
+            low = inside & -inside
+            m[(passive_of[low] | s).bit_count()] += 1
+            inside ^= low
+        groups.setdefault(tuple(m), []).append(s)
+    return tuple(groups.items())
+
+
+def _grouped_sum(groups: Iterable[tuple], values: Mapping[int, object], r: int) -> list:
+    """The set-major ordering as sum over groups of m * (the group's sum of b(I))."""
+    c = [0] * (r + 1)
+    for m, masks in groups:
+        total = sum(map(values.__getitem__, masks))
+        if total != 0:
+            for j, k in enumerate(m):
+                if k:
+                    c[j] += k * total
+    return c
+
+
+def _double_sum(c: list, values: Mapping[int, object], pieces: Mapping[int, int], r: int) -> list:
+    """c, the histogram c[|I u P|] += b(I) over each piece (B, P) and independent
+    I inside B that a set-major ordering summed, once the other ordering,
+    `_basis_major`, agrees."""
     if c != _basis_major(values, pieces, r):
         raise InternalDisagreementError(
             "basis-major and independent-set-major double sums disagree")
@@ -112,6 +169,34 @@ def _basis_major(values: Mapping[int, object], pieces: Mapping[int, int], r: int
                 c[(passive | sub).bit_count()] += b
             sub = sub - 1 & basis
     return c
+
+
+def _internally_passive(members: Mapping[int, int], r: int) -> dict:
+    """IP(B) for every basis B among the independent `members`, both as masks,
+    in their order: the i in B with some smaller j outside B such that
+    B - i + j is independent."""
+    return {inside: sum(low for low in _bits(inside)
+                        if any(not inside >> j & 1 and (inside ^ low | 1 << j) in members
+                               for j in range(1, low.bit_length() - 1)))
+            for inside in members if inside.bit_count() == r}
+
+
+def _check_intervals(members: Mapping[int, int], passive_sets: Mapping[int, int]) -> None:
+    """Raise unless the intervals [IP(B), B] partition the independent sets
+    (Bjoerner 1992): walked by the submasks of B - IP(B), they must visit
+    every member once and nothing else."""
+    covered = []
+    for basis, passive in passive_sets.items():
+        free = basis ^ passive
+        sub = free
+        while True:
+            covered.append(passive | sub)
+            if not sub:
+                break
+            sub = sub - 1 & free
+    if len(covered) != len(members) or members.keys() != set(covered):
+        raise InternalDisagreementError(
+            "the intervals [IP(B), B] do not partition the independent sets")
 
 
 class VectorConfiguration:
@@ -160,7 +245,12 @@ class VectorConfiguration:
 
     def independent_sets(self) -> tuple[tuple, ...]:
         """All independent index sets including (), in sorted order."""
-        return tuple(map(_indices, sorted(self._minor_gcds, key=int.bit_count)))
+        return tuple(sorted(self._index_tuples().values(), key=len))
+
+    def _index_tuples(self) -> dict:
+        """The sorted index tuple of every independent set by mask, in the
+        walk's order, each its parent's plus one index: built on each call."""
+        return _by_prefix(self._minor_gcds, (), lambda parent, i: parent + (i,))
 
     def bases(self) -> tuple[tuple, ...]:
         """Maximal independent sets in lexicographic order."""
@@ -241,18 +331,16 @@ class VectorConfiguration:
     @cached_property
     def _passive_sets(self) -> dict:
         """IP(B) for every basis B, both as masks, in lexicographic order (the
-        keys are the bases): the i in B with some smaller j outside B such that
-        B - i + j is independent."""
-        members, r = self._minor_gcds, self.full_rank
-        return {inside: sum(low for low in _bits(inside)
-                            if any(not inside >> j & 1 and (inside ^ low | 1 << j) in members
-                                   for j in range(1, low.bit_length() - 1)))
-                for inside in members if inside.bit_count() == r}
+        keys are the bases), once the intervals [IP(B), B] are found to
+        partition the independent sets."""
+        passive_sets = _internally_passive(self._minor_gcds, self.full_rank)
+        _check_intervals(self._minor_gcds, passive_sets)
+        return passive_sets
 
-    def _pieces(self):
-        """(B, IP(B), gcd(B)) per basis B, lexicographically, as index tuples, unchecked."""
-        gcds = self._minor_gcds
-        return ((_indices(b), _indices(p), gcds[b]) for b, p in self._passive_sets.items())
+    def _pieces(self, tuples: Mapping[int, tuple]):
+        """(B, IP(B)) per basis B, lexicographically, as the index tuples that
+        `tuples` (from `_index_tuples`) holds, unchecked."""
+        return ((tuples[b], tuples[p]) for b, p in self._passive_sets.items())
 
     def internally_passive(self, basis: Iterable[int]) -> tuple:
         """Elements of the basis exchangeable for a smaller outside element."""
@@ -281,14 +369,24 @@ class VectorConfiguration:
     # -- the double sum: h* is sum_j c_j R_j(r+1, t), and only the row R of the
     # refined Eulerian family depends on the mode, so c is kept per configuration.
 
+    @cached_property
+    def _groups(self) -> tuple:
+        """The independent sets grouped by multiplicity vector (`_group`),
+        built when a table is first passed."""
+        return _group(self._minor_gcds, self._passive_sets, self.full_rank)
+
     def _eulerian_histogram(self, table: Mapping[int, object] | None = None,
                             passive: Iterable[int] | None = None) -> list:
         """c[j] sums b(I) over the independent I and bases B containing I with
         |I u IP(B)| = j, for a table keyed by mask or the box counts; with
-        `passive`, over the one piece (ground set, passive)."""
-        values = self._box_counts if table is None else table
+        `passive`, over the one piece (ground set, passive).  A passed table
+        is summed by groups; the box counts, sparse over the (I, B) pairs, and
+        the one piece by `_walk`."""
+        r, values = self.full_rank, self._box_counts if table is None else table
         pieces = self._passive_sets if passive is None else \
             {_mask(range(1, self.n + 1)): _mask(passive)}
-        return _double_sum(self._minor_gcds, values, pieces, self.full_rank)
+        c = _grouped_sum(self._groups, values, r) if table is not None and passive is None \
+            else _walk(self._minor_gcds, values, pieces, r)
+        return _double_sum(c, values, pieces, r)
 
     _histogram = cached_property(_eulerian_histogram)

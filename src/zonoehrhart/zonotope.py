@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DependentSetError, LatticeMathError, _integers
 from .eulerian import _a_row, _b_row, a_j_polynomial
@@ -55,8 +55,7 @@ class BoxValuationTable:
     kept by the set's bit mask (element i at bit i) and checked once."""
 
     def __init__(self, config: VectorConfiguration, values: Mapping[tuple, int | Fraction]):
-        pairs = ((_key_mask(indices, config.n), v) for indices, v in values.items())
-        self.config, self._values = config, _checked(config, pairs, {})
+        self.config, self._values = config, _checked(config, _keyed(values, config.n), {})
         if len(self._values) < len(config._minor_gcds):
             missing = next(m for m in config._minor_gcds if m not in self._values)
             raise LatticeMathError(
@@ -72,8 +71,8 @@ class BoxValuationTable:
     @property
     def values(self) -> dict:
         """The table by sorted index tuple in `independent_sets()` order, built on each read."""
-        return {_indices(m): self._values[m]
-                for m in sorted(self.config._minor_gcds, key=int.bit_count)}
+        tuples = self.config._index_tuples()
+        return {tuples[m]: self._values[m] for m in sorted(tuples, key=int.bit_count)}
 
     def value(self, indices: Sequence[int]) -> int | Fraction:
         mask = _key_mask(indices, self.config.n)
@@ -84,8 +83,8 @@ class BoxValuationTable:
 
     def override(self, updates: Mapping[tuple, int | Fraction]) -> "BoxValuationTable":
         """The table with the updates in place; only the updates are checked."""
-        pairs = ((_key_mask(indices, self.config.n), v) for indices, v in updates.items())
-        return self._trusted(self.config, _checked(self.config, pairs, self._values))
+        return self._trusted(
+            self.config, _checked(self.config, _keyed(updates, self.config.n), self._values))
 
 
 def _key_mask(indices: Sequence[int], n: int) -> int | tuple:
@@ -100,25 +99,39 @@ def _named(key: int | tuple) -> tuple:  # the sorted index tuple of a `_key_mask
     return _indices(key) if type(key) is int else key
 
 
-def _checked(config: VectorConfiguration, entries: Iterable[tuple], base: dict) -> dict:
-    """`base` with the (`_key_mask` key, value) pairs, each checked once: a bad index or a set
-    named twice raises at once, then a dependent set or inexact value, updates of `base` first."""
-    members, table, seen, faults = config._minor_gcds, dict(base), set(), {}
-    for mask, v in entries:
-        if mask in seen:
+def _keyed(values: Mapping[tuple, object], n: int) -> dict:
+    """The entries by `_key_mask` key, in order; a bad index or a set named twice raises at once."""
+    updates = {}
+    for indices, v in values.items():
+        mask = _key_mask(indices, n)
+        if mask in updates:
             raise LatticeMathError(f"box table names the set {_named(mask)!r} twice")
-        seen.add(mask)
-        if mask not in members:
-            faults[mask] = DependentSetError(
-                f"{_named(mask)!r} is not an independent set of the configuration")
-        elif isinstance(v, bool) or not isinstance(v, (int, Fraction)):
-            faults[mask] = LatticeMathError(
-                f"box value of {_named(mask)!r} must be an int or Fraction, got {type(v).__name__}")
-        else:
-            table[mask] = _exact(v)
-    if faults:
-        raise next((faults[m] for m in base if m in faults), next(iter(faults.values())))
-    return table
+        updates[mask] = v
+    return updates
+
+
+def _checked(config: VectorConfiguration, updates: dict, base: dict | None) -> dict:
+    """`base` with the updates (by `_key_mask` key), merged at once if none is a dependent set
+    or an inexact value; else the first such fault raises, updates of `base` first.  `base`
+    None is the configuration's box counts, read only if the updates leave a set out."""
+    members, kinds = config._minor_gcds, set(map(type, updates.values()))
+    if not (updates.keys() <= members.keys() and kinds <= {int, Fraction}):
+        faults = {}
+        for mask, v in updates.items():
+            if mask not in members:
+                faults[mask] = DependentSetError(
+                    f"{_named(mask)!r} is not an independent set of the configuration")
+            elif isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                faults[mask] = LatticeMathError(f"box value of {_named(mask)!r} must be an "
+                                                f"int or Fraction, got {type(v).__name__}")
+        if faults:
+            order = members if base is None else base
+            raise faults[next((m for m in order if m in faults), next(iter(faults)))]
+    if kinds != {int}:
+        updates = {m: _exact(v) for m, v in updates.items()}
+    if base is None:
+        base = {} if len(updates) == len(members) else config._box_counts
+    return {**base, **updates}
 
 
 def default_box_table(config: VectorConfiguration) -> BoxValuationTable:
@@ -259,14 +272,14 @@ def hstar_totally_unimodular(z: ZonotopeSpec) -> HStarVector:
     enumeration, the minor gcds its walk folded and IP(B), but reads no box
     counts and takes no double sum: on such inputs it cross-checks those two.
     """
-    c = [0] * (z.config.full_rank + 1)
+    c, gcds = [0] * (z.config.full_rank + 1), z.config._minor_gcds
     # gcd(B) is |det B| in a lattice basis of the span; an r-subset that is no basis has det 0.
-    for _, passive, minor in z.config._pieces():
-        if minor != 1:
+    for basis, passive in z.config._passive_sets.items():
+        if (minor := gcds[basis]) != 1:
             raise LatticeMathError(
                 f"maximal minor of absolute value {minor} outside {{0, +-1}}; "
                 "configuration is not unimodular")
-        c[len(passive)] += 1
+        c[passive.bit_count()] += 1
     return _assemble(c, z.mode)
 
 

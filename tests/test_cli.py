@@ -743,24 +743,36 @@ def test_ordering_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     complete = {matroid._mask(s) for s in config.independent_sets()}
     dropped = matroid._mask(next(s for s in config.independent_sets()
                                  if s and table.value(s) != 0))
-    # Only the independent-set-major ordering walks the enumerated sets it is
-    # given; the basis-major one walks the submasks of the bases, so dropping
-    # one set from the first makes the two disagree.
-    real_double_sum = matroid._double_sum
+    # The set-major ordering takes one of two forms: the configuration's own
+    # box counts are walked set by set, and a passed table is summed by the
+    # groups of sets that share a multiplicity vector.  The basis-major
+    # ordering walks the submasks of the bases, so dropping one set from
+    # either form makes the two orderings disagree.
+    real_walk, real_grouped_sum = matroid._walk, matroid._grouped_sum
 
-    def dropping_one_set(sets, values, pieces, r):
+    def walk_dropping_one_set(sets, values, pieces, r):
         sets = list(sets)
         assert set(sets) == complete
-        return real_double_sum([m for m in sets if m != dropped], values, pieces, r)
+        return real_walk([m for m in sets if m != dropped], values, pieces, r)
 
-    monkeypatch.setattr(matroid, "_double_sum", dropping_one_set)
-    with pytest.raises(InternalDisagreementError):
-        hstar_zonotope(ZonotopeSpec(config))
+    def sum_dropping_one_set(groups, values, r):
+        assert sorted(m for _, masks in groups for m in masks) == sorted(complete)
+        return real_grouped_sum([(m, [s for s in masks if s != dropped]) for m, masks in groups],
+                                values, r)
 
-    cli._reused.cache_clear()  # no configuration with a histogram already summed
-    path = write_doc(tmp_path, {"generators": generators})
-    assert cli.main(["hstar", path]) == 3
-    assert json.loads(capsys.readouterr().err)["code"] == "disagreement"
+    for name, dropping, passed in (("_walk", walk_dropping_one_set, False),
+                                   ("_grouped_sum", sum_dropping_one_set, True)):
+        with monkeypatch.context() as patch:
+            patch.setattr(matroid, name, dropping)
+            fresh = VectorConfiguration(generators)  # nothing summed or grouped yet
+            with pytest.raises(InternalDisagreementError, match="double sums disagree"):
+                hstar_zonotope(ZonotopeSpec(fresh), default_box_table(fresh) if passed else None)
+            cli._reused.cache_clear()
+            doc = {"generators": generators, **({"box_table": {"[]": 2}} if passed else {})}
+            path = write_doc(tmp_path, doc, f"{name}.json")
+            assert cli.main(["hstar", path]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == "" and json.loads(captured.err)["code"] == "disagreement"
 
 
 def test_basis_major_disagreement_exits_3(tmp_path, monkeypatch, capsys):

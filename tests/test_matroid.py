@@ -315,3 +315,31 @@ def test_minor_gcd_needs_no_enumeration():
     assert scaled.minor_gcd((1, 2, 3)) == 27 * config.minor_gcd((1, 2, 3))
     with pytest.raises(DependentSetError, match="is not independent"):
         config.minor_gcd(tuple(range(1, 14)))  # more vectors than coordinates
+
+
+def test_passive_intervals_must_partition_the_independent_sets(monkeypatch):
+    # The intervals [IP(B), B] partition the independent sets (Bjoerner).
+    # Dropping one element from one IP(B) widens its interval onto another
+    # basis's, and the check refuses the passive sets before the double sum's
+    # orderings are compared.
+    from zonoehrhart import matroid
+    from zonoehrhart.errors import InternalDisagreementError
+    from zonoehrhart.zonotope import ZonotopeSpec, hstar
+
+    rng = random.Random(29)
+    vectors = [tuple(rng.randint(-2, 2) for _ in range(6)) for _ in range(9)]
+    assert VectorConfiguration(vectors).full_rank == 6
+    real_passive, dropped, compared = matroid._internally_passive, [], []
+
+    def dropping_one_element(members, r):
+        passive_sets = real_passive(members, r)
+        basis = next(b for b, p in passive_sets.items() if p)
+        passive_sets[basis] &= passive_sets[basis] - 1  # its lowest passive element goes
+        dropped.append(basis)
+        return passive_sets
+
+    monkeypatch.setattr(matroid, "_internally_passive", dropping_one_element)
+    monkeypatch.setattr(matroid, "_double_sum", lambda *args: compared.append(1))
+    with pytest.raises(InternalDisagreementError, match=r"\[IP\(B\), B\] do not partition"):
+        hstar(ZonotopeSpec(VectorConfiguration(vectors)))
+    assert dropped and not compared

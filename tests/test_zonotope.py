@@ -15,7 +15,8 @@ from zonoehrhart.errors import DependentSetError, EnumerationLimitError, Lattice
 from zonoehrhart.eulerian import a_j_polynomial, eulerian_b
 from zonoehrhart.matroid import VectorConfiguration
 from zonoehrhart.oracle import count_lattice_points, hstar_via_oracle, interpolate_ehrhart
-from zonoehrhart.polycore import HStarVector, Poly, hstar_from_ehrhart, is_real_rooted
+from zonoehrhart.polycore import (HStarVector, Poly, ehrhart_from_hstar, hstar_from_ehrhart,
+                                  is_real_rooted)
 from zonoehrhart.zonotope import (MODES, BoxValuationTable, ZonotopeSpec,
                                   default_box_table, ehrhart,
                                   ehrhart_halfopen_cube,
@@ -469,6 +470,44 @@ def test_one_double_sum_per_configuration_and_table(monkeypatch):
         for mode in MODES + MODES:
             hstar(ZonotopeSpec(config, mode), table)
         assert len(calls) == 4
+
+
+def test_passed_tables_sum_by_multiplicity_groups(monkeypatch):
+    # A passed table is summed over the groups of independent sets that share
+    # m_I[j] = #{B containing I : |I u IP(B)| = j}.  The groups are built once
+    # per configuration, by its first table, and Stanley's sum in `ehrhart`
+    # reads none of them, so it checks every group.  Seeded tables of
+    # integers, rationals, zeros and negatives, on loops, a parallel pair,
+    # rank below the dimension and draws up to d = 6, in both modes.
+    from zonoehrhart import matroid
+    calls = []
+    real_group = matroid._group
+    monkeypatch.setattr(matroid, "_group", lambda *args: calls.append(1) or real_group(*args))
+    rng = random.Random(29)
+    configs = [VectorConfiguration([(1, 0), (0, 0), (0, 1), (1, 1), (0, 0)]),
+               VectorConfiguration([(1, 2), (1, 2), (-2, 1), (0, 3)]),
+               VectorConfiguration([(1, 2, 0), (2, 4, 0), (0, 1, 0), (3, -1, 0)]),
+               VectorConfiguration([(0, 0, 0, 0, 0)] + [(1, -1, 0, 2, 1), (0, 1, 1, 0, -1),
+                                                        (1, 0, 1, 2, 0), (2, 1, 0, 0, 1)])]
+    for d, n in ((3, 5), (4, 7), (5, 7), (6, 8)):
+        configs.append(VectorConfiguration(
+            [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(n)], d))
+    for config in configs:
+        r = config.full_rank
+        calls.clear()
+        for case in range(6):
+            values = {}
+            for s in config.independent_sets():
+                kind = 0 if case == 0 else rng.randrange(3 if case == 1 else 4)  # zeros, ints
+                values[s] = (0, rng.randint(-4, -1), rng.randint(1, 5),
+                             Fraction(rng.randint(-7, 7), rng.randint(2, 5)))[kind]
+            table = BoxValuationTable(config, values)
+            for mode in MODES:
+                z = ZonotopeSpec(config, mode)
+                assert ehrhart_from_hstar(hstar(z, table)) == ehrhart(z, table)
+                if all(type(v) is int for v in values.values()):
+                    assert hstar(z, table) == hstar_from_ehrhart(ehrhart(z, table), r)
+        assert len(calls) == 1, config
 
 
 def test_spec_takes_only_a_configuration():
