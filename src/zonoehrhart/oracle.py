@@ -20,7 +20,9 @@ generators by one integer column fold (`_linalg.fold`):
   sum_i max(0, u.v_i)], or [-s, s] with s = sum_i |u.v_i| in typeB mode.
   The (r-1)-subsets are folded down their prefix tree, so a prefix shared
   by several subsets is folded once, and a dependent prefix is dropped with
-  all its extensions.
+  all its extensions.  The same walk gives the volume sum_B |det B| over
+  the r-subsets B: the steps' product g_S of a subset S times |v . u| is
+  |det(S, v)|, for each generator v after S.
 
 Zero generators are dropped, and each row is scaled by -1 if need be so that
 its last nonzero coefficient is positive.  From here on d is r, the
@@ -53,18 +55,23 @@ n*lo + 1 <= u . p <= n*hi - 1 stay centred and are swept the same way, over
 the bounding box shrunk by one on each side.
 
 h* of the rank-r body comes from both ends, in integers (`_hstar`): closed
-counts at dilates 1..ceil((r+1)/2), as E(0) = 1 for every body, give its
-bottom entries, and interior counts its top ones, by Ehrhart-Macdonald
-reciprocity.  hstar_via_oracle returns that h*, and ehrhart_via_oracle its
-counting polynomial.  No floating point is used anywhere, and no rational
-elimination: the fold and the counts run over the integers.
+counts at dilates 1..floor(r/2), as E(0) = 1 for every body, give its
+bottom floor(r/2)+1 entries, and interior counts at 1..ceil(r/2) its top
+ceil(r/2) ones, by Ehrhart-Macdonald reciprocity: r counts, none at rank 0.
+The two ends share no entry, so h*(1) = r! vol(Z) guards them, with the
+volume from the compile (times 2^r in typeB mode): every single wrong
+count moves h*(1), and the guard ties the counts to the generators, which
+the rows alone do not.  hstar_via_oracle returns that h*, and
+ehrhart_via_oracle its counting polynomial.  No floating point is used
+anywhere, and no rational elimination: the fold and the counts run over
+the integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice, permutations, product, repeat
-from math import prod
+from math import factorial, prod
 from operator import floordiv, mul, sub
 from typing import Sequence
 
@@ -93,8 +100,10 @@ class _Membership:
             _narrow(self.used, gens)
             gens = [self._coordinates(v) for v in gens]
         normals = []
-        if r:
-            _facet_normals(gens, _linalg.unit_columns(r), 0, r - 1, normals)
+        # sum_B |det B| over the r-subsets B of the generators (1 at rank 0),
+        # the body's volume in Z^r; the typeB body is 2^r times larger.
+        volume = _facet_normals(gens, _linalg.unit_columns(r), 0, r - 1, normals) if r else 1
+        self.volume = volume << r if type_b else volume
         self.rows = tuple(sorted(
             (u, *_extent([sum(map(mul, u, v)) for v in gens], type_b))
             for u in {u if next(x for x in reversed(u) if x) > 0 else tuple(-x for x in u)
@@ -215,18 +224,22 @@ def _narrow(columns: list, gens: list) -> None:
                 narrowing = True
 
 
-def _facet_normals(gens, columns, start: int, depth: int, normals: list) -> None:
-    """Append the column left by folding each independent depth-subset of
+def _facet_normals(gens, columns, start: int, depth: int, normals: list, steps: int = 1) -> int:
+    """Append the column left by folding each independent depth-subset S of
     gens[start:] into columns, down the prefix tree of the subsets: every
     prefix is folded once for all its extensions, and a zero step prunes
-    the dependent prefix with all of them."""
+    the dependent prefix with all of them.  Return sum |det(S, v)| over
+    every S and every generator v after it: with g_S the product of S's
+    steps, carried down the tree, and u its column, |det(S, v)| = g_S |v . u|."""
     if not depth:
         normals.append(columns[0])
-        return
+        return steps * sum(abs(sum(map(mul, columns[0], v))) for v in gens[start:])
+    volume = 0
     for i in range(start, len(gens) - depth + 1):
         step, rest, _ = _linalg.fold(gens[i], columns)
         if step:
-            _facet_normals(gens, rest, i + 1, depth - 1, normals)
+            volume += _facet_normals(gens, rest, i + 1, depth - 1, normals, steps * step)
+    return volume
 
 
 def _sweep(lines, slabs, runs, last) -> int:
@@ -353,31 +366,35 @@ def ehrhart_via_oracle(z: ZonotopeSpec) -> Poly:
 
 def _hstar(member: _Membership) -> HStarVector:
     """h*-vector of rank r from E(0) = 1, closed counts at dilates
-    1..ceil((r+1)/2) and interior counts at 1..floor((r+1)/2), in integers.
+    1..floor(r/2) and interior counts at 1..ceil(r/2), in integers; r counts
+    for the r unknown entries, none at rank 0.
 
     With E(n) the closed and I(n) the interior count of the n-th dilate,
     sum_n E(n) t^n = h*(t) / (1-t)^(r+1), and by Ehrhart-Macdonald
     reciprocity sum_n I(n) t^n = t^(r+1) h*(1/t) / (1-t)^(r+1).  So
-    h*_k = sum_i (-1)^(k-i) C(r+1, k-i) E(i) for the bottom entries, and
-    h*_(r+1-k) = sum_i (-1)^(k-i) C(r+1, k-i) I(i) for the top ones.  Both
-    ends reach the entry h*_ceil((r+1)/2) (for r = 0, h*_1, which must be
-    0); the counts lie on one polynomial of degree r exactly when the two
-    agree, so that entry guards the degree.
+    h*_k = sum_i (-1)^(k-i) C(r+1, k-i) E(i) gives the bottom entries
+    h*_0..h*_floor(r/2), and h*_(r+1-k) = sum_i (-1)^(k-i) C(r+1, k-i) I(i)
+    the top ones, h*_(floor(r/2)+1)..h*_r.  The ends meet without overlap,
+    so h*(1) = r! vol(Z), with vol(Z) = sum_B |det B| (times 2^r in typeB
+    mode) from the compile, guards them.  A count moved by one moves the
+    sum by +-C(r, K-n) != 0, with K = floor(r/2) or ceil(r/2) for its end
+    and n its dilate, so every single wrong count trips the guard, and the
+    volume ties the counts to the generators.
     """
     r = member.rank
-    below, above = (r + 1) // 2, (r + 2) // 2
-    dilates = [(n, False) for n in range(1, above + 1)] + [(k, True) for k in range(1, below + 1)]
+    low, high = r // 2, (r + 1) // 2
+    dilates = [(n, False) for n in range(1, low + 1)] + [(k, True) for k in range(1, high + 1)]
     for n, strict in dilates:  # every box meets the guard before the first sweep
         member.box_at(n, strict)
     counts = [member.count(n, strict) for n, strict in dilates]
-    closed, interior = [1] + counts[:above], [0] + counts[above:]
-    bottom, top = _hstar_numerator(closed, r), _hstar_numerator(interior, r)
-    if bottom[above] != top[below]:
+    closed, interior = [1] + counts[:low], [0] + counts[low:]
+    h = _hstar_numerator(closed, r) + _hstar_numerator(interior, r)[high:0:-1]
+    if sum(h) != factorial(r) * member.volume:
         raise InternalDisagreementError(
-            f"h*_{above} is {bottom[above]} from the closed counts {closed} but "
-            f"{top[below]} from the interior counts {interior[1:]}; the counts do not "
-            f"lie on one polynomial of degree {r}")
-    return HStarVector(bottom[:above] + top[below:0:-1], r)
+            f"h* = {h} from the closed counts {closed} and the interior counts "
+            f"{interior[1:]} sums to {sum(h)}, but {r}! times the generators' volume "
+            f"{member.volume} is {factorial(r) * member.volume}")
+    return HStarVector(h, r)
 
 
 def hstar_via_oracle(z: ZonotopeSpec) -> HStarVector:

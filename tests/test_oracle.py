@@ -198,9 +198,9 @@ def test_resource_guard():
 
 
 def test_every_box_meets_the_guard_before_the_first_sweep(monkeypatch):
-    # At d = 5 the first box over the guard is the closed count's at dilate
-    # 3 (dilate 2 in typeB mode), after boxes under it; h* checks every box
-    # it will sweep before it sweeps any.
+    # At d = 5 the first box over the guard is the interior count's at
+    # dilate 3 (the closed count's at dilate 2 in typeB mode), after boxes
+    # under it; h* checks every box it will sweep before it sweeps any.
     def refuse(*args):
         raise AssertionError("swept before the box guard")
 
@@ -675,8 +675,8 @@ def _small_of_rank(rng, d, rank, m_max):
 
 def test_reciprocity_path_equals_counting_path():
     # ehrhart_via_oracle reads h* of the rank r, not the ambient dimension
-    # d, from closed counts at dilates 1..ceil((r+1)/2), with E(0) = 1, and
-    # interior counts at 1..floor((r+1)/2); the plain path interpolates
+    # d, from closed counts at dilates 1..floor(r/2), with E(0) = 1, and
+    # interior counts at 1..ceil(r/2); the plain path interpolates
     # closed counts at dilates 0..r+1, so it sweeps dilate 0 too.  Ten
     # draws for each d = 0..4, rank 0..d and mode: 300, of which 120 have
     # d - r odd, where (-1)^r and (-1)^d differ.
@@ -694,13 +694,15 @@ def test_reciprocity_path_equals_counting_path():
 
 def _counted_dilates(rank):
     """(dilate, strict) of every count the oracle takes at the given rank."""
-    return ([(n, False) for n in range(1, (rank + 2) // 2 + 1)]
+    return ([(n, False) for n in range(1, rank // 2 + 1)]
             + [(k, True) for k in range(1, (rank + 1) // 2 + 1)])
 
 
 def test_a_count_off_the_polynomial_raises(monkeypatch):
-    # One count moved by 1, closed or interior, at any counted dilate: the
-    # two ends of h* then disagree on their shared entry, for d = 1..4.
+    # One count moved by +1 or -1, closed or interior, at any counted
+    # dilate n: it moves h*(1) by +-C(r, K - n) != 0, K the last counted
+    # dilate of its kind, so h*(1) is no longer r! times the generators'
+    # volume, for d = 1..4.
     count = zonoehrhart.oracle._Membership.count
     rng = random.Random(137)
     for d in range(1, 5):
@@ -712,23 +714,53 @@ def test_a_count_off_the_polynomial_raises(monkeypatch):
                                 counted.append((n, strict)) or count(member, n, strict))
             hstar_via_oracle(z)
             assert counted == _counted_dilates(d)
-            for target in counted:
-                def off_by_one(member, n, strict=False, target=target):
-                    return count(member, n, strict) + ((n, strict) == target)
+            for target, shift in product(counted, (1, -1)):
+                def off_by_one(member, n, strict=False, target=target, shift=shift):
+                    return count(member, n, strict) + shift * ((n, strict) == target)
 
                 monkeypatch.setattr(zonoehrhart.oracle._Membership, "count", off_by_one)
                 for call in (hstar_via_oracle, ehrhart_via_oracle):
-                    with pytest.raises(InternalDisagreementError, match="polynomial of degree"):
+                    with pytest.raises(InternalDisagreementError, match="generators' volume"):
                         call(z)
                 monkeypatch.setattr(zonoehrhart.oracle._Membership, "count", count)
             assert hstar_via_oracle(z) == hstar(z), (z.config, mode)
 
 
+def test_a_dropped_facet_row_cannot_pass(monkeypatch):
+    # A dropped line or slab row enlarges every dilate, and the counts may
+    # still lie on one polynomial of degree r; they do not give h*(1) =
+    # r! vol(Z).  So the oracle returns the body's h* (the row only repeated
+    # the box) or raises, never another h*.  A lone line row is kept: the
+    # sweep needs one to bound x_d.
+    compile_rows = zonoehrhart.oracle._Membership.__init__
+    rng = random.Random(149)
+    raised = {"lines": 0, "slabs": 0}
+    for d in range(2, 6):
+        for mode in ("standard", "typeB"):
+            z = ZonotopeSpec(_small_of_rank(rng, d, d, d + 1), mode)
+            truth = hstar(z)
+            compiled = zonoehrhart.oracle._Membership(z)
+            for kind in raised:
+                rows = getattr(compiled, kind)
+                for i in range(len(rows) if kind == "slabs" or len(rows) > 1 else 0):
+                    def drop(self, z, kind=kind, i=i):
+                        compile_rows(self, z)
+                        del getattr(self, kind)[i]
+
+                    monkeypatch.setattr(zonoehrhart.oracle._Membership, "__init__", drop)
+                    try:
+                        assert hstar_via_oracle(z) == truth, (z.config, mode, kind, rows[i])
+                    except InternalDisagreementError as error:
+                        assert "generators' volume" in str(error)
+                        raised[kind] += 1
+                    monkeypatch.setattr(zonoehrhart.oracle._Membership, "__init__", compile_rows)
+    assert all(raised.values()), raised
+
+
 def test_rank_zero_bodies(monkeypatch):
-    # A body of rank 0 is a point.  The oracle counts closed dilate 1 only,
-    # as E(0) = 1 for every body; h* = (1) keeps its one entry, and
-    # h*_1 = E(1) - E(0) = 0 is the entry both ends share, so it guards the
-    # degree.
+    # A body of rank 0 is a point.  The oracle takes no count, as E(0) = 1
+    # for every body: h* = (1), whose sum is 0! times the volume 1 of the
+    # empty set of generators, so a volume off by one raises.
     count = zonoehrhart.oracle._Membership.count
     counted = []
     monkeypatch.setattr(zonoehrhart.oracle._Membership, "count", lambda member, n, strict=False:
@@ -740,15 +772,15 @@ def test_rank_zero_bodies(monkeypatch):
             z = ZonotopeSpec(config, mode)
             h = zonoehrhart.oracle._hstar(zonoehrhart.oracle._Membership(z))
             assert (h.h, h.d) == ((1,), 0)
-            assert counted == [(1, False)]
+            assert counted == []
             assert ehrhart_via_oracle(z) == Poly((1,))
     assert hstar_via_oracle(ZonotopeSpec(VectorConfiguration([], dim=0))).h == (1,)
     point = hstar_via_oracle(ZonotopeSpec(loops))
     assert (point.h, point.d) == ((1,), 0)
-    monkeypatch.setattr(zonoehrhart.oracle._Membership, "count",
-                        lambda m, n, strict=False: count(m, n, strict) + (n == 1))
-    with pytest.raises(InternalDisagreementError, match=r"h\*_1 is 1 .* degree 0"):
-        ehrhart_via_oracle(ZonotopeSpec(loops))
+    member = zonoehrhart.oracle._Membership(ZonotopeSpec(loops))
+    member.volume += 1
+    with pytest.raises(InternalDisagreementError, match=r"sums to 1, but 0! .* volume 2"):
+        zonoehrhart.oracle._hstar(member)
 
 
 def test_oracle_hstar_needs_no_interpolation(monkeypatch):
@@ -783,6 +815,28 @@ def test_oracle_matches_formula_at_d5():
             z = ZonotopeSpec(config, mode)
             assert hstar_via_oracle(z) == hstar(z), (config, mode)
             checked += 1
+
+
+def test_the_largest_box_is_a_dilate_smaller():
+    # h* counts closed dilates only up to floor(r/2), so a body whose closed
+    # box at dilate floor(r/2) + 1 is over MAX_BOX_POINTS, while every box at
+    # _counted_dilates is under it, is answered: seeded full-rank draws at
+    # d = 4, 5 in both modes, equal to the formula.
+    rng = random.Random(151)
+    for d, mode, m, entries in ((4, "standard", 6, 5), (4, "typeB", 6, 2),
+                                (5, "standard", 6, 2), (5, "typeB", 6, 1)):
+        while True:
+            config = VectorConfiguration(
+                [tuple(rng.randint(-entries, entries) for _ in range(d)) for _ in range(m)], d)
+            z = ZonotopeSpec(config, mode)
+            widths = [hi - lo for lo, hi in bounding_box(z, 1)]
+            boxes = [prod(n * w + 1 - 2 * strict for w in widths)
+                     for n, strict in _counted_dilates(d)]
+            dropped = prod((d + 2) // 2 * w + 1 for w in widths)
+            if (max(boxes) <= zonoehrhart.oracle.MAX_BOX_POINTS < dropped
+                    and config.full_rank == d):
+                break
+        assert hstar_via_oracle(z) == hstar(z), (config, mode)
 
 
 def test_closed_forms_at_d6():
