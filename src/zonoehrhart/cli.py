@@ -23,7 +23,9 @@ disagreement.  Integers beyond 2^53 in magnitude are serialized as decimal
 strings.  `main` may be called repeatedly in one process; its argument
 parser is built on the first call, and a document whose generators and
 dimension equal the previous document's reuses the configuration that one
-built, with its enumeration.  At most one configuration is kept.
+built, with its enumeration and the map from each of its independent sets,
+spelled "[1,2]", to the set's mask.  At most one configuration is kept, and
+its map goes with it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import weakref
 from fractions import Fraction
 from functools import cache, lru_cache
 
@@ -100,11 +103,13 @@ def _parse_rational(raw):
 def _unique_keys(pairs):
     """A JSON object as a dict, refusing a key it repeats: json.load alone
     keeps the last value."""
-    doc = {}
-    for key, value in pairs:
-        if key in doc:
-            raise _CliError(f"a JSON object names the key {key!r} twice")
-        doc[key] = value
+    doc = dict(pairs)
+    if len(doc) != len(pairs):  # find the first key seen twice
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _CliError(f"a JSON object names the key {key!r} twice")
+            seen.add(key)
     return doc
 
 
@@ -140,6 +145,27 @@ def _reused(config):
     return config
 
 
+class _Keys(dict):
+    """Each independent set as the CLI spells it, "[1,2]", mapped to its mask,
+    in independent_sets() order; a dict that a weakref can follow."""
+    __slots__ = ("__weakref__",)
+
+
+_keys = weakref.WeakKeyDictionary()  # configuration -> its _Keys, gone when it is
+
+
+def _spellings(config) -> _Keys:
+    """The configuration's _Keys, built on the first call.  Building it
+    enumerates, so it is asked for only once a command has enumerated."""
+    keys = _keys.get(config)
+    if keys is None:
+        # Keys as json.dumps spells a list compactly, each from its parent's ",1,2"-style spelling.
+        spelled = _by_prefix(config._minor_gcds, "", lambda parent, i: f"{parent},{i}")
+        keys = _keys[config] = _Keys(
+            (f"[{spelled[m][1:]}]", m) for m in sorted(spelled, key=int.bit_count))
+    return keys
+
+
 def _load_input(path):
     """The document's ZonotopeSpec, its box table (None without one) and the
     echo of its input."""
@@ -170,14 +196,22 @@ def _load_input(path):
         raw_table = doc["box_table"]
         if not isinstance(raw_table, dict):
             raise _CliError("'box_table' must be an object keyed by index lists")
+        # A key spelled as the configuration's map spells it is one lookup; any other is read
+        # by _index_mask.  The map exists once a table on the configuration has passed, or
+        # its diagnostics were shown.
+        known = _keys.get(config, {})
         overrides, spelled = {}, {str(i): i for i in range(1, config.n + 1)}
         for key, raw in raw_table.items():
-            mask = _index_mask(key, spelled)
+            mask = known.get(key)
+            if mask is None:
+                mask = _index_mask(key, spelled)
             if mask in overrides:
                 raise _CliError(f"box table names the set {zonotope._named(mask)!r} twice")
             overrides[mask] = raw if type(raw) is int else _parse_rational(raw)
         table = zonotope.BoxValuationTable._trusted(  # the counts fill the sets left out
             config, zonotope._checked(config, overrides, None))
+        if not known:  # the table passed, so the configuration is enumerated
+            _spellings(config)
     echo = {"generators": config.vectors, **({} if dim is None else {"dim": dim}), "mode": mode}
     if "box_table" in doc:
         echo["box_table"] = doc["box_table"]
@@ -219,14 +253,11 @@ def _cmd_hstar(args):
     if args.diagnostics:
         values = spec.config._box_counts if table is None else table._values
         bases, passive = zip(*spec.config._pieces(spec.config._index_tuples()))
-        # Keys as json.dumps spells a list compactly, "[1,2]", in independent_sets() order,
-        # each from its parent's ",1,2"-style spelling.
-        spelled = _by_prefix(spec.config._minor_gcds, "", lambda parent, i: f"{parent},{i}")
+        keys = _spellings(spec.config)
         doc["diagnostics"] = {
             "bases": bases,
             "internally_passive": passive,
-            "box_table": {f"[{spelled[m][1:]}]": values[m]
-                          for m in sorted(spelled, key=int.bit_count)},
+            "box_table": dict(zip(keys, map(values.__getitem__, keys.values()))),
             "eulerian_multiplicities": c,
         }
     return doc

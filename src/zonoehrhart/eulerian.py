@@ -39,18 +39,37 @@ MAX_ENUMERATION_WORDS = 10**7
 MAX_RECURRENCE_D = 100
 
 
-def _validate_word(word: Sequence[int]) -> tuple:
-    w = _integers("a letter", word)
-    if sorted(w) != list(range(1, len(w) + 1)):
-        raise LatticeMathError(f"{w!r} is not a permutation of 1..{len(w)}")
-    return w
+_UNSIGNED = object()  # the signs of a type-A word
 
 
-def _validate_signs(word: tuple, signs: Sequence[int]) -> tuple:
-    s = _integers("a sign", signs)
-    if len(s) != len(word) or not {*s} <= {1, -1}:
-        raise LatticeMathError("signs must be a +1/-1 vector matching the word length")
-    return s
+def _letters(word: Sequence[int], signs: Sequence[int] = _UNSIGNED,
+             what: str | None = None, last: int = 0) -> tuple:
+    """(0, eps_1 w_1, ..., eps_d w_d), unsigned without signs, followed by
+    d - last if what names last (j or l): the values _descents reads.
+
+    One test covers every argument; only a fault goes through the
+    per-argument checks, which raise it with their message and in their order.
+    """
+    w = tuple(word)
+    d = len(w)
+    unsigned = signs is _UNSIGNED
+    # Signs of another type, which may not even be iterable, take the per-argument checks.
+    s = () if unsigned else tuple(signs) if type(signs) in (tuple, list) else None
+    if not (s is not None and {*map(type, w + s)} == {int}
+            and sorted(w) == list(range(1, d + 1))
+            and (unsigned or len(s) == d and {*s} <= {1, -1})
+            and (what is None or type(last) is int and 0 <= last <= d)):
+        w = _integers("a letter", w)
+        if sorted(w) != list(range(1, d + 1)):
+            raise LatticeMathError(f"{w!r} is not a permutation of 1..{d}")
+        if not unsigned:
+            s = _integers("a sign", signs)
+            if len(s) != d or not {*s} <= {1, -1}:
+                raise LatticeMathError("signs must be a +1/-1 vector matching the word length")
+        if what is not None:
+            _integers(what, (last,), 0, d)
+    values = (0,) + (w if unsigned else tuple(map(mul, s, w)))
+    return values if what is None else values + (d - last,)
 
 
 def _descents(values: tuple) -> frozenset:
@@ -64,7 +83,7 @@ def _descents(values: tuple) -> frozenset:
 
 def descent_set(word: Sequence[int]) -> frozenset:
     """Positions i in [d-1] with word_i > word_{i+1}."""
-    return _descents((0,) + _validate_word(word))
+    return _descents(_letters(word))
 
 
 def descent_count(word: Sequence[int]) -> int:
@@ -73,21 +92,12 @@ def descent_count(word: Sequence[int]) -> int:
 
 def j_descent_set(word: Sequence[int], j: int) -> frozenset:
     """descent_set(word) plus {d} exactly when the last letter is at least d+1-j."""
-    w = _validate_word(word)
-    d = len(w)
-    _integers("j", (j,), 0, d)
-    return _descents((0,) + w + (d - j,))
-
-
-def _signed_letters(word: Sequence[int], signs: Sequence[int]) -> tuple:
-    """(0, eps_1 w_1, ..., eps_d w_d) for a validated signed permutation."""
-    w = _validate_word(word)
-    return (0,) + tuple(map(mul, _validate_signs(w, signs), w))
+    return _descents(_letters(word, _UNSIGNED, "j", j))
 
 
 def signed_descent_set(word: Sequence[int], signs: Sequence[int]) -> frozenset:
     """Positions i in {0} u [d-1] with eps_i w_i > eps_{i+1} w_{i+1}, using w_0 = 0."""
-    return _descents(_signed_letters(word, signs))
+    return _descents(_letters(word, signs))
 
 
 def signed_descent_count(word: Sequence[int], signs: Sequence[int]) -> int:
@@ -96,10 +106,7 @@ def signed_descent_count(word: Sequence[int], signs: Sequence[int]) -> int:
 
 def l_descent_set_b(word: Sequence[int], signs: Sequence[int], l: int) -> frozenset:
     """signed_descent_set plus {d} exactly when the last signed letter is at least d+1-l."""
-    values = _signed_letters(word, signs)
-    d = len(values) - 1
-    _integers("l", (l,), 0, d)
-    return _descents(values + (d - l,))
+    return _descents(_letters(word, signs, "l", l))
 
 
 def signed_permutations(d: int) -> Iterator[tuple[tuple, tuple]]:

@@ -124,9 +124,9 @@ def _checked(config: VectorConfiguration, updates: dict, base: dict | None) -> d
             elif isinstance(v, bool) or not isinstance(v, (int, Fraction)):
                 faults[mask] = LatticeMathError(f"box value of {_named(mask)!r} must be an "
                                                 f"int or Fraction, got {type(v).__name__}")
-        if faults:
+        if faults:  # popped, so that this frame does not hold the traceback that holds it
             order = members if base is None else base
-            raise faults[next((m for m in order if m in faults), next(iter(faults)))]
+            raise faults.pop(next((m for m in order if m in faults), next(iter(faults))))
     if kinds != {int}:
         updates = {m: _exact(v) for m, v in updates.items()}
     if base is None:

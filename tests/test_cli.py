@@ -434,12 +434,15 @@ def test_float_table_rejected(tmp_path):
 
 def test_box_table_naming_a_set_twice_exits_1(tmp_path, capsys):
     # Whichever spelling comes last, the document is refused, not read as it;
-    # so is one key written twice, which json.load alone reads last-wins.
+    # so is one key written twice, which json.load alone reads last-wins.  Of
+    # two keys written twice, the message names the one repeated first.
     from zonoehrhart import cli
     for table, named in (('{"[1,2]": 3, "[2,1]": 5}', "(1, 2) twice"),
                          ('{"[2,1]": 5, "[1,2]": 3}', "(1, 2) twice"),
                          ('{"[1,2]": 3, "[1, 2]": 5}', "(1, 2) twice"),
-                         ('{"[1,2]": 3, "[1,2]": 5}', "'[1,2]' twice")):
+                         ('{"[1,2]": 3, "[1,2]": 5}', "'[1,2]' twice"),
+                         ('{"[1,2]": 3, "[1,3]": 1, "[1,3]": 2, "[1,2]": 5}', "'[1,3]' twice"),
+                         ('{"[1,2]": 3, "[1,3]": 1, "[1,2]": 5, "[1,3]": 2}', "'[1,2]' twice")):
         path = tmp_path / "input.json"
         path.write_text('{"generators": [[1, 0], [0, 1], [1, 1]], "box_table": %s}' % table,
                         encoding="utf-8")
@@ -587,8 +590,11 @@ def test_reused_configuration_leaks_nothing_between_documents(tmp_path, monkeypa
     # Documents on one set of generators share a configuration, and nothing
     # else: no table, two tables, no table again; both modes; with and
     # without "dim", whose echo keeps or omits it; and a table naming a
-    # dependent set in the middle.  Every call matches the same call made
-    # with an empty slot.
+    # dependent set in the middle.  Then, once the configuration's key map is
+    # built, tables that spell keys another way ("[2,1]", "[1, 4]") beside
+    # the CLI's own ("[]", "[3]"), and tables with a good key followed by a
+    # dependent set, a float value or the same set spelled again.  Every call
+    # matches the same call made with an empty slot, which holds no map.
     from zonoehrhart import cli
 
     monkeypatch.chdir(tmp_path)
@@ -601,6 +607,11 @@ def test_reused_configuration_leaks_nothing_between_documents(tmp_path, monkeypa
         "dependent.json": {"generators": generators, "box_table": {"[1,2,3]": 1}},
         "dim.json": {"generators": generators, "dim": 2, "mode": "typeB"},
         "plainB.json": {"generators": generators, "mode": "typeB"},
+        "spellings.json": {"generators": generators,
+                           "box_table": {"[2,1]": 3, "[1, 4]": "1/2", "[]": 2, "[3]": -1}},
+        "mixed.json": {"generators": generators, "box_table": {"[1,2]": 3, "[1,2,3]": 1}},
+        "float.json": {"generators": generators, "box_table": {"[1,2]": 3, "[4]": 0.5}},
+        "twice.json": {"generators": generators, "box_table": {"[1,2]": 3, "[2, 1]": 4}},
     }
     for name, doc in docs.items():
         write_doc(tmp_path, doc, name)
@@ -610,19 +621,28 @@ def test_reused_configuration_leaks_nothing_between_documents(tmp_path, monkeypa
              ["check", "dependent.json"], ["ehrhart", "dim.json", "--method", "both"],
              ["hstar", "dim.json", "--diagnostics"], ["matroid", "dim.json"],
              ["hstar", "plainB.json", "--diagnostics"], ["ehrhart", "t1.json"],
-             ["hstar", "plain.json", "--diagnostics"], ["check", "plain.json"]]
+             ["hstar", "plain.json", "--diagnostics"], ["check", "plain.json"],
+             ["hstar", "spellings.json", "--diagnostics"], ["matroid", "spellings.json"],
+             ["hstar", "mixed.json"], ["check", "float.json"],
+             ["hstar", "twice.json", "--diagnostics"], ["hstar", "spellings.json", "--diagnostics"]]
     cli._reused.cache_clear()
     in_sequence = []
     for argv in calls:
         code = cli.main(argv)
         in_sequence.append((code, *capsys.readouterr()))
     assert cli._reused.cache_info().hits == len(calls) - 1
+    assert len(cli._keys) == 1
     for argv, seen in zip(calls, in_sequence):
         cli._reused.cache_clear()
+        assert len(cli._keys) == 0
         code = cli.main(argv)
         assert (code, *capsys.readouterr()) == seen, argv
     codes = [code for code, _, _ in in_sequence]
-    assert codes == [0] * 5 + [1, 1] + [0] * 7
+    assert codes == [0] * 5 + [1, 1] + [0] * 7 + [0, 0, 1, 1, 1, 0]
+    errors = [json.loads(err)["code"] for _, _, err in in_sequence[-4:-1]]
+    assert errors == ["math-precondition", "bad-input", "bad-input"]
+    table = json.loads(in_sequence[-1][1])["diagnostics"]["box_table"]
+    assert (table["[1,2]"], table["[1,4]"], table["[]"], table["[3]"]) == (3, "1/2", 2, -1)
     echoes = {argv[1]: json.loads(out)["input"] for argv, (_, out, _) in zip(calls, in_sequence)
               if out}
     assert echoes["dim.json"]["dim"] == 2 and "dim" not in echoes["plainB.json"]
@@ -631,7 +651,7 @@ def test_reused_configuration_leaks_nothing_between_documents(tmp_path, monkeypa
 
 def test_reuse_keeps_at_most_one_configuration(tmp_path, capsys):
     # The slot holds one configuration: a document on other generators lets
-    # the previous one go, without the cyclic collector.  A configuration
+    # the previous one go, and its key map with it, without the cyclic collector.  A configuration
     # over the enumeration guard is refused on every call, not only the first.
     import gc
     import random
@@ -648,11 +668,11 @@ def test_reuse_keeps_at_most_one_configuration(tmp_path, capsys):
         assert cli.main(["hstar", path_a, "--diagnostics"]) == 0
         config = cli._reused(VectorConfiguration(first))
         assert "_minor_gcds" in vars(config)  # the one the call enumerated
-        ref = weakref.ref(config)
+        ref, keys_ref = weakref.ref(config), weakref.ref(cli._keys[config])
         del config
-        assert ref() is not None
+        assert ref() is not None and keys_ref() is not None
         assert cli.main(["matroid", path_b]) == 0
-        assert ref() is None
+        assert ref() is None and keys_ref() is None
     finally:
         gc.enable()
     assert cli._reused.cache_info().currsize == 1

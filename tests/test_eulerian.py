@@ -59,6 +59,17 @@ def test_l_descent_set_examples():
         assert l_descent_set_b(word, signs, 0) == signed_descent_set(word, signs)
     with pytest.raises(LatticeMathError, match="l must be an integer"):
         l_descent_set_b((1, 2), (1, 1), 0.5)
+    # Signs of any iterable type are read; a fault is named by the first
+    # check it fails, in order: letters, permutation, signs, l.
+    assert l_descent_set_b((2, 1), iter((1, 1)), 2) == {1, 2}
+    for args, message in ((((1, 1.5), (1, True), 9), "a letter must be an integer"),
+                          (((1, 3), None, 9), "not a permutation"),
+                          (((1, 2), (1, True), 9), "a sign must be an integer"),
+                          (((1, 2), (1, 2), 9), "signs must be a"),
+                          (((1, 2), iter((1, -1)), 9), "l must lie in 0..2"),
+                          (((2, 1), [1, -1], True), "l must be an integer")):
+        with pytest.raises(LatticeMathError, match=message):
+            l_descent_set_b(*args)
 
 
 def test_a_j_small_tables():
