@@ -23,9 +23,10 @@ disagreement.  Integers beyond 2^53 in magnitude are serialized as decimal
 strings.  `main` may be called repeatedly in one process; its argument
 parser is built on the first call, and a document whose generators and
 dimension equal the previous document's reuses the configuration that one
-built, with its enumeration and the map from each of its independent sets,
-spelled "[1,2]", to the set's mask.  At most one configuration is kept, and
-its map goes with it.
+built, with its enumeration, the map from each of its independent sets,
+spelled "[1,2]", to the set's mask, and that map's inverse, from which
+`matroid` and the diagnostics write their set lists.  At most one
+configuration is kept, and its maps go with it.
 """
 
 from __future__ import annotations
@@ -53,11 +54,17 @@ class _CliError(Exception):
         self.exit_code = exit_code
 
 
+class _Sets(tuple):
+    """Index sets as the CLI spells them, "[1,2]": a list `_dumps` lays out in bulk."""
+    __slots__ = ()
+
+
 def _dumps(value, newline="\n") -> str:
     """The value as `json.dumps(..., indent=2)` lays it out, in one pass that
     also applies the CLI's rule: integers beyond 2^53 in magnitude become
-    decimal strings, Fractions their integer or a "p/q" string, and a Poly or
-    HStarVector its coefficient list.  `newline` carries the current indent."""
+    decimal strings, Fractions their integer or a "p/q" string, a Poly or
+    HStarVector its coefficient list, and _Sets the lists its spellings name.
+    `newline` carries the current indent."""
     kind = type(value)
     if kind is int:
         return str(value) if -_BIG <= value <= _BIG else f'"{value}"'
@@ -75,6 +82,14 @@ def _dumps(value, newline="\n") -> str:
         return "{" + inner + ("," + inner).join([_quote(k) + ": " + (
             str(v) if type(v) is int and -_BIG <= v <= _BIG else _dumps(v, inner))
             for k, v in value.items()]) + newline + "}"
+    if kind is _Sets:  # spellings hold only digits, "," "[" and "]": a "|" parts them
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        deeper = inner + "  "
+        return "[" + inner + "|".join(value).replace("[", "[" + deeper).replace(
+            ",", "," + deeper).replace("]", inner + "]").replace(
+            "[" + deeper + inner + "]", "[]").replace("|", "," + inner) + newline + "]"
     if kind is str:
         return _quote(value)
     if value is None or kind is bool:
@@ -147,11 +162,12 @@ def _reused(config):
 
 class _Keys(dict):
     """Each independent set as the CLI spells it, "[1,2]", mapped to its mask,
-    in independent_sets() order; a dict that a weakref can follow."""
+    in independent_sets() order, or the inverse; a dict a weakref can follow."""
     __slots__ = ("__weakref__",)
 
 
 _keys = weakref.WeakKeyDictionary()  # configuration -> its _Keys, gone when it is
+_names = weakref.WeakKeyDictionary()  # configuration -> the inverse of its _Keys
 
 
 def _spellings(config) -> _Keys:
@@ -164,6 +180,17 @@ def _spellings(config) -> _Keys:
         keys = _keys[config] = _Keys(
             (f"[{spelled[m][1:]}]", m) for m in sorted(spelled, key=int.bit_count))
     return keys
+
+
+def _named_pieces(config) -> tuple:
+    """Each basis and its IP(B), spelled, lexicographically by basis; the
+    first call builds the inverse of the configuration's _Keys."""
+    names = _names.get(config)
+    if names is None:
+        keys = _spellings(config)
+        names = _names[config] = _Keys(zip(keys.values(), keys))
+    passive = config._passive_sets
+    return _Sets(map(names.__getitem__, passive)), _Sets(map(names.__getitem__, passive.values()))
 
 
 def _load_input(path):
@@ -252,7 +279,7 @@ def _cmd_hstar(args):
     doc = {"command": "hstar", "input": echo, "hstar": h, "degree": h.d}
     if args.diagnostics:
         values = spec.config._box_counts if table is None else table._values
-        bases, passive = zip(*spec.config._pieces(spec.config._index_tuples()))
+        bases, passive = _named_pieces(spec.config)
         keys = _spellings(spec.config)
         doc["diagnostics"] = {
             "bases": bases,
@@ -367,15 +394,15 @@ def _cmd_eulerian(args):
 def _cmd_matroid(args):
     spec, _, echo = _load_input(args.input)
     config = spec.config
-    tuples = config._index_tuples()
-    bases, passive = zip(*config._pieces(tuples))
+    keys = _spellings(config)  # enumerates
+    bases, passive = _named_pieces(config)
     return {
         "command": "matroid",
         "input": echo,
         "n": config.n,
         "dim": config.dim,
         "rank": config.full_rank,
-        "independent_sets": tuple(sorted(tuples.values(), key=len)),
+        "independent_sets": _Sets(keys),
         "bases": bases,
         "internally_passive": passive,
         "coloop_free": config.is_coloop_free(),

@@ -337,11 +337,6 @@ class VectorConfiguration:
         _check_intervals(self._minor_gcds, passive_sets)
         return passive_sets
 
-    def _pieces(self, tuples: Mapping[int, tuple]):
-        """(B, IP(B)) per basis B, lexicographically, as the index tuples that
-        `tuples` (from `_index_tuples`) holds, unchecked."""
-        return ((tuples[b], tuples[p]) for b, p in self._passive_sets.items())
-
     def internally_passive(self, basis: Iterable[int]) -> tuple:
         """Elements of the basis exchangeable for a smaller outside element."""
         b = _as_index_set(basis, self.n)

@@ -473,9 +473,10 @@ def test_big_integers_serialize_as_strings():
     # `_dumps` writes json.dumps(indent=2)'s layout of the value with every
     # integer beyond 2^53 in magnitude, and every non-integral Fraction, as a
     # string; booleans and integers up to 2^53 stay as they are, at any depth.
+    # _Sets, the spellings of index sets, are laid out as the lists they name.
     from fractions import Fraction
 
-    from zonoehrhart.cli import _dumps
+    from zonoehrhart.cli import _dumps, _Sets
     from zonoehrhart.polycore import HStarVector, Poly
 
     big = 2**60
@@ -491,7 +492,9 @@ def test_big_integers_serialize_as_strings():
             ({"x": {"y": [big, Fraction(5, big)], "z": {}}, "w": "\u00e9\n"},
              {"x": {"y": [str(big), f"5/{big}"], "z": {}}, "w": "\u00e9\n"}),
             (Poly([1, big]), [1, str(big)]),
-            (HStarVector([1, Fraction(1, 2), 0], 2), [1, "1/2", 0])):
+            (HStarVector([1, Fraction(1, 2), 0], 2), [1, "1/2", 0]),
+            (_Sets(), []), ({"s": [_Sets(["[]", "[1,10]", "[12]", "[]"])]},
+                            {"s": [[[], [1, 10], [12], []]]})):
         assert _dumps(value) == json.dumps(plain, indent=2), value
     with pytest.raises(TypeError, match="float"):
         _dumps([1, 0.5])
@@ -593,8 +596,10 @@ def test_reused_configuration_leaks_nothing_between_documents(tmp_path, monkeypa
     # dependent set in the middle.  Then, once the configuration's key map is
     # built, tables that spell keys another way ("[2,1]", "[1, 4]") beside
     # the CLI's own ("[]", "[3]"), and tables with a good key followed by a
-    # dependent set, a float value or the same set spelled again.  Every call
-    # matches the same call made with an empty slot, which holds no map.
+    # dependent set, a float value or the same set spelled again, and a last
+    # `matroid` after the diagnostics.  Every call matches the same call made
+    # with an empty slot, which holds no map; from there, only a `matroid` or
+    # diagnostics that succeeds builds the map's inverse, and `check` never does.
     from zonoehrhart import cli
 
     monkeypatch.chdir(tmp_path)
@@ -624,24 +629,27 @@ def test_reused_configuration_leaks_nothing_between_documents(tmp_path, monkeypa
              ["hstar", "plain.json", "--diagnostics"], ["check", "plain.json"],
              ["hstar", "spellings.json", "--diagnostics"], ["matroid", "spellings.json"],
              ["hstar", "mixed.json"], ["check", "float.json"],
-             ["hstar", "twice.json", "--diagnostics"], ["hstar", "spellings.json", "--diagnostics"]]
+             ["hstar", "twice.json", "--diagnostics"], ["hstar", "spellings.json", "--diagnostics"],
+             ["matroid", "plain.json"]]
     cli._reused.cache_clear()
     in_sequence = []
     for argv in calls:
         code = cli.main(argv)
         in_sequence.append((code, *capsys.readouterr()))
     assert cli._reused.cache_info().hits == len(calls) - 1
-    assert len(cli._keys) == 1
+    assert len(cli._keys) == len(cli._names) == 1
     for argv, seen in zip(calls, in_sequence):
         cli._reused.cache_clear()
-        assert len(cli._keys) == 0
+        assert len(cli._keys) == len(cli._names) == 0
         code = cli.main(argv)
         assert (code, *capsys.readouterr()) == seen, argv
+        lists = code == 0 and (argv[0] == "matroid" or "--diagnostics" in argv)
+        assert len(cli._names) == lists, argv
     codes = [code for code, _, _ in in_sequence]
-    assert codes == [0] * 5 + [1, 1] + [0] * 7 + [0, 0, 1, 1, 1, 0]
-    errors = [json.loads(err)["code"] for _, _, err in in_sequence[-4:-1]]
+    assert codes == [0] * 5 + [1, 1] + [0] * 7 + [0, 0, 1, 1, 1, 0, 0]
+    errors = [json.loads(err)["code"] for _, _, err in in_sequence[-5:-2]]
     assert errors == ["math-precondition", "bad-input", "bad-input"]
-    table = json.loads(in_sequence[-1][1])["diagnostics"]["box_table"]
+    table = json.loads(in_sequence[-2][1])["diagnostics"]["box_table"]
     assert (table["[1,2]"], table["[1,4]"], table["[]"], table["[3]"]) == (3, "1/2", 2, -1)
     echoes = {argv[1]: json.loads(out)["input"] for argv, (_, out, _) in zip(calls, in_sequence)
               if out}
@@ -651,8 +659,9 @@ def test_reused_configuration_leaks_nothing_between_documents(tmp_path, monkeypa
 
 def test_reuse_keeps_at_most_one_configuration(tmp_path, capsys):
     # The slot holds one configuration: a document on other generators lets
-    # the previous one go, and its key map with it, without the cyclic collector.  A configuration
-    # over the enumeration guard is refused on every call, not only the first.
+    # the previous one go, and its key map and the map's inverse with it,
+    # without the cyclic collector.  A configuration over the enumeration
+    # guard is refused on every call, not only the first.
     import gc
     import random
     import weakref
@@ -669,10 +678,11 @@ def test_reuse_keeps_at_most_one_configuration(tmp_path, capsys):
         config = cli._reused(VectorConfiguration(first))
         assert "_minor_gcds" in vars(config)  # the one the call enumerated
         ref, keys_ref = weakref.ref(config), weakref.ref(cli._keys[config])
+        names_ref = weakref.ref(cli._names[config])
         del config
-        assert ref() is not None and keys_ref() is not None
+        assert ref() is not None and keys_ref() is not None and names_ref() is not None
         assert cli.main(["matroid", path_b]) == 0
-        assert ref() is None and keys_ref() is None
+        assert ref() is None and keys_ref() is None and names_ref() is None
     finally:
         gc.enable()
     assert cli._reused.cache_info().currsize == 1
@@ -1139,3 +1149,51 @@ def test_bases_are_read_from_the_cached_layers(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(VectorConfiguration, "internally_passive", refuse)
     monkeypatch.setattr(VectorConfiguration, "minor_gcd", refuse)
     assert results() == expected
+
+
+def test_set_lists_keep_the_layout_past_one_digit(tmp_path, monkeypatch, capsys):
+    # `matroid` and `hstar --diagnostics` lay out their set lists in bulk from
+    # the configuration's spellings.  On seeded documents whose indices reach
+    # two digits, one with a loop, an empty generator list and a rank-0 draw,
+    # each output is json.dumps(indent=2)'s layout of itself, and its lists
+    # are the public calls' lists: first with an empty slot, then on the
+    # configuration the other command left in it.
+    import random
+
+    from zonoehrhart import cli
+    from zonoehrhart.matroid import VectorConfiguration
+
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(32)
+    docs = [{"generators": [[rng.randint(-3, 3) for _ in range(d)] for _ in range(n)]}
+            for d, n in ((2, 10), (2, 12), (3, 11), (3, 12))]
+    docs[1]["generators"][10] = [0, 0]  # a loop
+    docs += [{"generators": [], "dim": 2},
+             {"generators": [[0, 0, 0]] * rng.randint(2, 4), "mode": "typeB"}]
+    two_digits = 0
+    for k, doc in enumerate(docs):
+        path = write_doc(tmp_path, doc, f"doc{k}.json")
+        config = VectorConfiguration(doc["generators"], doc.get("dim"))
+        sets = [list(s) for s in config.independent_sets()]
+        bases = [list(b) for b in config.bases()]
+        passive = [list(config.internally_passive(b)) for b in bases]
+        two_digits += any(i >= 10 for b in bases for i in b)
+        seen = {}
+        for first, then in ((["matroid"], ["hstar", "--diagnostics"]),
+                            (["hstar", "--diagnostics"], ["matroid"])):
+            cli._reused.cache_clear()
+            for argv in (first, then):
+                assert cli.main(argv[:1] + [path] + argv[1:]) == 0, (doc, argv)
+                out = capsys.readouterr().out
+                parsed = json.loads(out)
+                assert out == json.dumps(parsed, indent=2) + "\n", (doc, argv)
+                assert seen.setdefault(argv[0], out) == out, (doc, argv)
+                lists = parsed.get("diagnostics", parsed)
+                assert (lists["bases"], lists["internally_passive"]) == (bases, passive), doc
+                if argv[0] == "matroid":
+                    assert parsed["independent_sets"] == sets, doc
+                else:
+                    assert list(lists["box_table"]) == [
+                        json.dumps(s, separators=(",", ":")) for s in sets], doc
+            assert cli._reused.cache_info().hits == 1
+    assert two_digits == 4
