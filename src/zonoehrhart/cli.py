@@ -21,12 +21,15 @@ precondition or malformed input, 2 resource guard (a result integer too
 long for Python's int-to-str conversion among them), 3 internal
 disagreement.  Integers beyond 2^53 in magnitude are serialized as decimal
 strings.  `main` may be called repeatedly in one process; its argument
-parser is built on the first call, and a document whose generators and
-dimension equal the previous document's reuses the configuration that one
-built, with its enumeration, the map from each of its independent sets,
-spelled "[1,2]", to the set's mask, and that map's inverse, from which
-`matroid` and the diagnostics write their set lists.  At most one
-configuration is kept, and its maps go with it.
+parser is built on the first call.  One slot keeps the configuration the last
+document built, with its enumeration, the map from each of its independent
+sets, spelled "[1,2]", to the set's mask, and that map's inverse, from which
+`matroid` and the diagnostics write their set lists; a document whose
+generators and dimension equal its own reuses them.  The slot also keeps the
+text of the last document that loaded on that configuration and what it
+parsed to: a file read again with the same text is not parsed or checked
+again, and its table keeps the double sum's histogram.  A failed load keeps
+no text, and a document on other generators empties the slot.
 """
 
 from __future__ import annotations
@@ -34,9 +37,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import weakref
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 
 from . import eulerian, oracle, polycore, zonotope
 from .errors import EnumerationLimitError, InternalDisagreementError, LatticeMathError
@@ -152,58 +154,57 @@ def _index_mask(key, spelled):
     return zonotope._key_mask(indices, len(spelled))
 
 
-@lru_cache(maxsize=1)
-def _reused(config):
-    """The configuration, or the equal one the previous document built, with
-    every layer it has cached: the matroid reads only the generators and dim.
-    One slot, so a later document on other generators lets it go."""
-    return config
+class _Slot:
+    """The configuration the last document built, with its spellings, each independent set as
+    the CLI spells it, "[1,2]", mapped to its mask in independent_sets() order, and their
+    inverse, each built on the first call that needs it; and the text of the last document
+    loaded on that configuration, with the (spec, table, echo) it parsed to."""
+    __slots__ = ("config", "keys", "names", "text", "loaded")
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self, config=None):
+        """Hold the configuration, or none, and nothing else."""
+        self.config, self.keys, self.names, self.text, self.loaded = config, None, None, None, None
+
+    def spellings(self) -> dict:
+        """The configuration's spellings.  Building them enumerates, so they are
+        asked for only once a command has enumerated."""
+        if self.keys is None:
+            # Keys as json.dumps spells a list compactly, each from its parent's ",1,2"-style spelling.
+            spelled = _by_prefix(self.config._minor_gcds, "", lambda parent, i: f"{parent},{i}")
+            self.keys = {f"[{spelled[m][1:]}]": m for m in sorted(spelled, key=int.bit_count)}
+        return self.keys
+
+    def named_pieces(self) -> tuple:
+        """Each basis and its IP(B), spelled, lexicographically by basis."""
+        if self.names is None:
+            keys = self.spellings()
+            self.names = dict(zip(keys.values(), keys))
+        passive = self.config._passive_sets
+        return (_Sets(map(self.names.__getitem__, passive)),
+                _Sets(map(self.names.__getitem__, passive.values())))
 
 
-class _Keys(dict):
-    """Each independent set as the CLI spells it, "[1,2]", mapped to its mask,
-    in independent_sets() order, or the inverse; a dict a weakref can follow."""
-    __slots__ = ("__weakref__",)
-
-
-_keys = weakref.WeakKeyDictionary()  # configuration -> its _Keys, gone when it is
-_names = weakref.WeakKeyDictionary()  # configuration -> the inverse of its _Keys
-
-
-def _spellings(config) -> _Keys:
-    """The configuration's _Keys, built on the first call.  Building it
-    enumerates, so it is asked for only once a command has enumerated."""
-    keys = _keys.get(config)
-    if keys is None:
-        # Keys as json.dumps spells a list compactly, each from its parent's ",1,2"-style spelling.
-        spelled = _by_prefix(config._minor_gcds, "", lambda parent, i: f"{parent},{i}")
-        keys = _keys[config] = _Keys(
-            (f"[{spelled[m][1:]}]", m) for m in sorted(spelled, key=int.bit_count))
-    return keys
-
-
-def _named_pieces(config) -> tuple:
-    """Each basis and its IP(B), spelled, lexicographically by basis; the
-    first call builds the inverse of the configuration's _Keys."""
-    names = _names.get(config)
-    if names is None:
-        keys = _spellings(config)
-        names = _names[config] = _Keys(zip(keys.values(), keys))
-    passive = config._passive_sets
-    return _Sets(map(names.__getitem__, passive)), _Sets(map(names.__getitem__, passive.values()))
+_slot = _Slot()
 
 
 def _load_input(path):
     """The document's ZonotopeSpec, its box table (None without one) and the
-    echo of its input."""
+    echo of its input: those of the slot's document if the text is the same."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, object_pairs_hook=_unique_keys)
-    except OSError as exc:
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # a ValueError: not UTF-8
         raise _CliError(f"cannot read {path}: {exc}")
+    if text == _slot.text:
+        return _slot.loaded
+    try:
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise _CliError(f"invalid JSON in {path}: {exc}")
-    except ValueError as exc:  # an integer past the int-string conversion limit, or not UTF-8
+    except ValueError as exc:  # an integer past the int-string conversion limit
         raise _CliError(f"cannot read {path}: {exc}")
     if not isinstance(doc, dict) or "generators" not in doc:
         raise _CliError("input document must be an object with a 'generators' key")
@@ -215,7 +216,10 @@ def _load_input(path):
         raise _CliError("'generators' must be a list of integer vectors")
     mode, dim = doc.get("mode", "standard"), doc.get("dim")
     try:
-        spec = zonotope.ZonotopeSpec(_reused(VectorConfiguration(generators, dim)), mode)
+        config = VectorConfiguration(generators, dim)
+        if config != _slot.config:  # the matroid reads only the generators and dim
+            _slot.reset(config)
+        spec = zonotope.ZonotopeSpec(_slot.config, mode)
     except LatticeMathError as exc:
         raise _CliError(str(exc)) from None
     config, table = spec.config, None
@@ -223,10 +227,10 @@ def _load_input(path):
         raw_table = doc["box_table"]
         if not isinstance(raw_table, dict):
             raise _CliError("'box_table' must be an object keyed by index lists")
-        # A key spelled as the configuration's map spells it is one lookup; any other is read
-        # by _index_mask.  The map exists once a table on the configuration has passed, or
-        # its diagnostics were shown.
-        known = _keys.get(config, {})
+        # A key spelled as the configuration's spellings spell it is one lookup; any other is
+        # read by _index_mask.  The spellings exist once a table on the configuration has
+        # passed, or its sets were listed.
+        known = _slot.keys or {}
         overrides, spelled = {}, {str(i): i for i in range(1, config.n + 1)}
         for key, raw in raw_table.items():
             mask = known.get(key)
@@ -237,12 +241,12 @@ def _load_input(path):
             overrides[mask] = raw if type(raw) is int else _parse_rational(raw)
         table = zonotope.BoxValuationTable._trusted(  # the counts fill the sets left out
             config, zonotope._checked(config, overrides, None))
-        if not known:  # the table passed, so the configuration is enumerated
-            _spellings(config)
+        _slot.spellings()  # the table passed, so the configuration is enumerated
     echo = {"generators": config.vectors, **({} if dim is None else {"dim": dim}), "mode": mode}
     if "box_table" in doc:
         echo["box_table"] = doc["box_table"]
-    return spec, table, echo
+    _slot.text, _slot.loaded = text, (spec, table, echo)
+    return _slot.loaded
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +283,8 @@ def _cmd_hstar(args):
     doc = {"command": "hstar", "input": echo, "hstar": h, "degree": h.d}
     if args.diagnostics:
         values = spec.config._box_counts if table is None else table._values
-        bases, passive = _named_pieces(spec.config)
-        keys = _spellings(spec.config)
+        bases, passive = _slot.named_pieces()
+        keys = _slot.spellings()
         doc["diagnostics"] = {
             "bases": bases,
             "internally_passive": passive,
@@ -394,8 +398,8 @@ def _cmd_eulerian(args):
 def _cmd_matroid(args):
     spec, _, echo = _load_input(args.input)
     config = spec.config
-    keys = _spellings(config)  # enumerates
-    bases, passive = _named_pieces(config)
+    keys = _slot.spellings()  # enumerates
+    bases, passive = _slot.named_pieces()
     return {
         "command": "matroid",
         "input": echo,

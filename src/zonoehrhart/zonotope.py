@@ -5,8 +5,9 @@ generator coefficients in [0, 1], "typeB" means coefficients in [-1, 1]
 (a lattice translate of the dilation by 2 of the standard body).  `ehrhart`,
 `hstar`, `hstar_totally_unimodular` and `hstar_halfopen_parallelepiped`
 read the mode from the spec and answer in both: the matroid's double sum
-gives a mode-free histogram c, and h* = sum_j c_j R_j(r+1, t) takes the row
-R of the mode, A_j or B_j.  The four `*_zonotope` wrappers take one mode.
+gives a mode-free histogram c, which the configuration keeps for its own box
+counts and a table keeps for its values, and h* = sum_j c_j R_j(r+1, t) takes
+the row R of the mode, A_j or B_j.  The four `*_zonotope` wrappers take one mode.
 
 All h* computations are parameterized over a box-valuation table holding the
 rational value b(I) of the open box of each independent set I, by set mask;
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import DependentSetError, LatticeMathError, _integers
@@ -85,6 +87,11 @@ class BoxValuationTable:
         """The table with the updates in place; only the updates are checked."""
         return self._trusted(
             self.config, _checked(self.config, _keyed(updates, self.config.n), self._values))
+
+    @cached_property
+    def _histogram(self) -> list:
+        """The double sum's histogram of the table's values, taken on the first read."""
+        return self.config._eulerian_histogram(self._values)
 
 
 def _key_mask(indices: Sequence[int], n: int) -> int | tuple:
@@ -201,9 +208,8 @@ def _check_cube_args(d: int, j: int) -> None:
 # ---------------------------------------------------------------------------
 
 def _histogram(config: VectorConfiguration, table: BoxValuationTable | None) -> list:
-    """The double sum's histogram c; without a table, the configuration's own."""
-    values = _resolve_table(config, table)
-    return config._histogram if values is None else config._eulerian_histogram(values)
+    """The double sum's histogram c, kept by the table or, without one, by the configuration."""
+    return config._histogram if _resolve_table(config, table) is None else table._histogram
 
 
 def _assemble(c: Sequence, mode: str) -> HStarVector:
@@ -242,7 +248,8 @@ def hstar(z: ZonotopeSpec, table: BoxValuationTable | None = None) -> HStarVecto
     b(I) * R_{|I u IP(B)| + 1}(r+1, t), with R = A in standard mode and R = B
     in typeB mode; the box table refers to the original (undoubled)
     generators.  The matroid takes the double sum in two orderings, asserted
-    equal, and keeps the histogram of its own box counts for both modes.
+    equal, once for both modes: the configuration keeps the histogram of its
+    own box counts, and a table the histogram of its values.
     """
     return _assemble(_histogram(z.config, table), z.mode)
 

@@ -89,7 +89,7 @@ def test_diagnostics_show_the_double_sums_histogram(tmp_path, capsys, monkeypatc
     real_double_sum = matroid._double_sum
     monkeypatch.setattr(matroid, "_double_sum",
                         lambda *args: calls.append(1) or real_double_sum(*args))
-    cli._reused.cache_clear()  # no configuration with a histogram already summed
+    cli._slot.reset()  # no configuration with a histogram already summed
     rng = random.Random(22)
     for case in range(16):
         d = rng.randint(1, 4)
@@ -631,20 +631,23 @@ def test_reused_configuration_leaks_nothing_between_documents(tmp_path, monkeypa
              ["hstar", "mixed.json"], ["check", "float.json"],
              ["hstar", "twice.json", "--diagnostics"], ["hstar", "spellings.json", "--diagnostics"],
              ["matroid", "plain.json"]]
-    cli._reused.cache_clear()
-    in_sequence = []
+    cli._slot.reset()
+    in_sequence, held = [], []
     for argv in calls:
         code = cli.main(argv)
         in_sequence.append((code, *capsys.readouterr()))
-    assert cli._reused.cache_info().hits == len(calls) - 1
-    assert len(cli._keys) == len(cli._names) == 1
+        held.append((cli._slot.config, cli._slot.keys, cli._slot.names))
+    config, keys, names = held[-1]
+    assert all(c is config for c, _, _ in held)  # one configuration, built by the first call
+    assert keys is not None and names is not None
+    assert all(k in (None, keys) and m in (None, names) for _, k, m in held)  # each built once
     for argv, seen in zip(calls, in_sequence):
-        cli._reused.cache_clear()
-        assert len(cli._keys) == len(cli._names) == 0
+        cli._slot.reset()
+        assert cli._slot.keys is cli._slot.names is cli._slot.text is None
         code = cli.main(argv)
         assert (code, *capsys.readouterr()) == seen, argv
         lists = code == 0 and (argv[0] == "matroid" or "--diagnostics" in argv)
-        assert len(cli._names) == lists, argv
+        assert (cli._slot.names is not None) == lists, argv
     codes = [code for code, _, _ in in_sequence]
     assert codes == [0] * 5 + [1, 1] + [0] * 7 + [0, 0, 1, 1, 1, 0, 0]
     errors = [json.loads(err)["code"] for _, _, err in in_sequence[-5:-2]]
@@ -659,9 +662,9 @@ def test_reused_configuration_leaks_nothing_between_documents(tmp_path, monkeypa
 
 def test_reuse_keeps_at_most_one_configuration(tmp_path, capsys):
     # The slot holds one configuration: a document on other generators lets
-    # the previous one go, and its key map and the map's inverse with it,
-    # without the cyclic collector.  A configuration over the enumeration
-    # guard is refused on every call, not only the first.
+    # the previous one go, and its spellings, their inverse and the kept
+    # document with it, without the cyclic collector.  A configuration over
+    # the enumeration guard is refused on every call, not only the first.
     import gc
     import random
     import weakref
@@ -670,22 +673,28 @@ def test_reuse_keeps_at_most_one_configuration(tmp_path, capsys):
     from zonoehrhart.matroid import VectorConfiguration
 
     first = [[2, 1, 0], [0, 1, 1], [1, 1, -1], [1, 0, 3]]
-    path_a = write_doc(tmp_path, {"generators": first}, "a.json")
+    path_a = write_doc(tmp_path, {"generators": first, "box_table": {"[1,2]": 3}}, "a.json")
     path_b = write_doc(tmp_path, {"generators": HEXAGON_DOC["generators"]}, "b.json")
     gc.disable()
     try:
         assert cli.main(["hstar", path_a, "--diagnostics"]) == 0
-        config = cli._reused(VectorConfiguration(first))
+        config, (spec, table, echo) = cli._slot.config, cli._slot.loaded
         assert "_minor_gcds" in vars(config)  # the one the call enumerated
-        ref, keys_ref = weakref.ref(config), weakref.ref(cli._keys[config])
-        names_ref = weakref.ref(cli._names[config])
-        del config
-        assert ref() is not None and keys_ref() is not None and names_ref() is not None
+        assert spec.config is table.config is config and "_histogram" in vars(table)
+        refs = [weakref.ref(x) for x in (config, spec, table)]
+        held = [cli._slot.keys, cli._slot.names, cli._slot.text, cli._slot.loaded]
+        alone, lone = [{}, {}, str(object()), tuple([None])], {}  # referred to only here
+        del config, spec, table
+        assert None not in [ref() for ref in refs]
+        assert all(map(int.__gt__, map(sys.getrefcount, held), map(sys.getrefcount, alone)))
         assert cli.main(["matroid", path_b]) == 0
-        assert ref() is None and keys_ref() is None and names_ref() is None
+        assert list(map(sys.getrefcount, held)) == list(map(sys.getrefcount, alone))
+        del held  # the kept document held the spec, the table and the echo
+        assert [ref() for ref in refs] == [None] * 3
+        assert sys.getrefcount(echo) == sys.getrefcount(lone)
     finally:
         gc.enable()
-    assert cli._reused.cache_info().currsize == 1
+    assert cli._slot.config == VectorConfiguration(HEXAGON_DOC["generators"])
     capsys.readouterr()
 
     rng = random.Random(12)
@@ -696,6 +705,98 @@ def test_reuse_keeps_at_most_one_configuration(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["code"] == "resource-limit"
+
+
+def test_a_document_read_again_is_parsed_and_summed_once(tmp_path, monkeypatch, capsys):
+    # The slot keeps the last document that loaded: the same text, at its own
+    # path or another, is not parsed, read key by key or checked again, and
+    # its table keeps the double sum's histogram, so no later command on it
+    # takes a double sum.  Each output is byte for byte the one a call with an
+    # empty slot writes.
+    from zonoehrhart import cli, matroid, zonotope
+
+    monkeypatch.chdir(tmp_path)
+    generators = [[2, 1, 0], [0, 1, 1], [1, 1, -1], [1, 0, 3], [1, 1, 1]]
+    docs = {"plain.json": {"generators": generators},
+            "table.json": {"generators": generators, "mode": "typeB",
+                           "box_table": {"[2, 1]": "1/2", "[3]": -1, "[]": 2}}}
+    for name, doc in docs.items():
+        write_doc(tmp_path, doc, name)
+    write_doc(tmp_path, docs["table.json"], "copy.json")
+    calls = {}
+    for module, name in ((json, "loads"), (zonotope, "_checked"), (matroid, "_double_sum")):
+        seen, real = calls.setdefault(name, []), getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, seen=seen, real=real, **kwargs:
+                            seen.append(1) or real(*args, **kwargs))
+
+    def call(argv):
+        code = cli.main(argv)
+        return (code, *capsys.readouterr())
+
+    for name in docs:
+        argvs = [["check", name], ["hstar", name, "--diagnostics"], ["matroid", name],
+                 ["hstar", name], ["ehrhart", name], ["check", name, "--properties", "cone"]]
+        if name == "table.json":
+            argvs.append(["hstar", "copy.json", "--diagnostics"])
+        expected = [cli._slot.reset() or call(argv) for argv in argvs]
+        cli._slot.reset()
+        for k, argv in enumerate(argvs):
+            for seen in calls.values():
+                seen.clear()
+            assert call(argv) == expected[k], argv
+            counts = {key: len(seen) for key, seen in calls.items()}
+            if k == 0:
+                assert counts["loads"] >= 1 and counts["_double_sum"] == 1, counts
+                assert counts["_checked"] == ("box_table" in docs[name]), counts
+            else:
+                assert counts == dict.fromkeys(calls, 0), (argv, counts)
+        assert [code for code, _, _ in expected] == [0] * len(argvs)
+
+
+def test_a_rewritten_or_failed_document_is_read_anew(tmp_path, monkeypatch, capsys):
+    # The slot keeps a document by its text, not by its path: the same path
+    # rewritten with another table gives that table's output.  A document
+    # that fails to load is not kept, so it fails again on the next call, and
+    # a good document on the same generators after it still reuses the
+    # configuration.  Each output is the one a call with an empty slot writes.
+    from zonoehrhart import cli
+
+    monkeypatch.chdir(tmp_path)
+    generators = [[2, 1], [0, 1], [1, 1], [1, -1]]
+    versions = [{"generators": generators, "box_table": {"[1,2]": 3}},
+                {"generators": generators, "box_table": {"[1,2]": 5, "[4]": "1/2"}},
+                {"generators": generators, "box_table": {"[1,2]": 5, "[1,2,3]": 1}},
+                {"generators": generators, "box_table": {"[1,2]": 3, "[4]": 0.5}},
+                {"generators": generators, "box_table": {"[1,2]": 3, "[2,1]": 5}},
+                {"generators": generators},
+                {"generators": generators, "box_table": {"[1,2]": 3}}]
+    argv = ["hstar", "doc.json", "--diagnostics"]
+
+    def call():
+        code = cli.main(argv)
+        return (code, *capsys.readouterr())
+
+    expected = []
+    for doc in versions:
+        write_doc(tmp_path, doc, "doc.json")
+        cli._slot.reset()
+        expected.append(call())
+    assert [code for code, _, _ in expected] == [0, 0, 1, 1, 1, 0, 0]
+    assert len({out for _, out, _ in expected[:2]}) == 2
+    cli._slot.reset()
+    config = None
+    for doc, seen in zip(versions, expected):
+        write_doc(tmp_path, doc, "doc.json")
+        for _ in range(2):
+            assert call() == seen, doc
+            config = config or cli._slot.config
+            assert cli._slot.config is config, doc
+    (tmp_path / "doc.json").write_text("{", encoding="utf-8")
+    for _ in range(2):
+        code, out, err = call()
+        assert (code, out, json.loads(err)["code"]) == (1, "", "bad-input")
+    write_doc(tmp_path, versions[1], "doc.json")
+    assert call() == expected[1] and cli._slot.config is config
 
 
 def test_integers_past_the_conversion_limit_are_json_errors(tmp_path, capsys):
@@ -797,7 +898,7 @@ def test_ordering_disagreement_exits_3(tmp_path, monkeypatch, capsys):
             fresh = VectorConfiguration(generators)  # nothing summed or grouped yet
             with pytest.raises(InternalDisagreementError, match="double sums disagree"):
                 hstar_zonotope(ZonotopeSpec(fresh), default_box_table(fresh) if passed else None)
-            cli._reused.cache_clear()
+            cli._slot.reset()
             doc = {"generators": generators, **({"box_table": {"[]": 2}} if passed else {})}
             path = write_doc(tmp_path, doc, f"{name}.json")
             assert cli.main(["hstar", path]) == 3
@@ -832,7 +933,7 @@ def test_basis_major_disagreement_exits_3(tmp_path, monkeypatch, capsys):
         hstar_zonotope(ZonotopeSpec(VectorConfiguration(generators)))
     assert skipped
     skipped.clear()
-    cli._reused.cache_clear()  # no configuration with a histogram already summed
+    cli._slot.reset()  # no configuration with a histogram already summed
     path = write_doc(tmp_path, {"generators": generators})
     assert cli.main(["hstar", path]) == 3
     captured = capsys.readouterr()
@@ -862,7 +963,7 @@ def test_rank_and_fold_disagreement_exits_3(tmp_path, monkeypatch, capsys):
         VectorConfiguration(generators).independent_sets()
     assert zeroed
     zeroed.clear()
-    cli._reused.cache_clear()  # no configuration already enumerated
+    cli._slot.reset()  # no configuration already enumerated
     path = write_doc(tmp_path, {"generators": generators})
     assert cli.main(["matroid", path]) == 3
     captured = capsys.readouterr()
@@ -927,7 +1028,7 @@ def _output_records(tmp_path, capsys):
     from zonoehrhart.matroid import VectorConfiguration
     from zonoehrhart.zonotope import MODES, ZonotopeSpec, hstar_totally_unimodular
 
-    cli._reused.cache_clear()
+    cli._slot.reset()
     records = []
     for name, doc in _seeded_documents():
         write_doc(tmp_path, doc, name)
@@ -1055,7 +1156,7 @@ def _error_records(tmp_path, capsys):
         code = cli.main(argv)
         return [code, *(s.replace(str(tmp_path), "<tmp>") for s in capsys.readouterr())]
 
-    cli._reused.cache_clear()
+    cli._slot.reset()
     records = []
     for name, doc in _seeded_documents():
         write_doc(tmp_path, doc, name)
@@ -1125,7 +1226,7 @@ def test_bases_are_read_from_the_cached_layers(tmp_path, monkeypatch, capsys):
                          "box_table": {"[1,2]": 3, "[4]": "1/2", "[]": 2}}, "table.json")
 
     def results():
-        cli._reused.cache_clear()
+        cli._slot.reset()
         seen = []
         for vectors in (HEXAGON_DOC["generators"], draws["unimodular"], draws["other"]):
             for mode in MODES:
@@ -1181,7 +1282,8 @@ def test_set_lists_keep_the_layout_past_one_digit(tmp_path, monkeypatch, capsys)
         seen = {}
         for first, then in ((["matroid"], ["hstar", "--diagnostics"]),
                             (["hstar", "--diagnostics"], ["matroid"])):
-            cli._reused.cache_clear()
+            cli._slot.reset()
+            held = []
             for argv in (first, then):
                 assert cli.main(argv[:1] + [path] + argv[1:]) == 0, (doc, argv)
                 out = capsys.readouterr().out
@@ -1195,5 +1297,7 @@ def test_set_lists_keep_the_layout_past_one_digit(tmp_path, monkeypatch, capsys)
                 else:
                     assert list(lists["box_table"]) == [
                         json.dumps(s, separators=(",", ":")) for s in sets], doc
-            assert cli._reused.cache_info().hits == 1
+                slot = cli._slot
+                held.append((slot.config, slot.keys, slot.names, slot.loaded))
+            assert all(a is b for a, b in zip(*held))  # the second call reused all of them
     assert two_digits == 4

@@ -451,8 +451,9 @@ def test_library_keeps_no_configuration_alive():
 
 def test_one_double_sum_per_configuration_and_table(monkeypatch):
     # The double sum does not depend on the mode: with the default table the
-    # configuration keeps its histogram, so the second mode only assembles.
-    # A custom table is summed again on every call.
+    # configuration keeps its histogram, and a passed table keeps its own, so
+    # the second mode, and every later call on the same table, only assembles.
+    # A table made by `override` is another table, summed once more.
     from zonoehrhart import matroid
     calls = []
     real_double_sum = matroid._double_sum
@@ -467,9 +468,58 @@ def test_one_double_sum_per_configuration_and_table(monkeypatch):
         assert len(calls) == 1
         table = default_box_table(config).override({(1,): Fraction(1, 3)})
         calls.clear()
-        for mode in MODES + MODES:
-            hstar(ZonotopeSpec(config, mode), table)
-        assert len(calls) == 4
+        seen = [hstar(ZonotopeSpec(config, mode), table) for mode in MODES + MODES]
+        assert len(calls) == 1 and seen[:2] == seen[2:]
+        other = table.override({(1,): 2})
+        for mode in MODES:
+            z = ZonotopeSpec(config, mode)
+            assert hstar(z, other) != hstar(z, table)
+            assert ehrhart_from_hstar(hstar(z, other)) == ehrhart(z, other)
+        assert len(calls) == 2
+
+
+def test_histograms_are_stanleys_coordinates():
+    # Stanley's sum E(n) = sum_k S_k n^k, with S_k the sum of the half-open
+    # box values phi(I) over the k-element independent sets, fixes the
+    # double sum's histogram without reading a basis or IP(B):
+    # sum_j c_j x^j = sum_k S_k x^k (1 - x)^(r - k).  Seeded configurations
+    # at d = 1..5 with loops, parallel pairs and rank deficiency; the default
+    # table and seeded rational tables, read in turn on one configuration, so
+    # a histogram kept for the wrong table shows; h* in both modes.
+    from math import comb
+
+    from zonoehrhart.zonotope import _assemble, _histogram
+
+    rng = random.Random(33)
+    draws = 0
+    for d in range(1, 6):
+        for shape in ("plain", "loop", "parallel", "deficient") * 3:
+            n = rng.randint(d, d + 2)
+            vectors = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(n)]
+            if shape == "loop":
+                vectors.insert(rng.randint(0, n), [0] * d)
+            elif shape == "parallel":
+                v = rng.choice(vectors)
+                vectors.insert(rng.randint(0, n), [rng.choice((-2, -1, 1, 2)) * x for x in v])
+            elif shape == "deficient":
+                for v in vectors:
+                    v[-1] = 0
+            config = VectorConfiguration(vectors, d)
+            r, sets = config.full_rank, config.independent_sets()
+            tables = [None]
+            for _ in range(3):
+                chosen = rng.sample(sets, rng.randint(1, len(sets)))
+                tables.append(default_box_table(config).override(
+                    {s: Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for s in chosen}))
+            for table in tables + [None, tables[1]]:
+                sums = config._box_sums(None if table is None else table._values)
+                expected = [sum(s * comb(r - k, j - k) * (-1) ** (j - k)
+                                for k, s in enumerate(sums[:j + 1])) for j in range(r + 1)]
+                assert _histogram(config, table) == expected, (vectors, table)
+                for mode in MODES:
+                    assert hstar(ZonotopeSpec(config, mode), table) == _assemble(expected, mode)
+                draws += 1
+    assert draws == 360
 
 
 def test_passed_tables_sum_by_multiplicity_groups(monkeypatch):
