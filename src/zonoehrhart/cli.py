@@ -28,8 +28,9 @@ sets, spelled "[1,2]", to the set's mask, and that map's inverse, from which
 generators and dimension equal its own reuses them.  The slot also keeps the
 text of the last document that loaded on that configuration and what it
 parsed to: a file read again with the same text is not parsed or checked
-again, and its table keeps the double sum's histogram.  A failed load keeps
-no text, and a document on other generators empties the slot.
+again, its table keeps the double sum's histogram, and its echo keeps the
+text it was first laid out as, which every later command on it writes.  A
+failed load keeps no text, and a document on other generators empties the slot.
 """
 
 from __future__ import annotations
@@ -61,12 +62,18 @@ class _Sets(tuple):
     __slots__ = ()
 
 
+class _Echo(dict):
+    """A loaded document's input echo: `_dumps` keeps its layout with the indent it was laid
+    out at, so every command on the document shares it."""
+    __slots__ = ("laid_out",)
+
+
 def _dumps(value, newline="\n") -> str:
     """The value as `json.dumps(..., indent=2)` lays it out, in one pass that
     also applies the CLI's rule: integers beyond 2^53 in magnitude become
     decimal strings, Fractions their integer or a "p/q" string, a Poly or
-    HStarVector its coefficient list, and _Sets the lists its spellings name.
-    `newline` carries the current indent."""
+    HStarVector its coefficient list, _Sets the lists its spellings name, and an
+    _Echo the layout it keeps.  `newline` carries the current indent."""
     kind = type(value)
     if kind is int:
         return str(value) if -_BIG <= value <= _BIG else f'"{value}"'
@@ -84,6 +91,11 @@ def _dumps(value, newline="\n") -> str:
         return "{" + inner + ("," + inner).join([_quote(k) + ": " + (
             str(v) if type(v) is int and -_BIG <= v <= _BIG else _dumps(v, inner))
             for k, v in value.items()]) + newline + "}"
+    if kind is _Echo:  # laid out again only at another indent
+        kept = getattr(value, "laid_out", None)
+        if kept is None or kept[0] != newline:
+            kept = value.laid_out = newline, _dumps(dict(value), newline)
+        return kept[1]
     if kind is _Sets:  # spellings hold only digits, "," "[" and "]": a "|" parts them
         if not value:
             return "[]"
@@ -242,7 +254,7 @@ def _load_input(path):
         table = zonotope.BoxValuationTable._trusted(  # the counts fill the sets left out
             config, zonotope._checked(config, overrides, None))
         _slot.spellings()  # the table passed, so the configuration is enumerated
-    echo = {"generators": config.vectors, **({} if dim is None else {"dim": dim}), "mode": mode}
+    echo = _Echo(generators=config.vectors, **({} if dim is None else {"dim": dim}), mode=mode)
     if "box_table" in doc:
         echo["box_table"] = doc["box_table"]
     _slot.text, _slot.loaded = text, (spec, table, echo)

@@ -499,6 +499,49 @@ def test_big_integers_serialize_as_strings():
     with pytest.raises(TypeError, match="float"):
         _dumps([1, 0.5])
 
+    # Seeded nested values of every kind, an _Echo among them at depth 1 and 2
+    # and one _Echo written at several depths: an _Echo's kept layout must not
+    # be written at an indent other than its own.
+    import random
+
+    from zonoehrhart.cli import _Echo
+
+    rng = random.Random(71)
+    leaves = ((0, 0), (-3, -3), (2**53, 2**53), (big, str(big)), (-big, str(-big)),
+              (True, True), (None, None), ("aé\"", "aé\""),
+              (Fraction(big, 7), f"{big}/7"), (Fraction(8, 4), 2),
+              (Poly([1, -big]), [1, str(-big)]), (HStarVector([1, 2, 1], 2), [1, 2, 1]),
+              (_Sets(["[]", "[1,2]", "[10]"]), [[], [1, 2], [10]]))
+
+    def nested(depth):
+        """A (value, plain) pair of at most `depth` levels."""
+        shape = rng.randrange(4) if depth else 0
+        if shape == 0:
+            return rng.choice(leaves)
+        pairs = [nested(depth - 1) for _ in range(rng.randrange(4))]
+        if shape == 1:
+            return [v for v, _ in pairs], [p for _, p in pairs]
+        if shape == 2:
+            return tuple(v for v, _ in pairs), [p for _, p in pairs]
+        keys = [f"k{i}" for i in range(len(pairs))]
+        return dict(zip(keys, (v for v, _ in pairs))), dict(zip(keys, (p for _, p in pairs)))
+
+    def echo(depth):
+        value, plain = nested(depth)
+        return _Echo(generators=value, mode="typeB"), {"generators": plain, "mode": "typeB"}
+
+    for _ in range(200):
+        inner, inner_plain = echo(3)
+        value, plain = nested(2)
+        outer, outer_plain = echo(2)
+        outer["box_table"], outer_plain["box_table"] = inner, inner_plain
+        for wrapped, wrapped_plain in (
+                ({"input": outer}, {"input": outer_plain}),              # depths 1 and 2
+                ([value, {"input": inner}], [plain, {"input": inner_plain}]),  # 2 again
+                ([[inner], inner], [[inner_plain], inner_plain]),       # 2, then 1
+                (inner, inner_plain), ({"input": outer}, {"input": outer_plain})):
+            assert _dumps(wrapped) == json.dumps(wrapped_plain, indent=2), wrapped_plain
+
 
 # CLI calls pinned byte for byte: exit code, stdout and stderr.  A dict
 # stands for the stdout json.dumps(dict, indent=2) + "\n", the CLI's layout;
@@ -797,6 +840,78 @@ def test_a_rewritten_or_failed_document_is_read_anew(tmp_path, monkeypatch, caps
         assert (code, out, json.loads(err)["code"]) == (1, "", "bad-input")
     write_doc(tmp_path, versions[1], "doc.json")
     assert call() == expected[1] and cli._slot.config is config
+
+
+def test_a_documents_echo_is_laid_out_once(tmp_path, monkeypatch, capsys):
+    # `check`, `hstar --diagnostics` and `matroid` on one document lay out its
+    # echo once, counted as the calls that lay out its generators.  The same
+    # path rewritten with another mode, then with a "dim", is a new document on
+    # the same configuration: its echo is laid out once more, and each output is
+    # the one a call with an empty slot writes.  A failed load lays out no echo
+    # and keeps none of its own, and a document on other generators frees the
+    # kept text without the cyclic collector.
+    import gc
+
+    from zonoehrhart import cli
+
+    monkeypatch.chdir(tmp_path)
+    generators, table = [[2, 1, 0], [0, 1, 1], [1, 1, -1], [1, 0, 3]], {"[1,2]": 3, "[4]": "1/2"}
+    versions = [{"generators": generators, "box_table": table},
+                {"generators": generators, "mode": "typeB", "box_table": table},
+                {"generators": generators, "dim": 3, "mode": "typeB", "box_table": table}]
+    argvs = [["check", "doc.json"], ["hstar", "doc.json", "--diagnostics"],
+             ["matroid", "doc.json"]]
+
+    def call(argv):
+        code = cli.main(argv)
+        return (code, *capsys.readouterr())
+
+    expected = []
+    for doc in versions:
+        write_doc(tmp_path, doc, "doc.json")
+        expected.append([cli._slot.reset() or call(argv) for argv in argvs])
+    assert [code for outs in expected for code, _, _ in outs] == [0] * 9
+    assert len({out for outs in expected for _, out, _ in outs}) == 9
+
+    laid_out, dumps = [], cli._dumps
+
+    def counting(value, newline="\n"):
+        if cli._slot.loaded is not None and value is cli._slot.loaded[2]["generators"]:
+            laid_out.append(newline)
+        return dumps(value, newline)
+
+    monkeypatch.setattr(cli, "_dumps", counting)
+    cli._slot.reset()
+    config = None
+    for doc, seen in zip(versions, expected):
+        write_doc(tmp_path, doc, "doc.json")
+        laid_out.clear()
+        assert [call(argv) for argv in argvs] == seen, doc
+        assert laid_out == ["\n    "], doc
+        config = config or cli._slot.config
+        assert cli._slot.config is config, doc
+    kept = cli._slot.loaded
+    for bad in ({"generators": generators, "box_table": {"[1,2]": 0.5}},
+                {"generators": generators, "mode": "typeC"}):
+        write_doc(tmp_path, bad, "doc.json")
+        laid_out.clear()
+        assert call(argvs[1])[0] == 1 and not laid_out, bad
+        assert cli._slot.loaded is kept and cli._slot.config is config, bad
+    write_doc(tmp_path, {"generators": [[1, 0], [0, 1]], "box_table": {"[1]": 0.5}}, "doc.json")
+    assert call(argvs[0])[0] == 1 and cli._slot.loaded is None and not laid_out
+    write_doc(tmp_path, versions[0], "doc.json")
+    assert [call(argv) for argv in argvs] == expected[0]
+    assert laid_out == ["\n    "]
+
+    write_doc(tmp_path, HEXAGON_DOC, "hex.json")
+    gc.disable()
+    try:
+        text, lone = cli._slot.loaded[2].laid_out[1], str(object())  # lone: referred to only here
+        assert sys.getrefcount(text) > sys.getrefcount(lone)
+        assert call(["matroid", "hex.json"])[0] == 0
+        assert sys.getrefcount(text) == sys.getrefcount(lone)
+    finally:
+        gc.enable()
 
 
 def test_integers_past_the_conversion_limit_are_json_errors(tmp_path, capsys):

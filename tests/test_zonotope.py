@@ -780,6 +780,33 @@ def test_hstar_independent_of_ground_order():
         assert permuted == forward, (config, shuffled)
 
 
+def test_hstar_unchanged_by_sign_loop_and_split():
+    # Three changes of the generators that leave the zonotope a lattice
+    # translate of itself, at d = 4..6 in both modes: negating one generator,
+    # adding a zero generator (a loop) anywhere, and writing a generator 2w as
+    # two copies of w, [0, 2w] = [0, w] + [0, w].
+    rng = random.Random(163)
+    for draw in range(18):
+        d = 4 + draw % 3
+        while True:
+            vectors = [tuple(rng.randint(-2, 2) for _ in range(d))
+                       for _ in range(rng.randint(d, d + 2))]
+            if VectorConfiguration(vectors, d).full_rank == d:
+                break
+        i, k = rng.randrange(len(vectors)), rng.randrange(len(vectors))
+        w, j = vectors[i], rng.randrange(len(vectors) + 1)
+        doubled = vectors[:i] + [tuple(2 * x for x in w)] + vectors[i + 1:]
+        negated = doubled[:k] + [tuple(-x for x in doubled[k])] + doubled[k + 1:]
+        looped = doubled[:j] + [(0,) * d] + doubled[j:]
+        split = vectors[:j] + [w] + vectors[j:]
+        base = VectorConfiguration(doubled, d)
+        for mode in MODES:
+            h = hstar(ZonotopeSpec(base, mode))
+            for changed in (negated, looped, split):
+                assert hstar(ZonotopeSpec(VectorConfiguration(changed, d), mode)) == h, \
+                    (doubled, changed, mode)
+
+
 def test_public_names_are_not_modules():
     # `from zonoehrhart import *` binds the API, not the submodules.
     import types
