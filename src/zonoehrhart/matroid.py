@@ -83,54 +83,24 @@ def _subset_transform(f: dict, n: int, sign: int) -> dict:
     return g
 
 
-def _incidence(pieces: Mapping[int, int]) -> tuple:
-    """For pieces (B, P) as masks, piece k at bit k: a function giving the
-    bitset of the pieces whose B holds a set, by ANDing per-element bitsets,
-    and the P of each piece bit."""
-    containing, passive_of, everything = {}, {}, (1 << len(pieces)) - 1
-    for k, (basis, passive) in enumerate(pieces.items()):
-        passive_of[1 << k] = passive
-        while basis:
-            low = basis & -basis
-            containing[low] = containing.get(low, 0) | 1 << k
-            basis ^= low
-
-    def holding(s: int) -> int:
-        inside = everything
-        while s:
-            low = s & -s
-            inside &= containing[low]
-            s ^= low
-        return inside
-    return holding, passive_of
-
-
-def _walk(sets: Iterable[int], values: Mapping[int, object], pieces: Mapping[int, int],
-          r: int) -> list:
-    """The set-major ordering by a walk of the enumerated `sets` that skips
-    b(I) = 0 and visits each piece whose B holds I."""
-    c, (holding, passive_of) = [0] * (r + 1), _incidence(pieces)
-    for s in sets:
-        b = values[s]
-        if b != 0:
-            inside = holding(s)
-            while inside:
-                low = inside & -inside
-                c[(passive_of[low] | s).bit_count()] += b
-                inside ^= low
-    return c
-
-
 def _group(sets: Iterable[int], pieces: Mapping[int, int], r: int) -> tuple:
     """The `sets` grouped by their table-free vector m_I[j] = #{B holding I :
-    |I u P| = j}, as (m, masks) pairs, from one visit of every (I, B) pair."""
-    groups, (holding, passive_of) = {}, _incidence(pieces)
+    |I u P| = j}, as (m, masks) pairs, from one visit of every (I, B) pair.
+
+    The pieces (B, P) whose B holds a set are those holding its parent (the
+    set less its highest element) whose B holds the set, so a stack of r+1
+    lists, one per size, carries them.  That needs `sets` in DFS order, as
+    `_minor_gcds` lists them: every set after its parent and before any other
+    set of its parent's size.  A set listed out of that order may be short of
+    pieces, and the comparison in `_double_sum` catches any sum that skews."""
+    held, groups = [list(pieces.items())] * (r + 1), {}
     for s in sets:
-        m, inside = [0] * (r + 1), holding(s)
-        while inside:
-            low = inside & -inside
-            m[(passive_of[low] | s).bit_count()] += 1
-            inside ^= low
+        k = s.bit_count()
+        if k:
+            held[k] = [piece for piece in held[k - 1] if piece[0] & s == s]
+        m = [0] * (r + 1)
+        for _, passive in held[k]:
+            m[(passive | s).bit_count()] += 1
         groups.setdefault(tuple(m), []).append(s)
     return tuple(groups.items())
 
@@ -367,21 +337,22 @@ class VectorConfiguration:
     @cached_property
     def _groups(self) -> tuple:
         """The independent sets grouped by multiplicity vector (`_group`),
-        built when a table is first passed."""
+        built by the first histogram, of the box counts or of a passed table."""
         return _group(self._minor_gcds, self._passive_sets, self.full_rank)
 
     def _eulerian_histogram(self, table: Mapping[int, object] | None = None,
                             passive: Iterable[int] | None = None) -> list:
         """c[j] sums b(I) over the independent I and bases B containing I with
         |I u IP(B)| = j, for a table keyed by mask or the box counts; with
-        `passive`, over the one piece (ground set, passive).  A passed table
-        is summed by groups; the box counts, sparse over the (I, B) pairs, and
-        the one piece by `_walk`."""
+        `passive`, over the one piece (ground set, passive).  Every table is
+        summed by multiplicity groups: the configuration's, kept in `_groups`,
+        or the one piece's, built on each call."""
         r, values = self.full_rank, self._box_counts if table is None else table
-        pieces = self._passive_sets if passive is None else \
-            {_mask(range(1, self.n + 1)): _mask(passive)}
-        c = _grouped_sum(self._groups, values, r) if table is not None and passive is None \
-            else _walk(self._minor_gcds, values, pieces, r)
-        return _double_sum(c, values, pieces, r)
+        if passive is None:
+            pieces, groups = self._passive_sets, self._groups
+        else:
+            pieces = {_mask(range(1, self.n + 1)): _mask(passive)}
+            groups = _group(self._minor_gcds, pieces, r)
+        return _double_sum(_grouped_sum(groups, values, r), values, pieces, r)
 
     _histogram = cached_property(_eulerian_histogram)

@@ -981,51 +981,65 @@ def test_ordering_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     from zonoehrhart import cli, matroid
     from zonoehrhart.errors import InternalDisagreementError
     from zonoehrhart.matroid import VectorConfiguration
-    from zonoehrhart.zonotope import ZonotopeSpec, default_box_table, hstar_zonotope
+    from zonoehrhart.zonotope import (ZonotopeSpec, default_box_table,
+                                      hstar_halfopen_parallelepiped, hstar_zonotope)
 
     generators = [[2, 1], [0, 1], [1, 1]]
-    config = VectorConfiguration(generators)
-    table = default_box_table(config)  # built on the full domain
-    complete = {matroid._mask(s) for s in config.independent_sets()}
-    dropped = matroid._mask(next(s for s in config.independent_sets()
-                                 if s and table.value(s) != 0))
-    # The set-major ordering takes one of two forms: the configuration's own
-    # box counts are walked set by set, and a passed table is summed by the
-    # groups of sets that share a multiplicity vector.  The basis-major
-    # ordering walks the submasks of the bases, so dropping one set from
-    # either form makes the two orderings disagree.
-    real_walk, real_grouped_sum = matroid._walk, matroid._grouped_sum
-
-    def walk_dropping_one_set(sets, values, pieces, r):
-        sets = list(sets)
-        assert set(sets) == complete
-        return real_walk([m for m in sets if m != dropped], values, pieces, r)
+    dropped = matroid._mask((1, 2))
+    assert default_box_table(VectorConfiguration(generators)).value((1, 2)) != 0
+    # The set-major ordering sums b(I) by the groups of sets that share a
+    # multiplicity vector m_I, for the configuration's own box counts, a
+    # passed table and the one piece of `hstar_halfopen_parallelepiped`
+    # (here on [1, 2]) alike.  The basis-major ordering walks the submasks of
+    # the bases, so a sum that drops one set, or groups that drop one (I, B)
+    # pair of a set whose value is nonzero, make the two orderings disagree.
+    real_group, real_grouped_sum = matroid._group, matroid._grouped_sum
 
     def sum_dropping_one_set(groups, values, r):
         assert sorted(m for _, masks in groups for m in masks) == sorted(complete)
         return real_grouped_sum([(m, [s for s in masks if s != dropped]) for m, masks in groups],
                                 values, r)
 
-    for name, dropping, passed in (("_walk", walk_dropping_one_set, False),
-                                   ("_grouped_sum", sum_dropping_one_set, True)):
-        with monkeypatch.context() as patch:
-            patch.setattr(matroid, name, dropping)
-            fresh = VectorConfiguration(generators)  # nothing summed or grouped yet
-            with pytest.raises(InternalDisagreementError, match="double sums disagree"):
-                hstar_zonotope(ZonotopeSpec(fresh), default_box_table(fresh) if passed else None)
-            cli._slot.reset()
-            doc = {"generators": generators, **({"box_table": {"[]": 2}} if passed else {})}
-            path = write_doc(tmp_path, doc, f"{name}.json")
-            assert cli.main(["hstar", path]) == 3
-            captured = capsys.readouterr()
-            assert captured.out == "" and json.loads(captured.err)["code"] == "disagreement"
+    def group_dropping_one_pair(sets, pieces, r):
+        groups = []
+        for m, masks in real_group(sets, pieces, r):
+            if dropped in masks:
+                j = next(j for j, k in enumerate(m) if k)
+                groups.append((m[:j] + (m[j] - 1,) + m[j + 1:], [dropped]))
+                masks = [s for s in masks if s != dropped]
+            groups.append((m, masks))
+        return tuple(groups)
+
+    cases = (("own", generators, lambda config: hstar_zonotope(ZonotopeSpec(config)), {}),
+             ("passed", generators,
+              lambda config: hstar_zonotope(ZonotopeSpec(config), default_box_table(config)),
+              {"box_table": {"[]": 2}}),
+             ("piece", generators[:2],
+              lambda config: hstar_halfopen_parallelepiped(ZonotopeSpec(config)), None))
+    for name, mutant in (("_grouped_sum", sum_dropping_one_set),
+                         ("_group", group_dropping_one_pair)):
+        for case, vectors, call, doc in cases:
+            complete = {matroid._mask(s) for s in VectorConfiguration(vectors).independent_sets()}
+            with monkeypatch.context() as patch:
+                patch.setattr(matroid, name, mutant)
+                fresh = VectorConfiguration(vectors)  # nothing summed or grouped yet
+                with pytest.raises(InternalDisagreementError, match="double sums disagree"):
+                    call(fresh)
+                if doc is None:
+                    continue
+                cli._slot.reset()
+                path = write_doc(tmp_path, {"generators": vectors, **doc}, f"{name}-{case}.json")
+                assert cli.main(["hstar", path]) == 3, (name, case)
+                captured = capsys.readouterr()
+                assert captured.out == "" and json.loads(captured.err)["code"] == "disagreement"
 
 
 def test_basis_major_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     # The other ordering: the basis-major walk reads b(I) for every submask I
     # of every basis.  One nonzero read coming back 0 skips that (B, I) pair,
     # as if the walk had stepped over the submask, and the set-major sum,
-    # which walks the enumerated sets, then disagrees with it.
+    # which reads b(I) by the groups of the enumerated sets, then disagrees
+    # with it.
     from zonoehrhart import cli, matroid
     from zonoehrhart.errors import InternalDisagreementError
     from zonoehrhart.matroid import VectorConfiguration

@@ -523,12 +523,15 @@ def test_histograms_are_stanleys_coordinates():
 
 
 def test_passed_tables_sum_by_multiplicity_groups(monkeypatch):
-    # A passed table is summed over the groups of independent sets that share
+    # Every table is summed over the groups of independent sets that share
     # m_I[j] = #{B containing I : |I u IP(B)| = j}.  The groups are built once
-    # per configuration, by its first table, and Stanley's sum in `ehrhart`
-    # reads none of them, so it checks every group.  Seeded tables of
-    # integers, rationals, zeros and negatives, on loops, a parallel pair,
-    # rank below the dimension and draws up to d = 6, in both modes.
+    # per configuration, by its first histogram (here the default table's),
+    # and serve every passed table after it.  Each set lies in one group,
+    # whose m a count over `bases()` and `internally_passive()` confirms, and
+    # Stanley's sum in `ehrhart` reads no group, so it checks every sum.
+    # Seeded tables of integers, rationals, zeros and negatives, on loops, a
+    # parallel pair, rank below the dimension and draws up to d = 6, in both
+    # modes.
     from zonoehrhart import matroid
     calls = []
     real_group = matroid._group
@@ -545,6 +548,7 @@ def test_passed_tables_sum_by_multiplicity_groups(monkeypatch):
     for config in configs:
         r = config.full_rank
         calls.clear()
+        hstar(ZonotopeSpec(config))
         for case in range(6):
             values = {}
             for s in config.independent_sets():
@@ -557,6 +561,15 @@ def test_passed_tables_sum_by_multiplicity_groups(monkeypatch):
                 assert ehrhart_from_hstar(hstar(z, table)) == ehrhart(z, table)
                 if all(type(v) is int for v in values.values()):
                     assert hstar(z, table) == hstar_from_ehrhart(ehrhart(z, table), r)
+        pieces = [(set(b), set(config.internally_passive(b))) for b in config.bases()]
+        grouped = [(m, matroid._indices(s)) for m, masks in config._groups for s in masks]
+        assert sorted(s for _, s in grouped) == sorted(config.independent_sets())
+        for m, s in grouped:
+            count = [0] * (r + 1)
+            for basis, passive in pieces:
+                if basis.issuperset(s):
+                    count[len(passive.union(s))] += 1
+            assert m == tuple(count), (config, s)
         assert len(calls) == 1, config
 
 
