@@ -1,9 +1,11 @@
 """Formula-independent ground truth by exact lattice-point counting.
 
-The n-th dilate of Z = sum_i [0,1] v_i (sum_i [-1,1] v_i in typeB mode) is
-counted in its own lattice, where it is full-dimensional, and described
-exactly there by integer rows n*lo <= u . p <= n*hi, built directly from the
-generators by one integer column fold (`_linalg.fold`):
+The n-th dilate of Z = sum_i [0,1] v_i is counted in its own lattice, where
+it is full-dimensional, and described exactly there by integer rows
+n*lo <= u . p <= n*hi, built directly from the generators by one integer
+column fold (`_linalg.fold`).  The typeB body sum_i [-1,1] v_i is the lattice
+translate 2Z - sum_i v_i of the second dilate, so both modes compile Z: p lies
+in its n-th dilate iff p + n sum_i v_i lies in 2nZ; its volume is 2^r vol(Z).
 
 * Lattice.  Folding the generators into the unit columns of Z^d counts the
   rank r and leaves r used columns, the pivots, and d-r free ones, a lattice
@@ -17,12 +19,11 @@ generators by one integer column fold (`_linalg.fold`):
   vectors orthogonal to them: folding them into the unit columns of Z^r
   leaves one column, u, unless a step is zero, when they are dependent and
   give no facet.  The extent of Z along u is [sum_i min(0, u.v_i),
-  sum_i max(0, u.v_i)], or [-s, s] with s = sum_i |u.v_i| in typeB mode.
-  The (r-1)-subsets are folded down their prefix tree, so a prefix shared
-  by several subsets is folded once, and a dependent prefix is dropped with
-  all its extensions.  The same walk gives the volume sum_B |det B| over
-  the r-subsets B: the steps' product g_S of a subset S times |v . u| is
-  |det(S, v)|, for each generator v after S.
+  sum_i max(0, u.v_i)].  The (r-1)-subsets are folded down their prefix
+  tree, so a prefix shared by several subsets is folded once, and a
+  dependent prefix is dropped with all its extensions.  The same walk gives
+  the volume sum_B |det B| over the r-subsets B: the steps' product g_S of
+  a subset S times |v . u| is |det(S, v)|, for each generator v after S.
 
 Zero generators are dropped, and each row is scaled by -1 if need be so that
 its last nonzero coefficient is positive.  From here on d is r, the
@@ -36,13 +37,13 @@ ceiling or floor division, so a whole line costs one pass over the rows at
 any length, and only the d-2 narrowest axes are looped over in Python.  The
 innermost head coordinate x_{d-1} steps by one, so each row's u . head is
 carried along it by adding u_{d-1}; slabs bound x_{d-1} instead, once per
-run of x_{d-1}.  Every row satisfies lo + hi = u . sum_i v_i (0 in typeB
-mode), and the bounding box is centred on the same point, so the point
-reflection p -> (box lo + box hi) - p maps each dilate and its box onto
-themselves.  It maps the head with row-major index i among the N heads of
-the box to the head with index N-1-i, so one pass sweeps the first
-floor(N/2) heads and counts each of their lines twice, and the middle head's
-line, when N is odd, once.  A box of one point is swept like any other.
+run of x_{d-1}.  Every row satisfies lo + hi = u . sum_i v_i, and the
+bounding box is centred on the same point, so the point reflection
+p -> (box lo + box hi) - p maps each dilate and its box onto themselves.
+It maps the head with row-major index i among the N heads of the box to
+the head with index N-1-i, so one pass sweeps the first floor(N/2) heads
+and counts each of their lines twice, and the middle head's line, when N
+is odd, once.  A box of one point is swept like any other.
 Every count checks each line and slab it sweeps to be centred on its box as
 it dilates it, and h* checks every box it will sweep against MAX_BOX_POINTS
 before the first sweep.  The rows are exact, so the lines keep x_d in the
@@ -58,13 +59,12 @@ h* of the rank-r body comes from both ends, in integers (`_hstar`): closed
 counts at dilates 1..floor(r/2), as E(0) = 1 for every body, give its
 bottom floor(r/2)+1 entries, and interior counts at 1..ceil(r/2) its top
 ceil(r/2) ones, by Ehrhart-Macdonald reciprocity: r counts, none at rank 0.
-The two ends share no entry, so h*(1) = r! vol(Z) guards them, with the
-volume from the compile (times 2^r in typeB mode): every single wrong
-count moves h*(1), and the guard ties the counts to the generators, which
-the rows alone do not.  hstar_via_oracle returns that h*, and
-ehrhart_via_oracle its counting polynomial.  No floating point is used
-anywhere, and no rational elimination: the fold and the counts run over
-the integers.
+The two ends share no entry, so h*(1) = r! vol guards them, with the
+body's volume from the compile: every single wrong count moves h*(1), and
+the guard ties the counts to the generators, which the rows alone do not.
+hstar_via_oracle returns that h*, and ehrhart_via_oracle its counting
+polynomial.  No floating point is used anywhere, and no rational
+elimination: the fold and the counts run over the integers.
 """
 
 from __future__ import annotations
@@ -85,11 +85,11 @@ MAX_BOX_POINTS = 10**7
 
 
 class _Membership:
-    """Exact integer H-description of the dilates of one zonotope, in Z^r."""
+    """Exact integer H-description of the dilates of Z, in Z^r, in both modes."""
 
     def __init__(self, z: ZonotopeSpec):
-        type_b = z.mode == "typeB"
         gens = [v for v in z.config.vectors if any(v)]
+        self.scale = 2 if z.mode == "typeB" else 1
         self.used, self.free = [], _linalg.unit_columns(z.dim)
         for v in gens:
             _, self.free, pivot = _linalg.fold(v, self.free)
@@ -100,15 +100,14 @@ class _Membership:
             _narrow(self.used, gens)
             gens = [self._coordinates(v) for v in gens]
         normals = []
-        # sum_B |det B| over the r-subsets B of the generators (1 at rank 0),
-        # the body's volume in Z^r; the typeB body is 2^r times larger.
+        # Z's volume in Z^r: sum_B |det B| over the r-subsets B (1 at rank 0).
         volume = _facet_normals(gens, _linalg.unit_columns(r), 0, r - 1, normals) if r else 1
-        self.volume = volume << r if type_b else volume
+        self.volume = volume * self.scale ** r
         self.rows = tuple(sorted(
-            (u, *_extent([sum(map(mul, u, v)) for v in gens], type_b))
+            (u, *_extent([sum(map(mul, u, v)) for v in gens]))
             for u in {u if next(x for x in reversed(u) if x) > 0 else tuple(-x for x in u)
                       for u in normals}))
-        self.box = _unit_box(gens, r, type_b)
+        self.box = _unit_box(gens, r)
         # The sweep order: axes by unit-box width, narrowest first (ties in
         # input order), so the widest is the line axis.  Each row is split
         # once in it, into _sweep's (coefficients of x_1..x_{d-2}, e, c, lo,
@@ -131,14 +130,15 @@ class _Membership:
         """Whether the point lies on the span and satisfies every row of the
         n-th dilate, or of its relative interior if strict."""
         on_span = not any(sum(map(mul, f, point)) for f in self.free)
-        point = self._coordinates(point)
+        shift = (self.scale - 1) * n  # p + n sum_i v_i in typeB mode, sum_i v_i = lo + hi
+        point = [x + shift * (lo + hi) for x, (lo, hi) in zip(self._coordinates(point), self.box)]
         return on_span and all(low <= sum(map(mul, u, point)) <= high for u, lo, hi in self.rows
-                               for low, high in [_dilate(n, lo, hi, strict)])
+                               for low, high in [self._dilate(n, lo, hi, strict)])
 
     def box_at(self, n: int, strict: bool = False) -> list[tuple[int, int]]:
         """Integer bounding box of the n-th dilate in Z^r, or of its relative
         interior if strict, refused above MAX_BOX_POINTS."""
-        box = [_dilate(n, lo, hi, strict) for lo, hi in self.box]
+        box = [self._dilate(n, lo, hi, strict) for lo, hi in self.box]
         size = prod(hi - lo + 1 for lo, hi in box)
         if size > MAX_BOX_POINTS:
             raise EnumerationLimitError(
@@ -160,7 +160,7 @@ class _Membership:
         lines, slabs = [], []
         for rows, swept in ((self.lines, lines), (self.slabs, slabs)):
             for p, e, c, lo, hi in rows:
-                lo, hi = _dilate(n, lo, hi, strict)
+                lo, hi = self._dilate(n, lo, hi, strict)
                 if lo + hi != sum(map(mul, p, centre)) + e * centre_e + c * centre_c:
                     raise InternalDisagreementError(
                         f"row {lo} <= {(*p, e, c)} . p <= {hi} of dilate {n}, in sweep order, "
@@ -182,11 +182,10 @@ class _Membership:
                 runs.append((prefix, middle, middle, 1))
         return _sweep(lines, slabs, runs, box[-1])
 
-
-def _dilate(n: int, lo: int, hi: int, strict: bool) -> tuple[int, int]:
-    """The range lo..hi of the body, a coordinate's or a row's, at the n-th
-    dilate; for the relative interior moved in by one on both sides."""
-    return n * lo + strict, n * hi - strict
+    def _dilate(self, n: int, lo: int, hi: int, strict: bool) -> tuple[int, int]:
+        """The range lo..hi of Z, a coordinate's or a row's, at the dilate counted
+        for n, 2n in typeB mode; for the relative interior moved in by one."""
+        return self.scale * n * lo + strict, self.scale * n * hi - strict
 
 
 def _narrow(columns: list, gens: list) -> None:
@@ -302,25 +301,25 @@ def contains_point(z: ZonotopeSpec, n: int, point: Sequence[int]) -> bool:
     return _Membership(z).test(n, p)
 
 
-def _extent(dots: list[int], type_b: bool) -> tuple[int, int]:
-    """The range of sum_i c_i dots_i over c_i in [0, 1], or [-1, 1] in typeB
-    mode: the sums of the negative and of the positive dots, or -s..s with
-    s = sum_i |dots_i|."""
+def _extent(dots: list[int]) -> tuple[int, int]:
+    """The range of sum_i c_i dots_i over c_i in [0, 1]: the sums of the
+    negative and of the positive dots."""
     spread = sum(map(abs, dots))
-    return (-spread, spread) if type_b else ((sum(dots) - spread) // 2, (sum(dots) + spread) // 2)
+    return (sum(dots) - spread) // 2, (sum(dots) + spread) // 2
 
 
-def _unit_box(gens, d: int, type_b: bool) -> list[tuple[int, int]]:
-    """Componentwise integer bounds of the zonotope of gens in Z^d itself,
-    the dilate 1."""
-    return [_extent([v[i] for v in gens], type_b) for i in range(d)]
+def _unit_box(gens, d: int) -> list[tuple[int, int]]:
+    """Componentwise integer bounds of the zonotope of gens in Z^d itself."""
+    return [_extent([v[i] for v in gens]) for i in range(d)]
 
 
 def bounding_box(z: ZonotopeSpec, n: int) -> list[tuple[int, int]]:
     """Componentwise integer bounds in Z^d from the sign decomposition of the
-    generators: the ambient box, not the one a count sweeps below full rank."""
+    generators: the ambient box, not the one a count sweeps below full rank.
+    The typeB body 2Z - sum_i v_i is centred on 0 and twice as wide."""
     _integers("dilate", (n,), 0)
-    return [(n * lo, n * hi) for lo, hi in _unit_box(z.config.vectors, z.dim, z.mode == "typeB")]
+    return [(n * (lo - hi), n * (hi - lo)) if z.mode == "typeB" else (n * lo, n * hi)
+            for lo, hi in _unit_box(z.config.vectors, z.dim)]
 
 
 def count_lattice_points(z: ZonotopeSpec, n: int) -> int:
@@ -375,8 +374,8 @@ def _hstar(member: _Membership) -> HStarVector:
     h*_k = sum_i (-1)^(k-i) C(r+1, k-i) E(i) gives the bottom entries
     h*_0..h*_floor(r/2), and h*_(r+1-k) = sum_i (-1)^(k-i) C(r+1, k-i) I(i)
     the top ones, h*_(floor(r/2)+1)..h*_r.  The ends meet without overlap,
-    so h*(1) = r! vol(Z), with vol(Z) = sum_B |det B| (times 2^r in typeB
-    mode) from the compile, guards them.  A count moved by one moves the
+    so h*(1) = r! vol guards them, with vol the body's volume (2^r vol(Z)
+    in typeB mode) from the compile.  A count moved by one moves the
     sum by +-C(r, K-n) != 0, with K = floor(r/2) or ceil(r/2) for its end
     and n its dilate, so every single wrong count trips the guard, and the
     volume ties the counts to the generators.

@@ -1,13 +1,14 @@
 import inspect
 import random
 import sys
-from itertools import permutations
-from math import comb, factorial
+from fractions import Fraction
+from itertools import combinations, permutations
+from math import comb, factorial, gcd, lcm
 
 import pytest
 
 from zonoehrhart.errors import EnumerationLimitError, LatticeMathError
-from zonoehrhart.eulerian import (a_j_polynomial, a_j_polynomial_enumerate,
+from zonoehrhart.eulerian import (_a_row, _b_row, a_j_polynomial, a_j_polynomial_enumerate,
                                   b_l_polynomial_enumerate,
                                   b_l_polynomial_via_a, descent_count,
                                   descent_set, eulerian_a,
@@ -15,7 +16,7 @@ from zonoehrhart.eulerian import (a_j_polynomial, a_j_polynomial_enumerate,
                                   eulerian_b_via_a, j_descent_set,
                                   l_descent_set_b, signed_descent_count,
                                   signed_descent_set, signed_permutations)
-from zonoehrhart.polycore import (HStarVector, Poly,
+from zonoehrhart.polycore import (HStarVector, Poly, count_distinct_real_roots,
                                   is_alternatingly_increasing, is_real_rooted)
 
 
@@ -316,3 +317,58 @@ def test_b_l_real_rooted_and_alternatingly_increasing():
 def test_descent_counts():
     assert descent_count((3, 1, 2)) == 1
     assert signed_descent_count((2, 1), (1, 1)) == 1
+
+
+def _divmod(a, b):
+    """(q, r) with a = q b + r and deg r < deg b, over the rationals."""
+    q, r = [], list(a.coeffs)
+    while len(r) >= len(b.coeffs):
+        q.append(Fraction(r[-1]) / b.coeffs[-1])
+        for j, y in enumerate(b.coeffs, len(r) - len(b.coeffs)):
+            r[j] -= q[-1] * y
+        r.pop()
+    return Poly(q[::-1]), Poly(r)
+
+
+def _primitive(p):
+    """The nonzero p scaled to coprime integer coefficients."""
+    p = p * lcm(*(Fraction(c).denominator for c in p.coeffs))
+    return p * Fraction(1, gcd(*p.coeffs))
+
+
+def interlaces(f, g):
+    """Whether the polynomials f and g are real-rooted and interlace.
+
+    Real-rooted f and g whose degrees differ by at most one interlace iff
+    the Wronskian f'g - fg' keeps one sign on R (Wagner, "Multivariate
+    stable polynomials", 2011).  With h = gcd(f, g), f = h f1 and g = h g1,
+    it is h^2 (f1'g1 - f1 g1'); the coprime f1, g1 interlace only strictly,
+    and then their Wronskian has no real root at all, which a Sturm count
+    decides exactly.
+    """
+    if abs(f.degree - g.degree) > 1 or not (is_real_rooted(f) and is_real_rooted(g)):
+        return False
+    h, r = g, f
+    while r:
+        r = _primitive(r)
+        h, r = r, _divmod(h, r)[1]
+    f, g = _divmod(f, h)[0], _divmod(g, h)[0]
+    w = f.derivative() * g - f * g.derivative()
+    return not w or count_distinct_real_roots(w) == 0
+
+
+def test_refined_eulerian_rows_interlace():
+    # The paper's real-rootedness rests on h* = sum_j c_j R_j(r+1, t) with
+    # c_j >= 0 and the row R_j interlacing pairwise: A_j(d+1) in standard
+    # mode and B_j(d+1) in typeB mode.  Every pair of both rows is certified
+    # exactly for d <= 10.  Moving the second polynomial's constant
+    # coefficient by one, off the root at 0 that every polynomial of its row
+    # but the first has, breaks it.
+    for d in range(1, 11):
+        for row in (_a_row(d + 1), _b_row(d)):
+            for f, g in combinations(row, 2):
+                assert interlaces(f, g), (d, f, g)
+    for row in (_a_row(7), _b_row(6)):
+        for shift in (1, -1):
+            moved = Poly((row[1].coeffs[0] + shift, *row[1].coeffs[1:]))
+            assert not all(interlaces(moved, g) for g in row[:1] + row[2:]), (row, shift)

@@ -794,10 +794,12 @@ def test_hstar_independent_of_ground_order():
 
 
 def test_hstar_unchanged_by_sign_loop_and_split():
-    # Three changes of the generators that leave the zonotope a lattice
-    # translate of itself, at d = 4..6 in both modes: negating one generator,
-    # adding a zero generator (a loop) anywhere, and writing a generator 2w as
-    # two copies of w, [0, 2w] = [0, w] + [0, w].
+    # Five changes of the generators that leave the zonotope a lattice
+    # translate of itself or of its image under GL_d(Z), at d = 4..6 in both
+    # modes: negating one generator, adding a zero generator (a loop)
+    # anywhere, writing a generator 2w as two copies of w,
+    # [0, 2w] = [0, w] + [0, w], permuting the generators, and mapping them
+    # all by a unimodular matrix.
     rng = random.Random(163)
     for draw in range(18):
         d = 4 + draw % 3
@@ -812,12 +814,46 @@ def test_hstar_unchanged_by_sign_loop_and_split():
         negated = doubled[:k] + [tuple(-x for x in doubled[k])] + doubled[k + 1:]
         looped = doubled[:j] + [(0,) * d] + doubled[j:]
         split = vectors[:j] + [w] + vectors[j:]
+        permuted = rng.sample(doubled, len(doubled))
+        u = _random_unimodular_matrix(rng, d)
+        mapped = [tuple(sum(a * b for a, b in zip(row, v)) for row in u) for v in doubled]
+        changes = [VectorConfiguration(changed, d)
+                   for changed in (negated, looped, split, permuted, mapped)]
         base = VectorConfiguration(doubled, d)
         for mode in MODES:
             h = hstar(ZonotopeSpec(base, mode))
-            for changed in (negated, looped, split):
-                assert hstar(ZonotopeSpec(VectorConfiguration(changed, d), mode)) == h, \
-                    (doubled, changed, mode)
+            for changed in changes:
+                assert hstar(ZonotopeSpec(changed, mode)) == h, (doubled, changed, mode)
+
+
+def test_type_b_is_the_second_dilate():
+    # sum_i [-v_i, v_i] = 2 Z(V) - sum_i v_i is a lattice translate of the
+    # second dilate, so typeB hstar and ehrhart of V are the standard ones of
+    # 2V.  2V's minor gcds are 2^|I| times V's, and its h* is assembled in
+    # the A rows, so this checks the B rows and their assembly wherever the
+    # formula reaches, past the oracle.  Seeded draws at d = 4..6, two each
+    # of full rank, of rank d - 1, with a loop and with a parallel pair.
+    rng = random.Random(167)
+    for d in (4, 5, 6):
+        for case in ("full", "flat", "loop", "parallel") * 2:
+            rank = d - 1 if case == "flat" else d
+            while True:
+                basis = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(rank)]
+                vectors = [tuple(sum(rng.randint(-1, 1) * b[i] for b in basis) for i in range(d))
+                           for _ in range(d + 1)]
+                if VectorConfiguration(vectors, d).full_rank == rank:
+                    break
+            at = rng.randrange(len(vectors) + 1)
+            if case == "loop":
+                vectors.insert(at, (0,) * d)
+            elif case == "parallel":
+                k = rng.choice((-2, -1, 2))
+                vectors.insert(at, tuple(k * x for x in rng.choice(vectors)))
+            config = VectorConfiguration(vectors, d)
+            doubled = ZonotopeSpec(VectorConfiguration([tuple(2 * x for x in v)
+                                                        for v in vectors], d))
+            assert hstar(ZonotopeSpec(config, "typeB")) == hstar(doubled), (vectors, case)
+            assert ehrhart(ZonotopeSpec(config, "typeB")) == ehrhart(doubled), (vectors, case)
 
 
 def test_public_names_are_not_modules():
