@@ -22,15 +22,16 @@ long for Python's int-to-str conversion among them), 3 internal
 disagreement.  Integers beyond 2^53 in magnitude are serialized as decimal
 strings.  `main` may be called repeatedly in one process; its argument
 parser is built on the first call.  One slot keeps the configuration the last
-document built, with its enumeration, the map from each of its independent
-sets, spelled "[1,2]", to the set's mask, and that map's inverse, from which
-`matroid` and the diagnostics write their set lists; a document whose
-generators and dimension equal its own reuses them.  The slot also keeps the
-text of the last document that loaded on that configuration and what it
-parsed to: a file read again with the same text is not parsed or checked
-again, its table keeps the double sum's histogram, and its echo keeps the
-text it was first laid out as, which every later command on it writes.  A
-failed load keeps no text, and a document on other generators empties the slot.
+document built, with its enumeration and one map from the mask of each of its
+independent sets to the set spelled "[1,2]", from which `matroid` and the
+diagnostics write their set lists; a document whose generators and dimension
+equal its own reuses them.  Box-table keys are read by `_index_mask`, never
+through the map.  The slot also keeps the text of the last document that
+loaded on that configuration and what it parsed to: a file read again with
+the same text is not parsed or checked again, its table keeps the double
+sum's histogram, and its echo keeps the text it was first laid out as, which
+every later command on it writes.  A failed load keeps no text, and a
+document on other generators empties the slot.
 """
 
 from __future__ import annotations
@@ -167,36 +168,32 @@ def _index_mask(key, spelled):
 
 
 class _Slot:
-    """The configuration the last document built, with its spellings, each independent set as
-    the CLI spells it, "[1,2]", mapped to its mask in independent_sets() order, and their
-    inverse, each built on the first call that needs it; and the text of the last document
-    loaded on that configuration, with the (spec, table, echo) it parsed to."""
-    __slots__ = ("config", "keys", "names", "text", "loaded")
+    """The configuration the last document built, with its spellings, each independent set's
+    mask mapped to the set as the CLI spells it, "[1,2]", in independent_sets() order, built
+    on the first call that needs them; and the text of the last document loaded on that
+    configuration, with the (spec, table, echo) it parsed to."""
+    __slots__ = ("config", "names", "text", "loaded")
 
     def __init__(self):
         self.reset()
 
     def reset(self, config=None):
         """Hold the configuration, or none, and nothing else."""
-        self.config, self.keys, self.names, self.text, self.loaded = config, None, None, None, None
+        self.config, self.names, self.text, self.loaded = config, None, None, None
 
     def spellings(self) -> dict:
         """The configuration's spellings.  Building them enumerates, so they are
         asked for only once a command has enumerated."""
-        if self.keys is None:
-            # Keys as json.dumps spells a list compactly, each from its parent's ",1,2"-style spelling.
+        if self.names is None:
+            # Sets as json.dumps spells a list compactly, each from its parent's ",1,2"-style spelling.
             spelled = _by_prefix(self.config._minor_gcds, "", lambda parent, i: f"{parent},{i}")
-            self.keys = {f"[{spelled[m][1:]}]": m for m in sorted(spelled, key=int.bit_count)}
-        return self.keys
+            self.names = {m: f"[{spelled[m][1:]}]" for m in sorted(spelled, key=int.bit_count)}
+        return self.names
 
     def named_pieces(self) -> tuple:
         """Each basis and its IP(B), spelled, lexicographically by basis."""
-        if self.names is None:
-            keys = self.spellings()
-            self.names = dict(zip(keys.values(), keys))
-        passive = self.config._passive_sets
-        return (_Sets(map(self.names.__getitem__, passive)),
-                _Sets(map(self.names.__getitem__, passive.values())))
+        name, passive = self.spellings().__getitem__, self.config._passive_sets
+        return _Sets(map(name, passive)), _Sets(map(name, passive.values()))
 
 
 _slot = _Slot()
@@ -239,15 +236,9 @@ def _load_input(path):
         raw_table = doc["box_table"]
         if not isinstance(raw_table, dict):
             raise _CliError("'box_table' must be an object keyed by index lists")
-        # A key spelled as the configuration's spellings spell it is one lookup; any other is
-        # read by _index_mask.  The spellings exist once a table on the configuration has
-        # passed, or its sets were listed.
-        known = _slot.keys or {}
         overrides, spelled = {}, {str(i): i for i in range(1, config.n + 1)}
         for key, raw in raw_table.items():
-            mask = known.get(key)
-            if mask is None:
-                mask = _index_mask(key, spelled)
+            mask = _index_mask(key, spelled)
             if mask in overrides:
                 raise _CliError(f"box table names the set {zonotope._named(mask)!r} twice")
             overrides[mask] = raw if type(raw) is int else _parse_rational(raw)
@@ -296,11 +287,11 @@ def _cmd_hstar(args):
     if args.diagnostics:
         values = spec.config._box_counts if table is None else table._values
         bases, passive = _slot.named_pieces()
-        keys = _slot.spellings()
+        names = _slot.spellings()
         doc["diagnostics"] = {
             "bases": bases,
             "internally_passive": passive,
-            "box_table": dict(zip(keys, map(values.__getitem__, keys.values()))),
+            "box_table": dict(zip(names.values(), map(values.__getitem__, names))),
             "eulerian_multiplicities": c,
         }
     return doc
@@ -410,15 +401,14 @@ def _cmd_eulerian(args):
 def _cmd_matroid(args):
     spec, _, echo = _load_input(args.input)
     config = spec.config
-    keys = _slot.spellings()  # enumerates
-    bases, passive = _slot.named_pieces()
+    bases, passive = _slot.named_pieces()  # enumerates
     return {
         "command": "matroid",
         "input": echo,
         "n": config.n,
         "dim": config.dim,
         "rank": config.full_rank,
-        "independent_sets": _Sets(keys),
+        "independent_sets": _Sets(_slot.spellings().values()),
         "bases": bases,
         "internally_passive": passive,
         "coloop_free": config.is_coloop_free(),

@@ -52,3 +52,14 @@ def is_independent(vectors):
     determinant."""
     return det_bareiss([[sum(x * y for x, y in zip(a, b)) for b in vectors]
                         for a in vectors]) != 0
+
+
+def rank(vectors):
+    """Rank of the integer vectors: the size of a maximal independent subset,
+    grown greedily by `is_independent` (the greedy choice is maximal in a
+    matroid)."""
+    kept = []
+    for v in vectors:
+        if is_independent(kept + [v]):
+            kept.append(v)
+    return len(kept)

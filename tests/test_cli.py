@@ -636,13 +636,13 @@ def test_reused_configuration_leaks_nothing_between_documents(tmp_path, monkeypa
     # Documents on one set of generators share a configuration, and nothing
     # else: no table, two tables, no table again; both modes; with and
     # without "dim", whose echo keeps or omits it; and a table naming a
-    # dependent set in the middle.  Then, once the configuration's key map is
-    # built, tables that spell keys another way ("[2,1]", "[1, 4]") beside
+    # dependent set in the middle.  Then, once the configuration's spellings
+    # are built, tables that spell keys another way ("[2,1]", "[1, 4]") beside
     # the CLI's own ("[]", "[3]"), and tables with a good key followed by a
     # dependent set, a float value or the same set spelled again, and a last
     # `matroid` after the diagnostics.  Every call matches the same call made
-    # with an empty slot, which holds no map; from there, only a `matroid` or
-    # diagnostics that succeeds builds the map's inverse, and `check` never does.
+    # with an empty slot, which holds no map; from there, only a table that
+    # passes or a `matroid` or diagnostics that succeeds builds the map.
     from zonoehrhart import cli
 
     monkeypatch.chdir(tmp_path)
@@ -679,18 +679,19 @@ def test_reused_configuration_leaks_nothing_between_documents(tmp_path, monkeypa
     for argv in calls:
         code = cli.main(argv)
         in_sequence.append((code, *capsys.readouterr()))
-        held.append((cli._slot.config, cli._slot.keys, cli._slot.names))
-    config, keys, names = held[-1]
-    assert all(c is config for c, _, _ in held)  # one configuration, built by the first call
-    assert keys is not None and names is not None
-    assert all(k in (None, keys) and m in (None, names) for _, k, m in held)  # each built once
+        held.append((cli._slot.config, cli._slot.names))
+    config, names = held[-1]
+    assert all(c is config for c, _ in held)  # one configuration, built by the first call
+    assert names is not None
+    assert all(m in (None, names) for _, m in held)  # built once
+    passing = {"t1.json", "t2.json", "spellings.json"}  # the documents whose tables pass
     for argv, seen in zip(calls, in_sequence):
         cli._slot.reset()
-        assert cli._slot.keys is cli._slot.names is cli._slot.text is None
+        assert cli._slot.names is cli._slot.text is None
         code = cli.main(argv)
         assert (code, *capsys.readouterr()) == seen, argv
         lists = code == 0 and (argv[0] == "matroid" or "--diagnostics" in argv)
-        assert (cli._slot.names is not None) == lists, argv
+        assert (cli._slot.names is not None) == (lists or argv[1] in passing), argv
     codes = [code for code, _, _ in in_sequence]
     assert codes == [0] * 5 + [1, 1] + [0] * 7 + [0, 0, 1, 1, 1, 0, 0]
     errors = [json.loads(err)["code"] for _, _, err in in_sequence[-5:-2]]
@@ -705,9 +706,9 @@ def test_reused_configuration_leaks_nothing_between_documents(tmp_path, monkeypa
 
 def test_reuse_keeps_at_most_one_configuration(tmp_path, capsys):
     # The slot holds one configuration: a document on other generators lets
-    # the previous one go, and its spellings, their inverse and the kept
-    # document with it, without the cyclic collector.  A configuration over
-    # the enumeration guard is refused on every call, not only the first.
+    # the previous one go, and its spellings and the kept document with it,
+    # without the cyclic collector.  A configuration over the enumeration
+    # guard is refused on every call, not only the first.
     import gc
     import random
     import weakref
@@ -725,8 +726,8 @@ def test_reuse_keeps_at_most_one_configuration(tmp_path, capsys):
         assert "_minor_gcds" in vars(config)  # the one the call enumerated
         assert spec.config is table.config is config and "_histogram" in vars(table)
         refs = [weakref.ref(x) for x in (config, spec, table)]
-        held = [cli._slot.keys, cli._slot.names, cli._slot.text, cli._slot.loaded]
-        alone, lone = [{}, {}, str(object()), tuple([None])], {}  # referred to only here
+        held = [cli._slot.names, cli._slot.text, cli._slot.loaded]
+        alone, lone = [{}, str(object()), tuple([None])], {}  # referred to only here
         del config, spec, table
         assert None not in [ref() for ref in refs]
         assert all(map(int.__gt__, map(sys.getrefcount, held), map(sys.getrefcount, alone)))
@@ -1427,6 +1428,6 @@ def test_set_lists_keep_the_layout_past_one_digit(tmp_path, monkeypatch, capsys)
                     assert list(lists["box_table"]) == [
                         json.dumps(s, separators=(",", ":")) for s in sets], doc
                 slot = cli._slot
-                held.append((slot.config, slot.keys, slot.names, slot.loaded))
+                held.append((slot.config, slot.names, slot.loaded))
             assert all(a is b for a, b in zip(*held))  # the second call reused all of them
     assert two_digits == 4

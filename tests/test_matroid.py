@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from integer_reference import det_bareiss, is_independent
+from integer_reference import det_bareiss, is_independent, rank
 from zonoehrhart.errors import (DependentSetError, EnumerationLimitError,
                                 LatticeMathError)
 from zonoehrhart.matroid import VectorConfiguration, _mask
@@ -19,6 +19,35 @@ def test_rank_examples():
     loopy = VectorConfiguration([(0, 0)])
     assert loopy.rank((1,)) == 0
     assert VectorConfiguration([(2, 0)]).rank((1,)) == 1
+
+
+def test_rank_matches_the_determinant_reference():
+    # rank(indices) and full_rank against a rank read off Gram determinants
+    # alone, sharing no code with the library's elimination: seeded draws at
+    # d 0-5, some spanning only a sublattice of rank below d, with loops and
+    # repeated vectors mixed in, each list also read in reverse, and index
+    # sets given in shuffled and reversed orders.
+    rng = random.Random(37)
+    seen = dict.fromkeys(("deficient", "loop", "repeat"), 0)
+    for d in range(6):
+        for _ in range(12):
+            span = rng.randint(0, d)  # the rank of the draw, barring accidents
+            basis = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(span)]
+            vectors = [tuple(sum(rng.randint(-1, 1) * b[k] for b in basis) for k in range(d))
+                       for _ in range(rng.randint(0, 2 * d + 1))]
+            for _ in range(rng.randint(0, 2)):
+                extra = rng.choice(vectors) if vectors and rng.random() < 0.5 else (0,) * d
+                vectors.insert(rng.randint(0, len(vectors)), extra)
+            for config in (VectorConfiguration(vectors, d), VectorConfiguration(vectors[::-1], d)):
+                assert config.full_rank == rank(config.vectors), config
+                for _ in range(6):
+                    chosen = rng.sample(range(1, config.n + 1), rng.randint(0, config.n))
+                    expected = rank([config.vectors[i - 1] for i in chosen])
+                    assert config.rank(chosen) == config.rank(chosen[::-1]) == expected, chosen
+            seen["deficient"] += config.full_rank < d
+            seen["loop"] += (0,) * d in vectors
+            seen["repeat"] += len(set(vectors)) < len(vectors)
+    assert min(seen.values()) >= 5, seen
 
 
 def test_index_set_validation():

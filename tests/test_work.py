@@ -2,7 +2,8 @@
 
 Seconds on a shared machine swing about as far as a benchmark's bounds; the
 work each layer does is exact and the same on every machine.  The test wraps
-named private functions with counters and runs:
+named private functions with counters (`_internally_passive` is handed a
+mapping that counts its membership probes) and runs:
 
 * seed-7 draws at d = 4, 5, 6 with n = 2d generators and entries in
   [-3, 3], through `hstar` in both modes and `ehrhart`, as the benchmark's
@@ -28,8 +29,8 @@ from zonoehrhart.matroid import VectorConfiguration
 from zonoehrhart.zonotope import ZonotopeSpec, ehrhart, hstar
 
 BENCH_WORK = Path(__file__).resolve().parent.parent / "BENCH_work.json"
-FIELDS = ("rank_tests", "folds", "sets", "bases", "group_pairs", "basis_major_pairs",
-          "compiles", "facets", "swept_lines", "box_points")
+FIELDS = ("rank_tests", "folds", "sets", "bases", "passive_probes", "group_pairs",
+          "basis_major_pairs", "compiles", "facets", "swept_lines", "box_points")
 
 
 def _draw(rng, d, n, entries):
@@ -64,7 +65,26 @@ def _items():
 
 
 def _counters(counts):
-    """(owner, name, tally(args, result)) of every wrapped function."""
+    """(owner, name, wrap(real)) of every wrapped function."""
+    def after(tally):  # tally(args, result) once the call returns
+        def wrap(real):
+            def counted(*args):
+                result = real(*args)
+                tally(args, result)
+                return result
+            return counted
+        return wrap
+
+    class Probed(dict):  # counts the membership tests made on it
+        __slots__ = ()
+
+        def __contains__(self, key):
+            counts["passive_probes"] += 1
+            return dict.__contains__(self, key)
+
+    def probed(real):
+        return lambda members, r: real(Probed(members), r)
+
     def group(args, result):
         counts["sets"] += len(args[0])
         counts["group_pairs"] += sum(sum(m) * len(masks) for m, masks in result)
@@ -86,9 +106,12 @@ def _counters(counts):
     def tally(field):
         return lambda args, result: counts.__setitem__(field, counts[field] + 1)
 
-    return ((_linalg, "rank", tally("rank_tests")), (_linalg, "fold", tally("folds")),
-            (matroid, "_group", group), (matroid, "_basis_major", basis_major),
-            (oracle._Membership, "__init__", compile_rows), (oracle, "_sweep", sweep))
+    return ((_linalg, "rank", after(tally("rank_tests"))),
+            (_linalg, "fold", after(tally("folds"))),
+            (matroid, "_group", after(group)), (matroid, "_basis_major", after(basis_major)),
+            (matroid, "_internally_passive", probed),
+            (oracle._Membership, "__init__", after(compile_rows)),
+            (oracle, "_sweep", after(sweep)))
 
 
 def work_counts() -> dict:
@@ -96,14 +119,10 @@ def work_counts() -> dict:
     out = {}
     for name, run in _items():
         counts = dict.fromkeys(FIELDS, 0)
-        wrapped = [(owner, attr, getattr(owner, attr), tally)
-                   for owner, attr, tally in _counters(counts)]
-        for owner, attr, real, tally in wrapped:
-            def counted(*args, real=real, tally=tally):
-                result = real(*args)
-                tally(args, result)
-                return result
-            setattr(owner, attr, counted)
+        wrapped = [(owner, attr, getattr(owner, attr), wrap)
+                   for owner, attr, wrap in _counters(counts)]
+        for owner, attr, real, wrap in wrapped:
+            setattr(owner, attr, wrap(real))
         try:
             run()
         finally:

@@ -398,11 +398,15 @@ def test_unimodularity_test_agrees_with_bareiss_minors():
 
 def test_matroid_queries_make_no_rank_calls_after_enumeration(monkeypatch):
     # Once a configuration's independent sets are enumerated, passive sets,
-    # closures, the coloop test, the box table and h* are lookups into them.
+    # closures, the coloop test, the box table and h* are lookups into them:
+    # neither a rank test nor a fold runs after the enumeration.  The fold
+    # counter alone sees the enumeration, so the check holds without `rank`.
     calls = []
-    real_rank = _linalg.rank
+    real_rank, real_fold = _linalg.rank, _linalg.fold
     monkeypatch.setattr(_linalg, "rank",
-                        lambda rows: calls.append(1) or real_rank(rows))
+                        lambda rows: calls.append("rank") or real_rank(rows))
+    monkeypatch.setattr(_linalg, "fold",
+                        lambda v, columns: calls.append("fold") or real_fold(v, columns))
     rng = random.Random(43)
     while True:
         seeded = VectorConfiguration(
@@ -415,7 +419,7 @@ def test_matroid_queries_make_no_rank_calls_after_enumeration(monkeypatch):
         calls.clear()
         config.independent_sets()
         config.full_rank
-        assert calls, "the counter does not see the enumeration"
+        assert "fold" in calls, "the fold counter does not see the enumeration"
         calls.clear()
         for b in config.bases():
             config.internally_passive(b)
