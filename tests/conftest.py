@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 
@@ -49,3 +50,20 @@ def corpus():
         })
     elapsed = time.monotonic() - start
     return {"records": records, "elapsed": elapsed}
+
+
+@pytest.fixture
+def match_digest():
+    """A check that fails, naming the first record that moved, unless the
+    records hash to the digest.  `record_digests` holds the first four hex
+    digits of each record's own sha256, which locate that record."""
+    def match(records, digest, record_digests):
+        if hashlib.sha256("\n".join(records).encode()).hexdigest() != digest:
+            short = [hashlib.sha256(r.encode()).hexdigest()[:4] for r in records]
+            pinned = record_digests.split()
+            first = next((i for i, (a, b) in enumerate(zip(short, pinned)) if a != b),
+                         min(len(short), len(pinned)))
+            shown = records[first][:600] if first < len(records) else "(no record)"
+            pytest.fail(f"{len(records)} records (pinned {len(pinned)}); the first that "
+                        f"differs is record {first}: {shown}")
+    return match

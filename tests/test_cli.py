@@ -1201,25 +1201,11 @@ abdb a4c1 b4f6 19c1 5e73 d616 e697 af3c bfa9 c18f 3f07 df99 e697 af3c 64f5 8000 
 """
 
 
-def _match_digest(records, digest, record_digests):
-    """Fail, naming the first record that moved, unless the records hash to the digest."""
-    import hashlib
-
-    if hashlib.sha256("\n".join(records).encode()).hexdigest() != digest:
-        short = [hashlib.sha256(r.encode()).hexdigest()[:4] for r in records]
-        pinned = record_digests.split()
-        first = next((i for i, (a, b) in enumerate(zip(short, pinned)) if a != b),
-                     min(len(short), len(pinned)))
-        shown = records[first][:600] if first < len(records) else "(no record)"
-        pytest.fail(f"{len(records)} records (pinned {len(pinned)}); the first that "
-                    f"differs is record {first}: {shown}")
-
-
-def test_outputs_match_their_digest(tmp_path, monkeypatch, capsys):
+def test_outputs_match_their_digest(tmp_path, monkeypatch, capsys, match_digest):
     # Every output of `matroid`, `hstar`, `hstar --diagnostics` and
     # hstar_totally_unimodular on the seeded inputs is pinned byte for byte.
     monkeypatch.chdir(tmp_path)
-    _match_digest(_output_records(tmp_path, capsys), OUTPUT_DIGEST, RECORD_DIGESTS)
+    match_digest(_output_records(tmp_path, capsys), OUTPUT_DIGEST, RECORD_DIGESTS)
 
 
 def _bad_table_documents():
@@ -1320,11 +1306,11 @@ e7fe c87d a35a 98b4 3f10 98d5 89c0 25a6 6cf0 da30 cc0f 695c 97cf 9eef 33de af89 
 """
 
 
-def test_errors_match_their_digest(tmp_path, monkeypatch, capsys):
+def test_errors_match_their_digest(tmp_path, monkeypatch, capsys, match_digest):
     # `check` on every seeded document, and `hstar`, `check` and `matroid` on
     # every bad-table document, pinned byte for byte: exit code, stdout and stderr.
     monkeypatch.chdir(tmp_path)
-    _match_digest(_error_records(tmp_path, capsys), ERROR_DIGEST, ERROR_RECORD_DIGESTS)
+    match_digest(_error_records(tmp_path, capsys), ERROR_DIGEST, ERROR_RECORD_DIGESTS)
 
 
 def test_bases_are_read_from_the_cached_layers(tmp_path, monkeypatch, capsys):
