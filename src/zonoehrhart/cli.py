@@ -16,12 +16,14 @@ nonnegative integer equal to the length of every generator; the echo of the
 input in each result keeps it.
 
 Results go to stdout as JSON with a stable key order; errors go to stderr as
-JSON with a machine-readable "code".  Exit codes: 0 ok, 1 mathematical
-precondition or malformed input, 2 resource guard (a result integer too
-long for Python's int-to-str conversion among them), 3 internal
-disagreement.  Integers beyond 2^53 in magnitude are serialized as decimal
-strings.  `main` may be called repeatedly in one process; its argument
-parser is built on the first call.  One slot keeps the configuration the last
+JSON with a machine-readable "code", which `main` alone maps to the exit
+code: 0 ok; 1 "bad-input" (malformed input or arguments) or
+"math-precondition" (an out-of-range `eulerian --index` among them); 2
+"resource-limit" (a result integer too long for Python's int-to-str
+conversion among them); 3 "disagreement" between two computation paths.
+Integers beyond 2^53 in magnitude are serialized as decimal strings.
+`main` may be called repeatedly in one process; its argument parser is
+built on the first call.  One slot keeps the configuration the last
 document built, with its enumeration and one map from the mask of each of its
 independent sets to the set spelled "[1,2]", from which `matroid` and the
 diagnostics write their set lists; a document whose generators and dimension
@@ -43,7 +45,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import eulerian, oracle, polycore, zonotope
-from .errors import EnumerationLimitError, InternalDisagreementError, LatticeMathError
+from .errors import EnumerationLimitError, InternalDisagreementError, LatticeMathError, _integers
 from .matroid import VectorConfiguration, _by_prefix
 from .polycore import HStarVector, Poly
 
@@ -52,10 +54,7 @@ _quote = json.encoder.encode_basestring_ascii  # json.dumps' spelling of a strin
 
 
 class _CliError(Exception):
-    def __init__(self, message, code="bad-input", exit_code=1):
-        super().__init__(message)
-        self.code = code
-        self.exit_code = exit_code
+    """Malformed input or arguments: `main` exits 1 with code bad-input."""
 
 
 class _Sets(tuple):
@@ -265,7 +264,7 @@ def _cmd_ehrhart(args):
     if args.method in ("oracle", "both"):
         if table is not None:
             raise _CliError("the oracle counts lattice points and cannot honor a "
-                            "custom box_table", code="bad-input")
+                            "custom box_table")
         oracle_poly = oracle.ehrhart_via_oracle(spec)
         doc["counts"] = [oracle_poly(n) for n in range(oracle_poly.degree + 2)]
     doc["coefficients"] = formula if formula is not None else oracle_poly
@@ -380,8 +379,7 @@ def _cmd_eulerian(args):
             if method == "enumerate":
                 p = eulerian.b_l_polynomial_enumerate(d, args.index)
             else:
-                if not 1 <= args.index <= d:
-                    raise _CliError(f"--index must lie in 1..{d}")
+                _integers("l", (args.index,), 1, d)
                 p = eulerian.b_l_polynomial_via_a(d - 1, args.index - 1)
     else:
         if family == "A":
@@ -421,7 +419,7 @@ def _cmd_matroid(args):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _CliError(message, code="bad-input")
+        raise _CliError(message)
 
 
 @cache
@@ -472,7 +470,7 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
         doc = args.fn(args)
     except _CliError as exc:
-        return _emit_error(exc, exc.code, exc.exit_code)
+        return _emit_error(exc, "bad-input", 1)
     except LatticeMathError as exc:
         return _emit_error(exc, "math-precondition", 1)
     except EnumerationLimitError as exc:

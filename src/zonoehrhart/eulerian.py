@@ -3,7 +3,10 @@
 Permutations are 1-indexed words over [d] in one-line notation; signed
 permutations are a (word, signs) pair with signs in {+1, -1}.  Descent
 positions are likewise 1-based; signed descents may additionally use the
-virtual position 0 (word_0 = 0 with positive sign, never stored).
+virtual position 0 (word_0 = 0 with positive sign, never stored).  The four
+descent-set functions check their arguments one by one, in one order
+(letters, permutation, signs, then j or l), and raise LatticeMathError for
+the first fault.
 
 Each polynomial family has two deliberately independent computation paths,
 enumeration and recurrence/identity, so that one can serve as the other's
@@ -47,29 +50,22 @@ def _letters(word: Sequence[int], signs: Sequence[int] = _UNSIGNED,
     """(0, eps_1 w_1, ..., eps_d w_d), unsigned without signs, followed by
     d - last if what names last (j or l): the values _descents reads.
 
-    One test covers every argument; only a fault goes through the
-    per-argument checks, which raise it with their message and in their order.
+    A fault is named by the first check it fails, in order: letters,
+    permutation, signs, last.
     """
-    w = tuple(word)
+    w = _integers("a letter", word)
     d = len(w)
-    unsigned = signs is _UNSIGNED
-    # Signs of another type, which may not even be iterable, take the per-argument checks.
-    s = () if unsigned else tuple(signs) if type(signs) in (tuple, list) else None
-    if not (s is not None and {*map(type, w + s)} == {int}
-            and sorted(w) == list(range(1, d + 1))
-            and (unsigned or len(s) == d and {*s} <= {1, -1})
-            and (what is None or type(last) is int and 0 <= last <= d)):
-        w = _integers("a letter", w)
-        if sorted(w) != list(range(1, d + 1)):
-            raise LatticeMathError(f"{w!r} is not a permutation of 1..{d}")
-        if not unsigned:
-            s = _integers("a sign", signs)
-            if len(s) != d or not {*s} <= {1, -1}:
-                raise LatticeMathError("signs must be a +1/-1 vector matching the word length")
-        if what is not None:
-            _integers(what, (last,), 0, d)
-    values = (0,) + (w if unsigned else tuple(map(mul, s, w)))
-    return values if what is None else values + (d - last,)
+    if sorted(w) != list(range(1, d + 1)):
+        raise LatticeMathError(f"{w!r} is not a permutation of 1..{d}")
+    if signs is not _UNSIGNED:
+        s = _integers("a sign", signs)
+        if len(s) != d or not {*s} <= {1, -1}:
+            raise LatticeMathError("signs must be a +1/-1 vector matching the word length")
+        w = tuple(map(mul, s, w))
+    if what is None:
+        return (0,) + w
+    _integers(what, (last,), 0, d)
+    return (0,) + w + (d - last,)
 
 
 def _descents(values: tuple) -> frozenset:

@@ -194,10 +194,8 @@ class HStarVector:
         return f"HStarVector({self.h!r}, d={self.d})"
 
 
-def _as_hstar(h, d: int | None = None) -> HStarVector:
-    if isinstance(h, HStarVector):
-        return h
-    return HStarVector(tuple(h), d)
+def _as_hstar(h) -> HStarVector:
+    return h if isinstance(h, HStarVector) else HStarVector(tuple(h))
 
 
 # ---------------------------------------------------------------------------

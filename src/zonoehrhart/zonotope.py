@@ -147,10 +147,14 @@ def default_box_table(config: VectorConfiguration) -> BoxValuationTable:
 
 
 def _resolve_table(config, table) -> Mapping[int, int | Fraction] | None:
-    """The table's values by mask, or None for the configuration's own box counts."""
+    """The table's values by mask, or None for the configuration's own box counts:
+    no table, or the table `default_box_table` made of them (looked up in the
+    configuration's dict, so that a passed table never computes the counts)."""
     if table is not None and table.config != config:
         raise LatticeMathError("box table belongs to a different configuration")
-    return None if table is None else table._values
+    if table is None or table._values is vars(table.config).get("_box_counts"):
+        return None
+    return table._values
 
 
 # ---------------------------------------------------------------------------

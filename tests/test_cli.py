@@ -378,6 +378,22 @@ def test_eulerian_command():
         assert json.loads(proc.stdout)["coefficients"] == [0, 6, 2], method
 
 
+def test_eulerian_index_out_of_range(capsys):
+    # Every (family, method) pair names an --index outside 1..d as the
+    # library does: exit 1, code math-precondition, "j" or "l" in the message.
+    from zonoehrhart import cli
+    for family, method, name in (("A", "enumerate", "j"), ("A", "recurrence", "j"),
+                                 ("B", "enumerate", "l"), ("B", "identity", "l")):
+        for index in (0, 4):
+            argv = ["eulerian", "--family", family, "--d", "3", "--index", str(index),
+                    "--method", method]
+            assert cli.main(argv) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert json.loads(captured.err) == {
+                "error": f"{name} must lie in 1..3, got {index}", "code": "math-precondition"}
+
+
 def test_eulerian_method_validation():
     proc = run_cli("eulerian", "--family", "A", "--d", "3", "--method", "identity")
     assert proc.returncode == 1
@@ -1013,7 +1029,8 @@ def test_ordering_disagreement_exits_3(tmp_path, monkeypatch, capsys):
 
     cases = (("own", generators, lambda config: hstar_zonotope(ZonotopeSpec(config)), {}),
              ("passed", generators,
-              lambda config: hstar_zonotope(ZonotopeSpec(config), default_box_table(config)),
+              lambda config: hstar_zonotope(ZonotopeSpec(config),
+                                            default_box_table(config).override({(): 2})),
               {"box_table": {"[]": 2}}),
              ("piece", generators[:2],
               lambda config: hstar_halfopen_parallelepiped(ZonotopeSpec(config)), None))

@@ -482,6 +482,39 @@ def test_one_double_sum_per_configuration_and_table(monkeypatch):
         assert len(calls) == 2
 
 
+def test_default_table_is_read_as_the_own_box_counts(monkeypatch):
+    # `default_box_table(c)` holds c's own box counts, so `hstar` and
+    # `ehrhart` read it as no table: after the calls without one they take no
+    # second double sum and no second zeta transform.  A table that restates
+    # the same counts in a dict of its own is a passed table, summed once.
+    from zonoehrhart import matroid
+    calls = {"_basis_major": 0, "_subset_transform": 0}
+    for name in calls:
+        def counted(*args, name=name, real=getattr(matroid, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(matroid, name, counted)
+    rng = random.Random(38)
+    vectors = [tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(8)]
+    for config in (HEXAGON, VectorConfiguration(vectors, 4)):
+        config = VectorConfiguration(config.vectors, config.dim)  # nothing cached yet
+        for mode in MODES:
+            z = ZonotopeSpec(config, mode)
+            own = hstar(z), ehrhart(z)
+            seen = dict(calls)
+            assert (hstar(z, default_box_table(config)),
+                    ehrhart(z, default_box_table(config))) == own
+            assert calls == seen, config
+        restated = BoxValuationTable(config, default_box_table(config).values)
+        assert hstar(ZonotopeSpec(config), restated) == hstar(ZonotopeSpec(config))
+        assert calls["_basis_major"] == seen["_basis_major"] + 1
+    parallelepiped = ZonotopeSpec(VectorConfiguration([(2, 1, 0), (0, 1, 1), (1, 1, -1)]))
+    for removed in ((), (2,), (1, 3)):
+        assert hstar_halfopen_parallelepiped(
+            parallelepiped, removed, default_box_table(parallelepiped.config)) == \
+            hstar_halfopen_parallelepiped(parallelepiped, removed)
+
+
 def test_histograms_are_stanleys_coordinates():
     # Stanley's sum E(n) = sum_k S_k n^k, with S_k the sum of the half-open
     # box values phi(I) over the k-element independent sets, fixes the
