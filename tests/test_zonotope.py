@@ -485,7 +485,7 @@ def test_one_double_sum_per_configuration_and_table(monkeypatch):
 def test_default_table_is_read_as_the_own_box_counts(monkeypatch):
     # `default_box_table(c)` holds c's own box counts, so `hstar` and
     # `ehrhart` read it as no table: after the calls without one they take no
-    # second double sum and no second zeta transform.  A table that restates
+    # second double sum and no second subset transform.  A table that restates
     # the same counts in a dict of its own is a passed table, summed once.
     from zonoehrhart import matroid
     calls = {"_basis_major": 0, "_subset_transform": 0}
